@@ -104,11 +104,7 @@ def _annotations(cograph, ages=None):
     annotations = {}
     for i, component in enumerate(components):
         subgraph = cograph.graph.subgraph(component)
-        communities = sorted(
-            (sorted(c) for c in girvan_newman(subgraph).communities),
-            key=lambda c: (-len(c), c[0]),
-        )
-        for j, community in enumerate(communities):
+        for j, community in enumerate(girvan_newman(subgraph).ordered()):
             for node in community:
                 annotations[node] = {"component": i, "community": f"{i}.{j}"}
     if ages is not None:

@@ -2,7 +2,9 @@
 
 Degree, clustering coefficient, Freeman betweenness, connected components,
 edge-betweenness community detection and modularity. All metrics treat the
-graph as unweighted and are deterministic.
+graph as unweighted and are deterministic. Node and edge betweenness both
+come from one Brandes kernel, `_dense_betweenness`, a sweep over all
+sources at once on the dense adjacency matrix.
 """
 
 from __future__ import annotations
@@ -17,17 +19,11 @@ from .errors import InvalidArgumentError
 _TIE_EPS = 1e-12
 
 
-def edge_key(u, v):
-    """Canonical unordered representation of an edge."""
-    return (u, v) if u <= v else (v, u)
-
-
 class Graph:
     """Simple undirected graph with hashable, sortable node labels."""
 
     def __init__(self, nodes=(), edges=()):
         self._adj: dict = {}
-        self.meta: dict = {}
         for v in nodes:
             self.add_node(v)
         for u, v in edges:
@@ -76,7 +72,6 @@ class Graph:
     def copy(self) -> "Graph":
         g = Graph()
         g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
-        g.meta = dict(self.meta)
         return g
 
     def subgraph(self, nodes) -> "Graph":
@@ -99,6 +94,10 @@ class CommunityPartition:
     communities: tuple
     modularity_q: float
     dendrogram: tuple = field(default=())
+
+    def ordered(self) -> list:
+        """Communities as sorted member lists, largest first, then smallest label."""
+        return sorted((sorted(c) for c in self.communities), key=lambda c: (-len(c), c[0]))
 
 
 def degree(graph: Graph, node) -> int:
@@ -139,7 +138,7 @@ def betweenness_all(graph: Graph) -> dict:
     labels, a = _adjacency_matrix(graph)
     if not labels:
         return {}
-    values = _dense_betweenness(a)
+    values, _ = _dense_betweenness(a)
     return dict(zip(labels, values.tolist()))
 
 
@@ -155,11 +154,15 @@ def _adjacency_matrix(graph: Graph):
     return labels, a
 
 
-def _dense_betweenness(a: np.ndarray) -> np.ndarray:
-    """All-sources Brandes accumulation, vectorized over sources."""
+def _dense_betweenness(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All-sources Brandes accumulation, vectorized over sources.
+
+    Returns node betweenness and the symmetric matrix of edge betweenness
+    (zero off the edges), both over unordered pairs.
+    """
     n = a.shape[0]
     if n == 0:
-        return np.zeros(0)
+        return np.zeros(0), np.zeros((0, 0))
     dist = np.full((n, n), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
     sigma = np.eye(n)
@@ -175,14 +178,19 @@ def _dense_betweenness(a: np.ndarray) -> np.ndarray:
         sigma[new] = paths[new]
         frontier = new
     delta = np.zeros((n, n))
+    edge = np.zeros((n, n))
     safe_sigma = np.where(sigma > 0, sigma, 1.0)
     for lev in range(level, 0, -1):
         at_level = dist == lev
         coeff = np.where(at_level, (1.0 + delta) / safe_sigma, 0.0)
         spread = coeff @ a
-        delta += np.where(dist == lev - 1, spread * sigma, 0.0)
+        parent = np.where(dist == lev - 1, sigma, 0.0)
+        # edge[v, w] += sum over s with dist_sv = lev - 1, dist_sw = lev
+        # of sigma_sv * (1 + delta_sw) / sigma_sw
+        edge += parent.T @ coeff
+        delta += parent * spread
     totals = delta.sum(axis=0) - np.diagonal(delta)
-    return totals / 2.0
+    return totals / 2.0, (edge + edge.T) * a / 2.0
 
 
 def connected_components(graph: Graph) -> list:
@@ -208,33 +216,10 @@ def connected_components(graph: Graph) -> list:
 
 def edge_betweenness(graph: Graph) -> dict:
     """Brandes edge-betweenness over unordered pairs."""
-    eb = {e: 0.0 for e in graph.edges()}
-    for s in graph.nodes():
-        stack = []
-        pred = {v: [] for v in graph._adj}
-        sigma = dict.fromkeys(graph._adj, 0.0)
-        dist = dict.fromkeys(graph._adj, -1)
-        sigma[s] = 1.0
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in graph.neighbors(v):
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    pred[w].append(v)
-        delta = dict.fromkeys(graph._adj, 0.0)
-        while stack:
-            w = stack.pop()
-            for v in pred[w]:
-                c = sigma[v] / sigma[w] * (1.0 + delta[w])
-                eb[edge_key(v, w)] += c
-                delta[v] += c
-    return {e: val / 2.0 for e, val in eb.items()}
+    labels, a = _adjacency_matrix(graph)
+    index = {v: i for i, v in enumerate(labels)}
+    _, eb = _dense_betweenness(a)
+    return {(u, v): float(eb[index[u], index[v]]) for u, v in graph.edges()}
 
 
 def modularity(graph: Graph, partition) -> float:

@@ -77,22 +77,10 @@ def er_gnm(n: int, m: int, rng: np.random.Generator) -> Graph:
     g = Graph(nodes=range(n))
     if m == 0:
         return g
-    if limit <= 5_000_000:
-        rows, cols = np.triu_indices(n, k=1)
-        chosen = rng.choice(limit, size=m, replace=False)
-        for k in chosen:
-            g.add_edge(int(rows[k]), int(cols[k]))
-    else:
-        seen = set()
-        while len(seen) < m:
-            u = int(rng.integers(0, n))
-            v = int(rng.integers(0, n))
-            if u == v:
-                continue
-            e = (u, v) if u < v else (v, u)
-            if e not in seen:
-                seen.add(e)
-                g.add_edge(*e)
+    rows, cols = np.triu_indices(n, k=1)
+    chosen = rng.choice(limit, size=m, replace=False)
+    for k in chosen:
+        g.add_edge(int(rows[k]), int(cols[k]))
     return g
 
 
@@ -157,7 +145,7 @@ def switch_randomize(
 def random_geometric(n: int, radius: float, rng: np.random.Generator) -> Graph:
     """Uniform points in the unit square joined when within the radius.
 
-    Euclidean, non-toroidal. Positions are kept in graph.meta["positions"].
+    Euclidean, non-toroidal.
     """
     if n < 0:
         raise InvalidArgumentError("node count must be non-negative")
@@ -165,7 +153,6 @@ def random_geometric(n: int, radius: float, rng: np.random.Generator) -> Graph:
         raise InvalidArgumentError("radius must be non-negative")
     positions = rng.random((n, 2))
     g = Graph(nodes=range(n))
-    g.meta["positions"] = {i: (positions[i, 0], positions[i, 1]) for i in range(n)}
     if n >= 2:
         rows, cols = np.triu_indices(n, k=1)
         close = pdist(positions) <= radius

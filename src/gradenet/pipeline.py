@@ -205,9 +205,7 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
             continue
         component_graph = cograph.graph.subgraph(selected)
         partition = girvan_newman(component_graph)
-        communities = sorted(
-            (sorted(c) for c in partition.communities), key=lambda c: (-len(c), c[0])
-        )
+        communities = partition.ordered()
         summaries = group_summary(communities, stage_records, _stage_transactions(transactions, included))
         pruned_graph = prune_minor_groups(
             component_graph, communities, stage_records, config.prune_floor

@@ -85,7 +85,8 @@ def parse_records(
 ) -> list:
     """Parse CSV text into ProductionRecords, preserving file order.
 
-    Extra columns are ignored. When attribute_columns is None, the standard
+    Extra columns are ignored. A column that is read must appear exactly
+    once in the header. When attribute_columns is None, the standard
     attribute columns present in the header are used.
     """
     reader = csv.reader(io.StringIO(csv_text))
@@ -99,6 +100,8 @@ def parse_records(
     for required in (campaign_column, item_column, *attribute_columns):
         if required not in header:
             raise SchemaError(f"missing required column: {required}")
+        if header.count(required) > 1:
+            raise SchemaError(f"duplicate column: {required}")
     col = {name: header.index(name) for name in header}
     width = max(col[c] for c in (campaign_column, item_column, *attribute_columns))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -85,6 +86,45 @@ def brute_betweenness(graph: Graph) -> dict:
             through = sum(1 for path in paths if v in path)
             totals[v] += through / len(paths)
     return totals
+
+
+def edge_key(u, v):
+    """Canonical unordered representation of an edge."""
+    return (u, v) if u <= v else (v, u)
+
+
+def dict_edge_betweenness(graph: Graph) -> dict:
+    """Brandes edge-betweenness over unordered pairs, one source at a time.
+
+    The dict/deque implementation that the dense kernel replaced.
+    """
+    eb = {e: 0.0 for e in graph.edges()}
+    for s in graph.nodes():
+        stack = []
+        pred = {v: [] for v in graph._adj}
+        sigma = dict.fromkeys(graph._adj, 0.0)
+        dist = dict.fromkeys(graph._adj, -1)
+        sigma[s] = 1.0
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in graph.neighbors(v):
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    pred[w].append(v)
+        delta = dict.fromkeys(graph._adj, 0.0)
+        while stack:
+            w = stack.pop()
+            for v in pred[w]:
+                c = sigma[v] / sigma[w] * (1.0 + delta[w])
+                eb[edge_key(v, w)] += c
+                delta[v] += c
+    return {e: val / 2.0 for e, val in eb.items()}
 
 
 def brute_clustering(graph: Graph, node) -> float:

@@ -153,6 +153,9 @@ def test_exit_codes(tmp_path, input_csv, capsys):
     missing_column = tmp_path / "cols.csv"
     missing_column.write_text("foo,bar\n1,2\n", encoding="utf-8")
     assert main(["mine", str(missing_column), "--out", str(tmp_path / "o2")]) == 2
+    duplicate_column = tmp_path / "dup.csv"
+    duplicate_column.write_text("campaign,grade,grade\nA,1,2\nA,3,4\n", encoding="utf-8")
+    assert main(["mine", str(duplicate_column), "--out", str(tmp_path / "o6")]) == 2
     assert main(["mine", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o3")]) == 2
     bad_config = tmp_path / "bad.json"
     bad_config.write_text("{not json", encoding="utf-8")

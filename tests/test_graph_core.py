@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradenet.graph
 from gradenet import (
     Graph,
     InvalidArgumentError,
@@ -21,7 +22,12 @@ from gradenet import (
     girvan_newman,
     modularity,
 )
-from conftest import brute_betweenness, brute_clustering, random_graph
+from conftest import (
+    brute_betweenness,
+    brute_clustering,
+    dict_edge_betweenness,
+    random_graph,
+)
 
 
 def path_graph(n):
@@ -108,6 +114,17 @@ def test_edge_betweenness_bridge():
     assert eb[(2, 3)] == pytest.approx(9.0)
 
 
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_edge_betweenness_matches_dict_oracle(seed, max_nodes):
+    g = random_graph(np.random.default_rng(seed), max_nodes=max_nodes)
+    expected = dict_edge_betweenness(g)
+    actual = edge_betweenness(g)
+    assert actual.keys() == expected.keys()
+    for e, value in expected.items():
+        assert actual[e] == pytest.approx(value, abs=1e-9)
+
+
 def test_modularity_fixtures():
     two_triangles = Graph(edges=[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert modularity(two_triangles, [{0, 1, 2}, {3, 4, 5}]) == pytest.approx(0.5)
@@ -161,6 +178,19 @@ def test_girvan_newman_deterministic():
         second = girvan_newman(g)
         assert first.communities == second.communities
         assert first.dendrogram == second.dendrogram
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12))
+@settings(max_examples=100, deadline=None)
+def test_girvan_newman_matches_dict_oracle(seed, max_nodes):
+    g = random_graph(np.random.default_rng(seed), max_nodes=max_nodes)
+    dense = girvan_newman(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradenet.graph, "edge_betweenness", dict_edge_betweenness)
+        oracle = girvan_newman(g)
+    assert dense.communities == oracle.communities
+    assert dense.dendrogram == oracle.dendrogram
+    assert dense.modularity_q == oracle.modularity_q
 
 
 @given(st.integers(min_value=0, max_value=10_000))

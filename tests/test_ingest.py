@@ -49,6 +49,17 @@ def test_parse_missing_column():
         parse_records("campaign,carbon\nA,0.1\n")
 
 
+def test_parse_duplicate_read_column():
+    for header in ("campaign,grade,grade", "campaign,campaign,grade", "campaign,grade,carbon,carbon"):
+        width = header.count(",") + 1
+        row = ",".join(["A", "1", "0.1", "0.2"][:width])
+        with pytest.raises(SchemaError, match="duplicate column"):
+            parse_records(f"{header}\n{row}\n")
+    # a repeated column that is never read stays harmless
+    records = parse_records("note,campaign,grade,note\nx,A,1,y\n")
+    assert [(r.campaign_id, r.item) for r in records] == [("A", "1")]
+
+
 def test_parse_empty_input():
     with pytest.raises(SchemaError):
         parse_records("")

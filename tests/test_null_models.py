@@ -98,7 +98,8 @@ def test_switch_randomize_mixing():
 def test_random_geometric_edges_match_positions():
     rng = np.random.default_rng(5)
     g = random_geometric(40, 0.3, rng)
-    positions = g.meta["positions"]
+    # the positions are the generator's first draw
+    positions = np.random.default_rng(5).random((40, 2))
     expected = set()
     for u in range(40):
         for v in range(u + 1, 40):
