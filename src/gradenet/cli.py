@@ -162,7 +162,11 @@ def cmd_analyze(args) -> int:
         swap_multiplier=args.swap_multiplier,
     )
     report = run_analysis(_read_text(args.input), config)
-    _write(args.out, "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise GradenetError(f"report holds a non-finite number: {exc}") from exc
+    _write(args.out, "report.json", text + "\n")
     _write(args.out, "zscores.csv", zscores_csv_dumps(zscore_rows(report)))
     return 0
 

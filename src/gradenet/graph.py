@@ -125,12 +125,7 @@ def clustering_all(graph: Graph) -> dict:
     labels, a = _adjacency_matrix(graph)
     if not labels:
         return {}
-    k = a.sum(axis=1)
-    closed = ((a @ a) * a).sum(axis=1)  # (A^3)_ii = twice the neighbor edges
-    denom = k * (k - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(denom > 0, closed / np.where(denom > 0, denom, 1.0), 0.0)
-    return dict(zip(labels, c.tolist()))
+    return dict(zip(labels, _dense_clustering(a).tolist()))
 
 
 def betweenness_all(graph: Graph) -> dict:
@@ -138,7 +133,7 @@ def betweenness_all(graph: Graph) -> dict:
     labels, a = _adjacency_matrix(graph)
     if not labels:
         return {}
-    values, _ = _dense_betweenness(a)
+    values, _ = _dense_betweenness(a, edges=False)
     return dict(zip(labels, values.tolist()))
 
 
@@ -154,15 +149,25 @@ def _adjacency_matrix(graph: Graph):
     return labels, a
 
 
-def _dense_betweenness(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dense_clustering(a: np.ndarray) -> np.ndarray:
+    """Local clustering of every row of a float 0/1 adjacency matrix."""
+    k = a.sum(axis=1)
+    closed = ((a @ a) * a).sum(axis=1)  # (A^3)_ii = twice the neighbor edges
+    denom = k * (k - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0, closed / np.where(denom > 0, denom, 1.0), 0.0)
+
+
+def _dense_betweenness(a: np.ndarray, *, edges: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """All-sources Brandes accumulation, vectorized over sources.
 
-    Returns node betweenness and the symmetric matrix of edge betweenness
-    (zero off the edges), both over unordered pairs.
+    Returns node betweenness and, when `edges` is true, the symmetric matrix
+    of edge betweenness (zero off the edges), both over unordered pairs;
+    otherwise None in place of the matrix.
     """
     n = a.shape[0]
     if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
+        return np.zeros(0), (np.zeros((0, 0)) if edges else None)
     dist = np.full((n, n), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
     sigma = np.eye(n)
@@ -178,7 +183,7 @@ def _dense_betweenness(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sigma[new] = paths[new]
         frontier = new
     delta = np.zeros((n, n))
-    edge = np.zeros((n, n))
+    edge = np.zeros((n, n)) if edges else None
     safe_sigma = np.where(sigma > 0, sigma, 1.0)
     for lev in range(level, 0, -1):
         at_level = dist == lev
@@ -187,10 +192,11 @@ def _dense_betweenness(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         parent = np.where(dist == lev - 1, sigma, 0.0)
         # edge[v, w] += sum over s with dist_sv = lev - 1, dist_sw = lev
         # of sigma_sv * (1 + delta_sw) / sigma_sw
-        edge += parent.T @ coeff
+        if edges:
+            edge += parent.T @ coeff
         delta += parent * spread
     totals = delta.sum(axis=0) - np.diagonal(delta)
-    return totals / 2.0, (edge + edge.T) * a / 2.0
+    return totals / 2.0, ((edge + edge.T) * a / 2.0 if edges else None)
 
 
 def connected_components(graph: Graph) -> list:
@@ -218,7 +224,7 @@ def edge_betweenness(graph: Graph) -> dict:
     """Brandes edge-betweenness over unordered pairs."""
     labels, a = _adjacency_matrix(graph)
     index = {v: i for i, v in enumerate(labels)}
-    _, eb = _dense_betweenness(a)
+    _, eb = _dense_betweenness(a, edges=True)
     return {(u, v): float(eb[index[u], index[v]]) for u, v in graph.edges()}
 
 

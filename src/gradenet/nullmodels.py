@@ -4,7 +4,8 @@ Three families: Erdos-Renyi G(n, m), degree-preserving switch
 randomization, and random geometric graphs in the unit square with a
 radius calibrated to hit a target edge count in expectation. All
 generators are pure functions of (parameters, seeded generator), so
-ensemble replicates can be produced independently and reproducibly.
+ensemble replicates can be produced independently and reproducibly. Each
+replicate is an n x n bool adjacency array; no Graph is built for it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import InvalidArgumentError
 from .graph import Graph
@@ -67,42 +68,54 @@ def max_edges(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def er_gnm(n: int, m: int, rng: np.random.Generator) -> Graph:
-    """Uniform simple graph with exactly n nodes and m edges."""
+def er_gnm(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform simple graph with exactly n nodes and m edges, as an n x n bool adjacency."""
     if n < 0:
         raise InvalidArgumentError("node count must be non-negative")
     limit = max_edges(n)
     if not (0 <= m <= limit):
         raise InvalidArgumentError(f"edge count {m} outside [0, {limit}]")
-    g = Graph(nodes=range(n))
+    a = np.zeros((n, n), dtype=bool)
     if m == 0:
-        return g
+        return a
     rows, cols = np.triu_indices(n, k=1)
     chosen = rng.choice(limit, size=m, replace=False)
-    for k in chosen:
-        g.add_edge(int(rows[k]), int(cols[k]))
-    return g
+    a[rows[chosen], cols[chosen]] = True
+    return a | a.T
 
 
 def switch_randomize(
     graph: Graph, swap_multiplier: float = 10.0, rng: np.random.Generator | None = None
-) -> Graph:
+) -> np.ndarray:
     """Degree-preserving double-edge-swap randomization.
 
     Performs ceil(swap_multiplier * m) successful swaps: two edges with four
     distinct endpoints are rewired iff neither replacement edge exists.
-    Graphs with no swappable edge pair come back as a plain copy.
+    Gives up after max(10 000, 200 * target) attempts. Graphs with no
+    swappable edge pair come back unchanged. Returns the n x n bool adjacency
+    in `graph.nodes()` order.
     """
     if swap_multiplier <= 0:
         raise InvalidArgumentError("swap multiplier must be positive")
     rng = rng if rng is not None else np.random.default_rng()
-    result = graph.copy()
-    edges = result.edges()
-    m = len(edges)
-    if m < 2:
-        return result
-    target = math.ceil(swap_multiplier * m)
-    edge_set = set(edges)
+    labels = graph.nodes()
+    index = {v: i for i, v in enumerate(labels)}
+    n = len(labels)
+    # edge k is (ends[2k], ends[2k + 1]) with the smaller index first;
+    # slot 2k + flip is the endpoint a flip selects as "first"
+    ends = [index[v] for edge in graph.edges() for v in edge]
+    adj = bytearray(n * n)
+    for u, v in zip(ends[::2], ends[1::2]):
+        adj[u * n + v] = adj[v * n + u] = 1
+    m = len(ends) // 2
+    if m >= 2:
+        _swap(ends, adj, n, math.ceil(swap_multiplier * m), rng)
+    return np.frombuffer(adj, dtype=bool).reshape(n, n)
+
+
+def _swap(ends: list, adj: bytearray, n: int, target: int, rng: np.random.Generator) -> None:
+    """Run the swap chain in place on the edge endpoints and flat adjacency."""
+    m = len(ends) // 2
     successes = 0
     attempts = 0
     max_attempts = max(10_000, 200 * target)
@@ -110,55 +123,56 @@ def switch_randomize(
     while successes < target and attempts < max_attempts:
         idx = rng.integers(0, m, size=(block, 2))
         flips = rng.integers(0, 2, size=(block, 2))
-        for (i, j), (fi, fj) in zip(idx.tolist(), flips.tolist()):
-            attempts += 1
-            if successes >= target or attempts > max_attempts:
-                break
-            if i == j:
-                continue
-            a, b = edges[i]
-            c, d = edges[j]
-            if fi:
-                a, b = b, a
-            if fj:
-                c, d = d, c
+        budget = max_attempts - attempts
+        attempts += block
+        first = 2 * idx[:budget, 0] + flips[:budget, 0]
+        second = 2 * idx[:budget, 1] + flips[:budget, 1]
+        distinct = idx[:budget, 0] != idx[:budget, 1]
+        for p, q in zip(first[distinct].tolist(), second[distinct].tolist()):
+            a = ends[p]
+            b = ends[p ^ 1]
+            c = ends[q]
+            d = ends[q ^ 1]
             if a == c or a == d or b == c or b == d:
                 continue
-            new1 = (a, d) if a <= d else (d, a)
-            new2 = (c, b) if c <= b else (b, c)
-            if new1 in edge_set or new2 in edge_set:
+            ad = a * n + d
+            cb = c * n + b
+            if adj[ad] or adj[cb]:
                 continue
-            edge_set.discard(edges[i])
-            edge_set.discard(edges[j])
-            edge_set.add(new1)
-            edge_set.add(new2)
-            result.remove_edge(*edges[i])
-            result.remove_edge(*edges[j])
-            result.add_edge(*new1)
-            result.add_edge(*new2)
-            edges[i] = new1
-            edges[j] = new2
+            adj[a * n + b] = adj[b * n + a] = adj[c * n + d] = adj[d * n + c] = 0
+            adj[ad] = adj[d * n + a] = adj[cb] = adj[b * n + c] = 1
+            p &= -2
+            q &= -2
+            if a < d:
+                ends[p] = a
+                ends[p + 1] = d
+            else:
+                ends[p] = d
+                ends[p + 1] = a
+            if c < b:
+                ends[q] = c
+                ends[q + 1] = b
+            else:
+                ends[q] = b
+                ends[q + 1] = c
             successes += 1
-    return result
+            if successes == target:
+                return
 
 
-def random_geometric(n: int, radius: float, rng: np.random.Generator) -> Graph:
+def random_geometric(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform points in the unit square joined when within the radius.
 
-    Euclidean, non-toroidal.
+    Euclidean, non-toroidal. Returns the n x n bool adjacency.
     """
     if n < 0:
         raise InvalidArgumentError("node count must be non-negative")
     if radius < 0:
         raise InvalidArgumentError("radius must be non-negative")
     positions = rng.random((n, 2))
-    g = Graph(nodes=range(n))
-    if n >= 2:
-        rows, cols = np.triu_indices(n, k=1)
-        close = pdist(positions) <= radius
-        for k in np.flatnonzero(close):
-            g.add_edge(int(rows[k]), int(cols[k]))
-    return g
+    if n < 2:
+        return np.zeros((n, n), dtype=bool)
+    return squareform(pdist(positions) <= radius)
 
 
 def calibrate_radius(
@@ -222,8 +236,8 @@ def spec_for(
     raise InvalidArgumentError(f"unknown null model {model!r}")
 
 
-def generate_null(spec: NullModelSpec, rng: np.random.Generator) -> Graph:
-    """Draw one replicate from a null-model family."""
+def generate_null(spec: NullModelSpec, rng: np.random.Generator) -> np.ndarray:
+    """Draw one replicate from a null-model family as an n x n bool adjacency."""
     if spec.kind == "ER":
         return er_gnm(spec.n, spec.m, rng)
     if spec.kind == "DEGSEQ":

@@ -21,7 +21,7 @@ from .errors import (
     UndefinedCorrelationError,
     UndefinedZScoreError,
 )
-from .graph import Graph, betweenness_all, clustering_all
+from .graph import Graph, _adjacency_matrix, _dense_betweenness, _dense_clustering
 from .nullmodels import NullModelSpec, SeedStream, generate_null
 
 STATISTICS = ("COR_D_BC", "COR_CC_BC")
@@ -160,19 +160,20 @@ def correlation(x, y, kind: str) -> CorrelationResult:
     return fn(x, y)
 
 
-def metric_vectors(graph: Graph):
-    """(degree, clustering, betweenness) arrays over non-isolated nodes."""
-    labels = [v for v in graph.nodes() if len(graph.neighbors(v)) > 0]
-    if len(labels) < 3:
-        raise InsufficientDataError(
-            f"need at least 3 non-isolated nodes, got {len(labels)}"
-        )
-    cc = clustering_all(graph)
-    bc = betweenness_all(graph)
-    deg = np.array([len(graph.neighbors(v)) for v in labels], dtype=float)
-    cvec = np.array([cc[v] for v in labels])
-    bvec = np.array([bc[v] for v in labels])
-    return labels, deg, cvec, bvec
+def metric_vectors(a: np.ndarray):
+    """(degree, clustering, betweenness) arrays over the non-isolated rows.
+
+    `a` is a symmetric 0/1 adjacency matrix. The metrics are computed on the
+    whole matrix and then restricted, so isolated rows change no value.
+    """
+    a = np.asarray(a, dtype=float)
+    deg = a.sum(axis=1)
+    keep = deg > 0
+    count = int(keep.sum())
+    if count < 3:
+        raise InsufficientDataError(f"need at least 3 non-isolated nodes, got {count}")
+    bc, _ = _dense_betweenness(a, edges=False)
+    return deg[keep], _dense_clustering(a)[keep], bc[keep]
 
 
 def node_metric_correlations(graph: Graph, kind: str = "spearman", strict: bool = True):
@@ -181,7 +182,8 @@ def node_metric_correlations(graph: Graph, kind: str = "spearman", strict: bool 
     With strict=False a statistic whose metric vector is constant comes
     back as None instead of raising.
     """
-    _, deg, cvec, bvec = metric_vectors(graph)
+    _, a = _adjacency_matrix(graph)
+    deg, cvec, bvec = metric_vectors(a)
     results = []
     for x in (deg, cvec):
         try:
@@ -224,7 +226,7 @@ def ensemble_zscores(
 ) -> list:
     """Z-scores of the graph's metric correlations against a null ensemble.
 
-    One replicate graph is generated per index from the seed stream and
+    One replicate adjacency is generated per index from the seed stream and
     both statistics are evaluated on it; undefined replicate values are
     dropped and counted. With strict=True a statistic that loses more than
     half its replicates or has zero ensemble spread raises; with
@@ -244,7 +246,7 @@ def ensemble_zscores(
     for i in range(replicates):
         replica = generate_null(spec, stream.generator(i))
         try:
-            _, deg, cvec, bvec = metric_vectors(replica)
+            deg, cvec, bvec = metric_vectors(replica)
         except InsufficientDataError:
             for name in STATISTICS:
                 dropped[name] += 1

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
-from gradenet import Graph
+from gradenet import Graph, InvalidArgumentError
+from gradenet.nullmodels import max_edges
 
 # verdict lines collected by the acceptance-test decorator, printed once
 # pytest's capture has ended so they survive fd-level capturing
@@ -170,3 +173,112 @@ def kendall_exhaustive(x, y):
     if denom == 0:
         return None
     return (concordant - discordant) / denom
+
+
+def graph_from_adjacency(labels, a) -> Graph:
+    """The Graph on `labels` whose edges are the nonzero upper-triangle entries of `a`."""
+    labels = list(labels)
+    rows, cols = np.nonzero(np.triu(a))
+    return Graph(
+        nodes=labels,
+        edges=[(labels[i], labels[j]) for i, j in zip(rows.tolist(), cols.tolist())],
+    )
+
+
+# The Graph-building null-model generators that the adjacency-array
+# generators in gradenet.nullmodels replaced; the array versions must match
+# them edge for edge and leave the generator in the same state.
+
+
+def graph_er_gnm(n: int, m: int, rng: np.random.Generator) -> Graph:
+    """Uniform simple graph with exactly n nodes and m edges."""
+    if n < 0:
+        raise InvalidArgumentError("node count must be non-negative")
+    limit = max_edges(n)
+    if not (0 <= m <= limit):
+        raise InvalidArgumentError(f"edge count {m} outside [0, {limit}]")
+    g = Graph(nodes=range(n))
+    if m == 0:
+        return g
+    rows, cols = np.triu_indices(n, k=1)
+    chosen = rng.choice(limit, size=m, replace=False)
+    for k in chosen:
+        g.add_edge(int(rows[k]), int(cols[k]))
+    return g
+
+
+def graph_switch_randomize(
+    graph: Graph, swap_multiplier: float = 10.0, rng: np.random.Generator | None = None
+) -> Graph:
+    """Degree-preserving double-edge-swap randomization.
+
+    Performs ceil(swap_multiplier * m) successful swaps: two edges with four
+    distinct endpoints are rewired iff neither replacement edge exists.
+    Graphs with no swappable edge pair come back as a plain copy.
+    """
+    if swap_multiplier <= 0:
+        raise InvalidArgumentError("swap multiplier must be positive")
+    rng = rng if rng is not None else np.random.default_rng()
+    result = graph.copy()
+    edges = result.edges()
+    m = len(edges)
+    if m < 2:
+        return result
+    target = math.ceil(swap_multiplier * m)
+    edge_set = set(edges)
+    successes = 0
+    attempts = 0
+    max_attempts = max(10_000, 200 * target)
+    block = 4096
+    while successes < target and attempts < max_attempts:
+        idx = rng.integers(0, m, size=(block, 2))
+        flips = rng.integers(0, 2, size=(block, 2))
+        for (i, j), (fi, fj) in zip(idx.tolist(), flips.tolist()):
+            attempts += 1
+            if successes >= target or attempts > max_attempts:
+                break
+            if i == j:
+                continue
+            a, b = edges[i]
+            c, d = edges[j]
+            if fi:
+                a, b = b, a
+            if fj:
+                c, d = d, c
+            if a == c or a == d or b == c or b == d:
+                continue
+            new1 = (a, d) if a <= d else (d, a)
+            new2 = (c, b) if c <= b else (b, c)
+            if new1 in edge_set or new2 in edge_set:
+                continue
+            edge_set.discard(edges[i])
+            edge_set.discard(edges[j])
+            edge_set.add(new1)
+            edge_set.add(new2)
+            result.remove_edge(*edges[i])
+            result.remove_edge(*edges[j])
+            result.add_edge(*new1)
+            result.add_edge(*new2)
+            edges[i] = new1
+            edges[j] = new2
+            successes += 1
+    return result
+
+
+def graph_random_geometric(n: int, radius: float, rng: np.random.Generator) -> Graph:
+    """Uniform points in the unit square joined when within the radius.
+
+    Euclidean, non-toroidal.
+    """
+    if n < 0:
+        raise InvalidArgumentError("node count must be non-negative")
+    if radius < 0:
+        raise InvalidArgumentError("radius must be non-negative")
+    positions = rng.random((n, 2))
+    g = Graph(nodes=range(n))
+    if n >= 2:
+        rows, cols = np.triu_indices(n, k=1)
+        close = pdist(positions) <= radius
+        for k in np.flatnonzero(close):
+            g.add_edge(int(rows[k]), int(cols[k]))
+    return g

@@ -50,6 +50,7 @@ from conftest import (
     WORKED_ITEMSETS,
     brute_betweenness,
     brute_clustering,
+    graph_from_adjacency,
     kendall_exhaustive,
     random_graph,
 )
@@ -123,28 +124,33 @@ def test_acceptance_3_community_recovery():
     assert abs(girvan_newman(two_triangles).modularity_q - 0.5) <= 1e-12
 
 
+@pytest.mark.slow
 @criterion(4, "null-model structure")
 def test_acceptance_4_null_models():
     started = time.time()
     stream = SeedStream.from_seed(4)
-    source = er_gnm(100, 300, stream.generator(0))
+    source = graph_from_adjacency(range(100), er_gnm(100, 300, stream.generator(0)))
     source_degrees = sorted(
         (v, len(source.neighbors(v))) for v in source.nodes()
     )
     for i in range(1000):
-        replica = er_gnm(100, 300, stream.generator(1, i))
+        replica = graph_from_adjacency(range(100), er_gnm(100, 300, stream.generator(1, i)))
         assert replica.number_of_nodes() == 100
         assert replica.number_of_edges() == 300
         assert all(u != v for u, v in replica.edges())
     for i in range(1000):
-        shuffled = switch_randomize(source, 10.0, stream.generator(2, i))
+        shuffled = graph_from_adjacency(
+            source.nodes(), switch_randomize(source, 10.0, stream.generator(2, i))
+        )
         assert (
             sorted((v, len(shuffled.neighbors(v))) for v in shuffled.nodes())
             == source_degrees
         )
     radius = calibrate_radius(100, 300, stream.generator(3))
     fresh = [
-        random_geometric(100, radius, stream.generator(4, i)).number_of_edges()
+        graph_from_adjacency(
+            range(100), random_geometric(100, radius, stream.generator(4, i))
+        ).number_of_edges()
         for i in range(200)
     ]
     assert abs(float(np.mean(fresh)) - 300) <= 0.05 * 300
@@ -157,7 +163,7 @@ def test_acceptance_5_zscore_self_consistency():
     spec = NullModelSpec(kind="ER", n=20, m=50)
     z_values = {"COR_D_BC": [], "COR_CC_BC": []}
     for trial in range(200):
-        g = er_gnm(20, 50, stream.generator(trial, 0))
+        g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.generator(trial, 0)))
         summaries = ensemble_zscores(
             g, spec, 200, stream=stream.child(trial, 1), strict=False
         )
@@ -169,6 +175,7 @@ def test_acceptance_5_zscore_self_consistency():
         assert abs(float(np.mean(values))) < 0.15, name
 
 
+@pytest.mark.slow
 @criterion(6, "end-to-end planted recovery")
 def test_acceptance_6_planted_recovery():
     started = time.time()

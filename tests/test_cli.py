@@ -174,6 +174,20 @@ def test_exit_codes(tmp_path, input_csv, capsys):
     capsys.readouterr()
 
 
+def test_analyze_rejects_non_finite_report(tmp_path, input_csv, monkeypatch, capsys):
+    def nan_report(csv_text, config):
+        report = run_analysis(csv_text, config)
+        report["stages"][0]["ensembles"]["full"]["er"]["COR_D_BC"]["z"] = float("nan")
+        return report
+
+    monkeypatch.setattr("gradenet.cli.run_analysis", nan_report)
+    out = tmp_path / "nan"
+    args = ["analyze", str(input_csv), "--out", str(out), "--windows", "2", "--ensemble", "20"]
+    assert main(args) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_report_cell_completeness(snapshot_csv):
     config = AnalysisConfig(windows=2, ensemble=20, seed=1)
     report = run_analysis(snapshot_csv, config)

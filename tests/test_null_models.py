@@ -21,7 +21,14 @@ from gradenet import (
     spec_for,
     switch_randomize,
 )
-from conftest import random_graph
+from gradenet.graph import _adjacency_matrix
+from conftest import (
+    graph_er_gnm,
+    graph_from_adjacency,
+    graph_random_geometric,
+    graph_switch_randomize,
+    random_graph,
+)
 
 
 def test_seed_stream_reproducible():
@@ -37,7 +44,7 @@ def test_seed_stream_reproducible():
 
 def test_er_gnm_exact_counts():
     rng = np.random.default_rng(0)
-    g = er_gnm(12, 20, rng)
+    g = graph_from_adjacency(range(12), er_gnm(12, 20, rng))
     assert g.number_of_nodes() == 12
     assert g.number_of_edges() == 20
     assert all(u != v for u, v in g.edges())
@@ -45,8 +52,9 @@ def test_er_gnm_exact_counts():
 
 def test_er_gnm_bounds():
     rng = np.random.default_rng(0)
-    assert er_gnm(5, 10, rng).number_of_edges() == 10  # complete K5
-    assert er_gnm(0, 0, rng).number_of_nodes() == 0
+    complete = graph_from_adjacency(range(5), er_gnm(5, 10, rng))
+    assert complete.number_of_edges() == 10  # complete K5
+    assert graph_from_adjacency([], er_gnm(0, 0, rng)).number_of_nodes() == 0
     with pytest.raises(InvalidArgumentError):
         er_gnm(5, 11, rng)
     with pytest.raises(InvalidArgumentError):
@@ -58,7 +66,9 @@ def test_er_gnm_uniformity_smoke():
     from collections import Counter
 
     rng = np.random.default_rng(1)
-    counts = Counter(tuple(er_gnm(3, 1, rng).edges()) for _ in range(3000))
+    counts = Counter(
+        tuple(graph_from_adjacency(range(3), er_gnm(3, 1, rng)).edges()) for _ in range(3000)
+    )
     assert set(counts) == {((0, 1),), ((0, 2),), ((1, 2),)}
     assert all(abs(c / 3000 - 1 / 3) < 0.05 for c in counts.values())
 
@@ -67,7 +77,7 @@ def test_switch_randomize_preserves_degrees():
     rng = np.random.default_rng(2)
     for _ in range(25):
         g = random_graph(rng, max_nodes=12)
-        shuffled = switch_randomize(g, 5.0, rng)
+        shuffled = graph_from_adjacency(g.nodes(), switch_randomize(g, 5.0, rng))
         assert shuffled.number_of_edges() == g.number_of_edges()
         for v in g.nodes():
             assert len(shuffled.neighbors(v)) == len(g.neighbors(v))
@@ -77,7 +87,7 @@ def test_switch_randomize_preserves_degrees():
 def test_switch_randomize_small_inputs():
     rng = np.random.default_rng(3)
     single = Graph(edges=[(0, 1)])
-    assert switch_randomize(single, 10.0, rng).edges() == [(0, 1)]
+    assert graph_from_adjacency([0, 1], switch_randomize(single, 10.0, rng)).edges() == [(0, 1)]
     with pytest.raises(InvalidArgumentError):
         switch_randomize(single, 0.0, rng)
 
@@ -85,11 +95,11 @@ def test_switch_randomize_small_inputs():
 def test_switch_randomize_mixing():
     """Multiplier 10 rewires at least 10% of edges in >= 95% of replicates."""
     rng = np.random.default_rng(4)
-    g = er_gnm(100, 300, rng)
+    g = graph_from_adjacency(range(100), er_gnm(100, 300, rng))
     original = set(g.edges())
     moved_enough = 0
     for _ in range(100):
-        shuffled = switch_randomize(g, 10.0, rng)
+        shuffled = graph_from_adjacency(g.nodes(), switch_randomize(g, 10.0, rng))
         changed = len(original - set(shuffled.edges())) / len(original)
         moved_enough += changed >= 0.10
     assert moved_enough >= 95
@@ -97,7 +107,7 @@ def test_switch_randomize_mixing():
 
 def test_random_geometric_edges_match_positions():
     rng = np.random.default_rng(5)
-    g = random_geometric(40, 0.3, rng)
+    g = graph_from_adjacency(range(40), random_geometric(40, 0.3, rng))
     # the positions are the generator's first draw
     positions = np.random.default_rng(5).random((40, 2))
     expected = set()
@@ -112,8 +122,9 @@ def test_random_geometric_edges_match_positions():
 
 def test_random_geometric_extremes():
     rng = np.random.default_rng(6)
-    assert random_geometric(10, 0.0, rng).number_of_edges() == 0
-    assert random_geometric(10, math.sqrt(2.0), rng).number_of_edges() == 45
+    assert graph_from_adjacency(range(10), random_geometric(10, 0.0, rng)).number_of_edges() == 0
+    complete = graph_from_adjacency(range(10), random_geometric(10, math.sqrt(2.0), rng))
+    assert complete.number_of_edges() == 45
     with pytest.raises(InvalidArgumentError):
         random_geometric(10, -0.1, rng)
 
@@ -122,7 +133,9 @@ def test_calibrate_radius_hits_target():
     stream = SeedStream.from_seed(7)
     radius = calibrate_radius(50, 100, stream.generator(0))
     fresh = [
-        random_geometric(50, radius, stream.generator(1, i)).number_of_edges()
+        graph_from_adjacency(
+            range(50), random_geometric(50, radius, stream.generator(1, i))
+        ).number_of_edges()
         for i in range(200)
     ]
     assert abs(np.mean(fresh) - 100) <= 0.05 * 100
@@ -141,13 +154,13 @@ def test_calibrate_radius_extremes():
 @pytest.mark.parametrize("model", ["er", "degseq", "grg"])
 def test_generate_null_deterministic(model):
     rng = np.random.default_rng(9)
-    g = er_gnm(25, 60, rng)
+    g = graph_from_adjacency(range(25), er_gnm(25, 60, rng))
     stream = SeedStream.from_seed(10)
     spec = spec_for(model, g, stream)
-    first = generate_null(spec, stream.generator(0))
-    second = generate_null(spec, stream.generator(0))
+    first = graph_from_adjacency(g.nodes(), generate_null(spec, stream.generator(0)))
+    second = graph_from_adjacency(g.nodes(), generate_null(spec, stream.generator(0)))
     assert first.edges() == second.edges()
-    other = generate_null(spec, stream.generator(1))
+    other = graph_from_adjacency(g.nodes(), generate_null(spec, stream.generator(1)))
     assert first.nodes() == other.nodes()
 
 
@@ -165,7 +178,7 @@ def test_er_gnm_property(seed, n):
     rng = np.random.default_rng(seed)
     limit = n * (n - 1) // 2
     m = int(rng.integers(0, limit + 1))
-    g = er_gnm(n, m, np.random.default_rng(seed))
+    g = graph_from_adjacency(range(n), er_gnm(n, m, np.random.default_rng(seed)))
     assert g.number_of_nodes() == n
     assert g.number_of_edges() == m
     for u, v in g.edges():
@@ -178,6 +191,113 @@ def test_er_gnm_property(seed, n):
 def test_switch_randomize_property(seed):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, max_nodes=10)
-    shuffled = switch_randomize(g, 3.0, rng)
+    shuffled = graph_from_adjacency(g.nodes(), switch_randomize(g, 3.0, rng))
     degrees = lambda graph: sorted((v, len(graph.neighbors(v))) for v in graph.nodes())
     assert degrees(shuffled) == degrees(g)
+
+
+def assert_same_draws(array_fn, graph_fn, seed):
+    """array_fn and the Graph oracle graph_fn give one edge set and leave one RNG state."""
+    rng_array = np.random.default_rng(seed)
+    rng_graph = np.random.default_rng(seed)
+    a = array_fn(rng_array)
+    g = graph_fn(rng_graph)
+    _, expected = _adjacency_matrix(g)
+    assert a.dtype == bool
+    assert np.array_equal(a, expected > 0)
+    assert rng_array.random() == rng_graph.random()
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=12))
+@settings(max_examples=60, deadline=None)
+def test_er_gnm_matches_graph_oracle(seed, n):
+    m = int(np.random.default_rng(seed).integers(0, n * (n - 1) // 2 + 1))
+    assert_same_draws(lambda r: er_gnm(n, m, r), lambda r: graph_er_gnm(n, m, r), seed)
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=12),
+    st.floats(min_value=0.0, max_value=1.5),
+)
+@settings(max_examples=60, deadline=None)
+def test_random_geometric_matches_graph_oracle(seed, n, radius):
+    assert_same_draws(
+        lambda r: random_geometric(n, radius, r),
+        lambda r: graph_random_geometric(n, radius, r),
+        seed,
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_tiny_er_and_grg_match_graph_oracles(n):
+    for m in range(n * (n - 1) // 2 + 1):
+        assert_same_draws(lambda r: er_gnm(n, m, r), lambda r: graph_er_gnm(n, m, r), 11)
+    for radius in (0.0, 0.5, math.sqrt(2.0)):
+        assert_same_draws(
+            lambda r: random_geometric(n, radius, r),
+            lambda r: graph_random_geometric(n, radius, r),
+            12,
+        )
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([0.5, 1.0, 3.0, 10.0]),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_switch_randomize_matches_graph_oracle(seed, multiplier, string_labels):
+    g = random_graph(np.random.default_rng(seed), max_nodes=12)
+    if string_labels:
+        # "v10" sorts before "v2": the array follows graph.nodes() order
+        name = lambda v: f"v{v}"
+        g = Graph(nodes=map(name, g.nodes()), edges=[(name(u), name(v)) for u, v in g.edges()])
+    assert_same_draws(
+        lambda r: switch_randomize(g, multiplier, r),
+        lambda r: graph_switch_randomize(g, multiplier, r),
+        seed + 1,
+    )
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        Graph(nodes=range(3)),
+        Graph(edges=[(0, 1)]),
+        Graph(nodes=["x"], edges=[("b", "a")]),
+    ],
+    ids=["edgeless", "one-edge", "one-edge-isolated"],
+)
+def test_switch_randomize_single_edge_matches_graph_oracle(graph):
+    assert_same_draws(
+        lambda r: switch_randomize(graph, 10.0, r),
+        lambda r: graph_switch_randomize(graph, 10.0, r),
+        13,
+    )
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_switch_randomize_complete_graph_matches_graph_oracle(k):
+    # no swap is possible, so the chain spends its whole attempt budget;
+    # K5's budget of 20 000 attempts ends in a partial block of 3616
+    complete = Graph(edges=[(u, v) for u in range(k) for v in range(u + 1, k)])
+    assert_same_draws(
+        lambda r: switch_randomize(complete, 10.0, r),
+        lambda r: graph_switch_randomize(complete, 10.0, r),
+        14,
+    )
+
+
+@pytest.mark.parametrize("seed", [182, 216])
+def test_switch_randomize_budget_boundary_matches_graph_oracle(seed):
+    # K8 without two disjoint edges: about 0.3 % of attempts succeed, so the
+    # 52 000-attempt budget runs out before the 260 target swaps. With seed
+    # 216 attempt 52 000 succeeds; with seed 182 attempt 52 001 would.
+    missing = {(0, 1), (2, 3)}
+    g = Graph(edges=[(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) not in missing])
+    assert_same_draws(
+        lambda r: switch_randomize(g, 10.0, r),
+        lambda r: graph_switch_randomize(g, 10.0, r),
+        seed,
+    )

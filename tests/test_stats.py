@@ -17,6 +17,8 @@ from gradenet import (
     SeedStream,
     UndefinedCorrelationError,
     UndefinedZScoreError,
+    betweenness_all,
+    clustering_all,
     ensemble_zscores,
     er_gnm,
     kendall,
@@ -26,9 +28,10 @@ from gradenet import (
     spearman,
     zscore,
 )
+from gradenet.graph import _adjacency_matrix
 from gradenet.nullmodels import NullModelSpec, spec_for
 from gradenet.stats import STATISTICS, correlation, metric_vectors
-from conftest import kendall_exhaustive
+from conftest import graph_from_adjacency, kendall_exhaustive, random_graph
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -172,11 +175,34 @@ def test_zscore_affine_invariance(scale, shift):
 
 def test_metric_vectors_ignores_isolated_nodes():
     g = Graph(nodes=["iso"], edges=[("a", "b"), ("b", "c"), ("c", "d")])
-    labels, deg, cc, bc = metric_vectors(g)
-    assert labels == ["a", "b", "c", "d"]
+    labels, a = _adjacency_matrix(g)
+    assert labels == ["a", "b", "c", "d", "iso"]
+    deg, cc, bc = metric_vectors(a)
     assert deg.tolist() == [1.0, 2.0, 2.0, 1.0]
+    assert len(cc) == len(bc) == 4
     with pytest.raises(InsufficientDataError):
-        metric_vectors(Graph(edges=[(1, 2)]))
+        metric_vectors(_adjacency_matrix(Graph(edges=[(1, 2)]))[1])
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_metric_vectors_match_graph_metrics(seed, isolated):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=12)
+    for v in range(isolated):
+        g.add_node(100 + v)
+    labels, a = _adjacency_matrix(g)
+    active = [v for v in labels if g.neighbors(v)]
+    if len(active) < 3:
+        with pytest.raises(InsufficientDataError):
+            metric_vectors(a > 0)
+        return
+    deg, cc, bc = metric_vectors(a > 0)
+    clustering = clustering_all(g)
+    betweenness = betweenness_all(g)
+    assert np.array_equal(deg, [float(len(g.neighbors(v))) for v in active])
+    assert np.array_equal(cc, [clustering[v] for v in active])
+    assert np.array_equal(bc, [betweenness[v] for v in active])
 
 
 def test_node_metric_correlations_star():
@@ -190,7 +216,7 @@ def test_node_metric_correlations_star():
 
 def test_ensemble_zscores_deterministic():
     stream = SeedStream.from_seed(3)
-    g = er_gnm(20, 50, stream.generator(99))
+    g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.generator(99)))
     spec = spec_for("er", g, stream)
     first = ensemble_zscores(g, spec, 50, stream=stream)
     second = ensemble_zscores(g, spec, 50, stream=stream)
@@ -218,7 +244,7 @@ def test_ensemble_zscores_degenerate():
 
 
 def test_ensemble_zscores_validates_replicates():
-    g = er_gnm(10, 20, np.random.default_rng(0))
+    g = graph_from_adjacency(range(10), er_gnm(10, 20, np.random.default_rng(0)))
     spec = NullModelSpec(kind="ER", n=10, m=20)
     with pytest.raises(InvalidArgumentError):
         ensemble_zscores(g, spec, 1)
