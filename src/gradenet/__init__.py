@@ -25,14 +25,12 @@ from .graph import (
     Graph,
     betweenness_all,
     clustering_all,
-    clustering_coefficient,
     connected_components,
-    degree,
     edge_betweenness,
     girvan_newman,
     modularity,
 )
-from .mining import CoSelectionGraph, RuleStats, build_graph, lift, support_pair, support_single
+from .mining import CoSelectionGraph, build_graph
 from .nullmodels import (
     NullModelSpec,
     SeedStream,
@@ -63,7 +61,6 @@ from .stats import (
     node_metric_correlations,
     pearson,
     spearman,
-    zscore,
 )
 from .synth import Band, PlannerConfig, generate, planted_two_band_config
 

@@ -27,10 +27,11 @@ from .exports import (
     zscores_csv_dumps,
 )
 from .graph import connected_components, girvan_newman
-from .mining import build_graph
+from .mining import build_graph  # noqa: F401  (perfbench's tracer patches it here)
 from .nullmodels import SeedStream
 from .pipeline import MODELS, AnalysisConfig, run_analysis, zscore_rows
 from .records import (
+    WindowAssignment,
     assign_windows,
     campaign_diversity_histogram,
     group_campaigns,
@@ -114,19 +115,22 @@ def _annotations(cograph, ages=None):
 
 
 def cmd_mine(args) -> int:
+    if args.windows < 0:
+        raise InvalidArgumentError("windows must be >= 0")
     records = parse_records(_read_text(args.input), item_column=args.item_column)
     transactions = group_campaigns(records)
-    cograph = build_graph(
-        transactions, records, min_support=args.min_support, min_lift=args.min_lift
+    # --windows 0: no node ages, and one stage over every campaign (even none)
+    assignment = (
+        assign_windows(transactions, args.windows)
+        if args.windows
+        else WindowAssignment(1, {cid: 0 for cid, _ in transactions.transactions})
     )
-    ages = None
-    if args.windows > 0:
-        assignment = assign_windows(transactions, args.windows)
-        series = stage_networks(
-            records, transactions, assignment,
-            min_support=args.min_support, min_lift=args.min_lift,
-        )
-        ages = node_age(series)
+    series = stage_networks(
+        records, transactions, assignment,
+        min_support=args.min_support, min_lift=args.min_lift,
+    )
+    cograph = series.stages[-1]
+    ages = node_age(series) if args.windows else None
     annotations = _annotations(cograph, ages)
     out = args.out
     _write(out, "network.graphml", graphml_dumps(cograph, annotations))

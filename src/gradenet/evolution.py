@@ -8,18 +8,33 @@ threshold in either direction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import compress
+
+import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import Graph
-from .mining import CoSelectionGraph, build_graph
+from .mining import build_graph  # noqa: F401  (perfbench's tracer patches it here)
+from .mining import cumulative_graphs
 from .records import TransactionSet, WindowAssignment
 
 
 @dataclass(frozen=True)
 class StageSeries:
+    """The one stage view: stage s holds every campaign in windows 0..s."""
+
     stages: tuple  # CoSelectionGraph per stage, one per window
     assignment: WindowAssignment
+    prefixes: tuple  # TransactionSet per stage, campaigns stably sorted by window
+    records: list = field(repr=False)  # every record, in file order
+    record_window: np.ndarray = field(repr=False, compare=False)  # window_count: no stage
+
+    def stage_records(self, s: int) -> list:
+        """The records of stage s's campaigns, in file order."""
+        return list(compress(self.records, self.record_window <= s))
 
 
 @dataclass(frozen=True)
@@ -39,34 +54,25 @@ def stage_networks(
     min_support: float = 0.0,
     min_lift: float = 1.0,
 ) -> StageSeries:
-    """Build one cumulative co-selection graph per observation window."""
-    missing = [cid for cid, _ in transactions.transactions if cid not in assignment.window_of]
-    if missing:
+    """Build one cumulative co-selection graph per observation window, in one pass."""
+    try:
+        window_of = {cid: assignment.window_of[cid] for cid, _ in transactions.transactions}
+    except KeyError as exc:
         raise InvalidArgumentError(
-            f"window assignment does not cover campaign {missing[0]!r}"
-        )
-    stages = []
-    for s in range(assignment.window_count):
-        included = {
-            cid
-            for cid, _ in transactions.transactions
-            if assignment.window_of[cid] <= s
-        }
-        sub_transactions = tuple(
-            (cid, items) for cid, items in transactions.transactions if cid in included
-        )
-        universe = frozenset().union(*(items for _, items in sub_transactions)) \
-            if sub_transactions else frozenset()
-        sub_records = [rec for rec in records if rec.campaign_id in included]
-        stages.append(
-            build_graph(
-                TransactionSet(sub_transactions, universe),
-                sub_records,
-                min_support=min_support,
-                min_lift=min_lift,
-            )
-        )
-    return StageSeries(tuple(stages), assignment)
+            f"window assignment does not cover campaign {exc.args[0]!r}"
+        ) from None
+    ordered = sorted(transactions.transactions, key=lambda t: window_of[t[0]])
+    windows = sorted(window_of.values())
+    ends = [bisect_right(windows, s) for s in range(assignment.window_count)]
+    universe: set = set()
+    prefixes = []
+    for start, end in zip([0, *ends], ends):
+        universe.update(*(items for _, items in ordered[start:end]))
+        prefixes.append(TransactionSet(tuple(ordered[:end]), frozenset(universe)))
+    outside = assignment.window_count  # a record whose campaign is not a transaction
+    record_window = np.array([window_of.get(r.campaign_id, outside) for r in records], np.intp)
+    stages = cumulative_graphs(prefixes, records, record_window, min_support, min_lift)
+    return StageSeries(tuple(stages), assignment, tuple(prefixes), records, record_window)
 
 
 def node_age(series: StageSeries) -> dict:
@@ -82,41 +88,48 @@ def node_age(series: StageSeries) -> dict:
 
 
 def group_summary(groups, records, transactions: TransactionSet) -> list:
-    """Per group: item count, slab/campaign frequency, attribute means."""
+    """Per group: item count, slab/campaign frequency, attribute means.
+
+    One pass over the records (slab counts and attribute sums per group, in
+    record order) and one over the transactions.
+    """
+    groups = [set(group) for group in groups]
     known_items = {rec.item for rec in records}
-    seen = set()
-    for group in groups:
-        group = set(group)
-        if group & seen:
+    group_of: dict = {}
+    for g, group in enumerate(groups):
+        if group & group_of.keys():
             raise InvalidArgumentError("groups must be disjoint")
         unknown = group - known_items
         if unknown:
             raise InvalidArgumentError(f"group contains unknown item {min(unknown)!r}")
-        seen |= group
+        group_of.update(dict.fromkeys(group, g))
+    slabs = [0] * len(groups)
+    sums = [{} for _ in groups]
+    counts = [{} for _ in groups]
+    for rec in [rec for rec in records if rec.item in group_of]:
+        g = group_of[rec.item]
+        slabs[g] += 1
+        group_sums, group_counts = sums[g], counts[g]
+        for name, value in rec.attributes.items():
+            group_sums[name] = group_sums.get(name, 0.0) + value
+            group_counts[name] = group_counts.get(name, 0) + 1
+    members = frozenset(group_of)
+    campaigns = [0] * len(groups)
+    for _, items in transactions.transactions:
+        if not items.isdisjoint(members):
+            for g in {group_of[v] for v in items & members}:
+                campaigns[g] += 1
     total_records = len(records)
     total_campaigns = len(transactions)
-    summaries = []
-    for group in groups:
-        group = set(group)
-        group_records = [rec for rec in records if rec.item in group]
-        campaigns = sum(
-            1 for _, items in transactions.transactions if items & group
+    return [
+        GroupSummary(
+            items=len(group),
+            slab_frequency=slabs[g] / total_records if total_records else 0.0,
+            campaign_frequency=campaigns[g] / total_campaigns if total_campaigns else 0.0,
+            attribute_means={name: sums[g][name] / counts[g][name] for name in sorted(sums[g])},
         )
-        sums: dict = {}
-        counts: dict = {}
-        for rec in group_records:
-            for name, value in rec.attributes.items():
-                sums[name] = sums.get(name, 0.0) + value
-                counts[name] = counts.get(name, 0) + 1
-        summaries.append(
-            GroupSummary(
-                items=len(group),
-                slab_frequency=len(group_records) / total_records if total_records else 0.0,
-                campaign_frequency=campaigns / total_campaigns if total_campaigns else 0.0,
-                attribute_means={name: sums[name] / counts[name] for name in sorted(sums)},
-            )
-        )
-    return summaries
+        for g, group in enumerate(groups)
+    ]
 
 
 def prune_minor_groups(
@@ -135,10 +148,11 @@ def prune_minor_groups(
     if covered != nodes:
         raise InvalidArgumentError("partition does not cover the graph's nodes")
     total_records = len(records)
+    item_counts = Counter([rec.item for rec in records if rec.item in nodes])
     keep = set()
     for group in partition:
         group = set(group)
-        count = sum(1 for rec in records if rec.item in group)
+        count = sum(item_counts[v] for v in group)
         frequency = count / total_records if total_records else 0.0
         if frequency >= slab_frequency_floor:
             keep |= group

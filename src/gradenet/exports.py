@@ -1,17 +1,15 @@
 """File formats: records CSV, GraphML/DOT network exports, histogram CSVs.
 
-The GraphML and DOT writers are paired with minimal readers so exported
-node/edge sets round-trip through the package itself.
+The tests read the GraphML and DOT output back with minimal readers, so
+exported node/edge sets are checked to round-trip.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import re
 import xml.etree.ElementTree as ET
 
-from .errors import ParseError
 from .mining import CoSelectionGraph
 from .records import ATTRIBUTE_COLUMNS, CAMPAIGN_COLUMN, ITEM_COLUMN
 
@@ -76,21 +74,6 @@ def graphml_dumps(cograph: CoSelectionGraph, node_annotations: dict | None = Non
     return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
 
 
-def graphml_loads(text: str):
-    """Node and edge sets from a GraphML document."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise ParseError(f"invalid GraphML: {exc}") from exc
-    ns = {"g": _GRAPHML_NS}
-    nodes = [el.get("id") for el in root.findall(".//g:node", ns)]
-    edges = [
-        tuple(sorted((el.get("source"), el.get("target"))))
-        for el in root.findall(".//g:edge", ns)
-    ]
-    return sorted(nodes), sorted(edges)
-
-
 def _dot_quote(label) -> str:
     return '"' + str(label).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -109,31 +92,6 @@ def dot_dumps(cograph: CoSelectionGraph, node_annotations: dict | None = None) -
         lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)} [lift={lift!r}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-_DOT_EDGE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*--\s*"((?:[^"\\]|\\.)*)"')
-_DOT_NODE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*(?:\[[^\]]*\])?\s*;')
-
-
-def _dot_unescape(label: str) -> str:
-    return label.replace('\\"', '"').replace("\\\\", "\\")
-
-
-def dot_loads(text: str):
-    """Node and edge sets from DOT text in this package's output dialect."""
-    nodes = set()
-    edges = set()
-    for line in text.splitlines():
-        edge_match = _DOT_EDGE.match(line)
-        if edge_match:
-            u, v = (_dot_unescape(s) for s in edge_match.groups())
-            nodes.update((u, v))
-            edges.add(tuple(sorted((u, v))))
-            continue
-        node_match = _DOT_NODE.match(line)
-        if node_match:
-            nodes.add(_dot_unescape(node_match.group(1)))
-    return sorted(nodes), sorted(edges)
 
 
 def edges_csv_dumps(cograph: CoSelectionGraph) -> str:

@@ -100,27 +100,6 @@ class CommunityPartition:
         return sorted((sorted(c) for c in self.communities), key=lambda c: (-len(c), c[0]))
 
 
-def degree(graph: Graph, node) -> int:
-    if not graph.has_node(node):
-        raise KeyError(node)
-    return len(graph.neighbors(node))
-
-
-def clustering_coefficient(graph: Graph, node) -> float:
-    """Watts-Strogatz local clustering; 0 by convention for degree < 2."""
-    if not graph.has_node(node):
-        raise KeyError(node)
-    nbrs = graph.neighbors(node)
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    links = 0
-    for u in nbrs:
-        links += len(graph.neighbors(u) & nbrs)
-    # each neighbor-neighbor edge counted twice
-    return links / (k * (k - 1))
-
-
 def clustering_all(graph: Graph) -> dict:
     labels, a = _adjacency_matrix(graph)
     if not labels:

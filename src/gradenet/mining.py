@@ -1,4 +1,4 @@
-"""Pairwise association rules: supports, lift and the co-selection graph.
+"""Pairwise association rules and the co-selection graph.
 
 Rules are symmetric item pairs; an edge is drawn when the pair co-occurs,
 passes the support floor and its lift reaches the threshold (lift > 1 being
@@ -9,25 +9,15 @@ attribute but all topology metrics treat the graph as unweighted.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InvalidArgumentError, UndefinedLiftError
+import numpy as np
+
+from .errors import InvalidArgumentError
 from .graph import Graph
 from .records import TransactionSet
-
-
-@dataclass(frozen=True)
-class RuleStats:
-    """Support and lift figures for one unordered item pair."""
-
-    item_a: str
-    item_b: str
-    support_a: float
-    support_b: float
-    support_pair: float
-    lift: float
 
 
 @dataclass(frozen=True)
@@ -41,95 +31,84 @@ class CoSelectionGraph:
     min_lift: float
 
 
-def support_single(item, transactions: TransactionSet) -> float:
-    total = len(transactions)
-    if total == 0:
-        raise InvalidArgumentError("support is undefined for an empty transaction set")
-    count = sum(1 for _, items in transactions.transactions if item in items)
-    return count / total
-
-
-def support_pair(item_a, item_b, transactions: TransactionSet) -> float:
-    if item_a == item_b:
-        raise InvalidArgumentError("pair support requires two distinct items")
-    total = len(transactions)
-    if total == 0:
-        raise InvalidArgumentError("support is undefined for an empty transaction set")
-    count = sum(
-        1 for _, items in transactions.transactions if item_a in items and item_b in items
-    )
-    return count / total
-
-
-def lift(item_a, item_b, transactions: TransactionSet) -> float:
-    sa = support_single(item_a, transactions)
-    sb = support_single(item_b, transactions)
-    if sa == 0 or sb == 0:
-        raise UndefinedLiftError(
-            f"lift({item_a!r}, {item_b!r}) undefined: zero singleton support"
-        )
-    return support_pair(item_a, item_b, transactions) / (sa * sb)
-
-
-def pair_stats(item_a, item_b, transactions: TransactionSet) -> RuleStats:
-    a, b = sorted((item_a, item_b))
-    sa = support_single(a, transactions)
-    sb = support_single(b, transactions)
-    sp = support_pair(a, b, transactions)
-    return RuleStats(a, b, sa, sb, sp, lift(a, b, transactions))
-
-
 def build_graph(
     transactions: TransactionSet,
     records=(),
     min_support: float = 0.0,
     min_lift: float = 1.0,
 ) -> CoSelectionGraph:
-    """Build the co-selection network from transactions.
+    """Build the co-selection network from transactions, with its records' attribute means.
 
-    Nodes are items that occur at least once and reach min_support. An edge
-    (a, b) exists iff the pair co-occurs, its support reaches min_support
-    and its lift reaches min_lift. Empty transactions give an empty graph.
+    This is cumulative_graphs with one prefix. Empty transactions give an
+    empty graph.
+    """
+    return cumulative_graphs((transactions,), records, None, min_support, min_lift)[0]
+
+
+def cumulative_graphs(prefixes, records, record_stage, min_support: float, min_lift: float) -> list:
+    """One co-selection graph per TransactionSet in prefixes, each extending the one before.
+
+    Nodes are items that occur and reach min_support; an edge (a, b) needs
+    a pair that co-occurs, reaches min_support and has lift >= min_lift.
+    Counts run on from prefix to prefix, so each campaign is counted once.
+    Graph s averages the attributes of the records with record_stage <= s
+    (all records when record_stage is None).
     """
     if not (0.0 <= min_support <= 1.0):
         raise InvalidArgumentError("min_support must be in [0, 1]")
     if not math.isfinite(min_lift):
         raise InvalidArgumentError("min_lift must be finite")
-    total = len(transactions)
-    if total == 0:
-        return CoSelectionGraph(Graph(), {}, {}, min_support, min_lift)
+    means = _attribute_means(records, record_stage)
+    single, pairs = Counter(), Counter()
+    graphs = []
+    total = 0
+    for stage, prefix in enumerate(prefixes):
+        for _, items in prefix.transactions[total:]:
+            ordered = sorted(items)
+            single.update(ordered)
+            pairs.update(combinations(ordered, 2))
+        total = len(prefix)
+        # a pair reaching min_support has both items reaching it too
+        edge_lift = {}
+        for (a, b), c in sorted(pairs.items()):
+            sp = c / total
+            value = sp / ((single[a] / total) * (single[b] / total))
+            if sp >= min_support and value >= min_lift:
+                edge_lift[(a, b)] = value
+        node_set = {item for item, c in single.items() if c / total >= min_support}
+        g = Graph(nodes=sorted(node_set), edges=edge_lift)
+        graphs.append(
+            CoSelectionGraph(g, edge_lift, means(node_set, stage), min_support, min_lift)
+        )
+    return graphs
 
-    single = Counter()
-    pairs = Counter()
-    for _, items in transactions.transactions:
-        ordered = sorted(items)
-        single.update(ordered)
-        pairs.update(combinations(ordered, 2))
 
-    node_set = {item for item, c in single.items() if c / total >= min_support}
-    g = Graph(nodes=sorted(node_set))
-    edge_lift = {}
-    for (a, b), c in sorted(pairs.items()):
-        if a not in node_set or b not in node_set:
-            continue
-        sp = c / total
-        if sp < min_support:
-            continue
-        value = sp / ((single[a] / total) * (single[b] / total))
-        if value >= min_lift:
-            g.add_edge(a, b)
-            edge_lift[(a, b)] = value
+def _attribute_means(records, record_stage):
+    """means(node_set, s): node item -> {attribute -> mean over its records up to stage s}.
 
-    sums = defaultdict(lambda: defaultdict(float))
-    counts = defaultdict(lambda: defaultdict(int))
-    for rec in records:
-        if rec.item not in node_set:
-            continue
-        for name, value in rec.attributes.items():
-            sums[rec.item][name] += value
-            counts[rec.item][name] += 1
-    node_attributes = {
-        item: {name: sums[item][name] / counts[item][name] for name in sorted(sums[item])}
-        for item in sorted(sums)
-    }
-    return CoSelectionGraph(g, edge_lift, node_attributes, min_support, min_lift)
+    The records are held once as columns in record order. `np.bincount`
+    adds each item's weights in that order, starting from 0.0, so every sum
+    equals the running Python sum (checked against it in the tests).
+    """
+    n = len(records)
+    names = sorted(set().union(*(rec.attributes for rec in records)))
+    codes: dict = {}
+    item_code = np.fromiter((codes.setdefault(rec.item, len(codes)) for rec in records), np.intp, n)
+    stage_of = np.zeros(n, dtype=np.intp) if record_stage is None else record_stage
+    values = [np.fromiter((r.attributes.get(name, 0.0) for r in records), float, n) for name in names]
+    present = [np.fromiter((name in r.attributes for r in records), bool, n) for name in names]
+
+    def means(node_set, stage: int) -> dict:
+        keep = stage_of <= stage
+        kept = item_code[keep]
+        sums = [np.bincount(kept, column[keep], len(codes)).tolist() for column in values]
+        counts = [np.bincount(kept, column[keep], len(codes)).tolist() for column in present]
+        out = {}
+        for item in sorted(node_set & codes.keys()):
+            c = codes[item]
+            row = {name: s[c] / k[c] for name, s, k in zip(names, sums, counts) if k[c]}
+            if row:
+                out[item] = row
+        return out
+
+    return means

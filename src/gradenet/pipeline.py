@@ -24,7 +24,6 @@ from .graph import connected_components, girvan_newman
 from .nullmodels import SeedStream, spec_for
 from .records import (
     ITEM_COLUMN,
-    TransactionSet,
     assign_windows,
     campaign_diversity_histogram,
     group_campaigns,
@@ -175,16 +174,11 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
 
     stages = []
     for s, cograph in enumerate(series.stages):
-        included = {
-            cid for cid, _ in transactions.transactions if assignment.window_of[cid] <= s
-        }
-        stage_records = [rec for rec in records if rec.campaign_id in included]
-        stage_transactions_count = len(included)
         components = connected_components(cograph.graph)
         entry = {
             "stage": s,
             "windows_included": s + 1,
-            "campaigns": stage_transactions_count,
+            "campaigns": len(series.prefixes[s]),
             "nodes": cograph.graph.number_of_nodes(),
             "edges": cograph.graph.number_of_edges(),
             "components": [sorted(c) for c in components],
@@ -206,7 +200,8 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         component_graph = cograph.graph.subgraph(selected)
         partition = girvan_newman(component_graph)
         communities = partition.ordered()
-        summaries = group_summary(communities, stage_records, _stage_transactions(transactions, included))
+        stage_records = series.stage_records(s)
+        summaries = group_summary(communities, stage_records, series.prefixes[s])
         pruned_graph = prune_minor_groups(
             component_graph, communities, stage_records, config.prune_floor
         )
@@ -279,12 +274,6 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         "node_ages": node_age(series),
     }
     return report
-
-
-def _stage_transactions(transactions, included):
-    rows = tuple((cid, items) for cid, items in transactions.transactions if cid in included)
-    universe = frozenset().union(*(items for _, items in rows)) if rows else frozenset()
-    return TransactionSet(rows, universe)
 
 
 def zscore_rows(report: dict):

@@ -204,18 +204,6 @@ def _correlation_value(x: np.ndarray, y: np.ndarray, kind: str) -> float:
     return kendall(x, y).value
 
 
-def zscore(x: float, replicates) -> float:
-    """(x - mean) / population std over the finite replicate values."""
-    arr = np.asarray(replicates, dtype=float)
-    arr = arr[np.isfinite(arr)]
-    if len(arr) < 2:
-        raise InvalidArgumentError("at least 2 finite replicates required")
-    sigma = float(arr.std())
-    if sigma == 0.0:
-        raise UndefinedZScoreError("ensemble standard deviation is zero")
-    return (x - float(arr.mean())) / sigma
-
-
 def ensemble_zscores(
     graph: Graph,
     spec: NullModelSpec,

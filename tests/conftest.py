@@ -4,13 +4,27 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+import re
+import xml.etree.ElementTree as ET
+from collections import Counter, defaultdict, deque
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from gradenet import Graph, InvalidArgumentError
+from gradenet import (
+    CoSelectionGraph,
+    Graph,
+    GroupSummary,
+    InvalidArgumentError,
+    ParseError,
+    TransactionSet,
+    UndefinedLiftError,
+    UndefinedZScoreError,
+)
+from gradenet.exports import _GRAPHML_NS
 from gradenet.nullmodels import max_edges
 
 # verdict lines collected by the acceptance-test decorator, printed once
@@ -282,3 +296,294 @@ def graph_random_geometric(n: int, radius: float, rng: np.random.Generator) -> G
         for k in np.flatnonzero(close):
             g.add_edge(int(rows[k]), int(cols[k]))
     return g
+
+
+# Scalar reference functions the package itself does not use: single-pair
+# supports and lift, per-node degree and clustering, one z-score, and the
+# GraphML/DOT readers that check exported networks round-trip.
+
+
+@dataclass(frozen=True)
+class RuleStats:
+    """Support and lift figures for one unordered item pair."""
+
+    item_a: str
+    item_b: str
+    support_a: float
+    support_b: float
+    support_pair: float
+    lift: float
+
+
+def support_single(item, transactions: TransactionSet) -> float:
+    total = len(transactions)
+    if total == 0:
+        raise InvalidArgumentError("support is undefined for an empty transaction set")
+    count = sum(1 for _, items in transactions.transactions if item in items)
+    return count / total
+
+
+def support_pair(item_a, item_b, transactions: TransactionSet) -> float:
+    if item_a == item_b:
+        raise InvalidArgumentError("pair support requires two distinct items")
+    total = len(transactions)
+    if total == 0:
+        raise InvalidArgumentError("support is undefined for an empty transaction set")
+    count = sum(
+        1 for _, items in transactions.transactions if item_a in items and item_b in items
+    )
+    return count / total
+
+
+def lift(item_a, item_b, transactions: TransactionSet) -> float:
+    sa = support_single(item_a, transactions)
+    sb = support_single(item_b, transactions)
+    if sa == 0 or sb == 0:
+        raise UndefinedLiftError(
+            f"lift({item_a!r}, {item_b!r}) undefined: zero singleton support"
+        )
+    return support_pair(item_a, item_b, transactions) / (sa * sb)
+
+
+def pair_stats(item_a, item_b, transactions: TransactionSet) -> RuleStats:
+    a, b = sorted((item_a, item_b))
+    sa = support_single(a, transactions)
+    sb = support_single(b, transactions)
+    sp = support_pair(a, b, transactions)
+    return RuleStats(a, b, sa, sb, sp, lift(a, b, transactions))
+
+
+def degree(graph: Graph, node) -> int:
+    if not graph.has_node(node):
+        raise KeyError(node)
+    return len(graph.neighbors(node))
+
+
+def clustering_coefficient(graph: Graph, node) -> float:
+    """Watts-Strogatz local clustering; 0 by convention for degree < 2."""
+    if not graph.has_node(node):
+        raise KeyError(node)
+    nbrs = graph.neighbors(node)
+    k = len(nbrs)
+    if k < 2:
+        return 0.0
+    links = 0
+    for u in nbrs:
+        links += len(graph.neighbors(u) & nbrs)
+    # each neighbor-neighbor edge counted twice
+    return links / (k * (k - 1))
+
+
+def zscore(x: float, replicates) -> float:
+    """(x - mean) / population std over the finite replicate values."""
+    arr = np.asarray(replicates, dtype=float)
+    arr = arr[np.isfinite(arr)]
+    if len(arr) < 2:
+        raise InvalidArgumentError("at least 2 finite replicates required")
+    sigma = float(arr.std())
+    if sigma == 0.0:
+        raise UndefinedZScoreError("ensemble standard deviation is zero")
+    return (x - float(arr.mean())) / sigma
+
+
+def graphml_loads(text: str):
+    """Node and edge sets from a GraphML document."""
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise ParseError(f"invalid GraphML: {exc}") from exc
+    ns = {"g": _GRAPHML_NS}
+    nodes = [el.get("id") for el in root.findall(".//g:node", ns)]
+    edges = [
+        tuple(sorted((el.get("source"), el.get("target"))))
+        for el in root.findall(".//g:edge", ns)
+    ]
+    return sorted(nodes), sorted(edges)
+
+
+_DOT_EDGE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*--\s*"((?:[^"\\]|\\.)*)"')
+_DOT_NODE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*(?:\[[^\]]*\])?\s*;')
+
+
+def _dot_unescape(label: str) -> str:
+    return label.replace('\\"', '"').replace("\\\\", "\\")
+
+
+def dot_loads(text: str):
+    """Node and edge sets from DOT text in this package's output dialect."""
+    nodes = set()
+    edges = set()
+    for line in text.splitlines():
+        edge_match = _DOT_EDGE.match(line)
+        if edge_match:
+            u, v = (_dot_unescape(s) for s in edge_match.groups())
+            nodes.update((u, v))
+            edges.add(tuple(sorted((u, v))))
+            continue
+        node_match = _DOT_NODE.match(line)
+        if node_match:
+            nodes.add(_dot_unescape(node_match.group(1)))
+    return sorted(nodes), sorted(edges)
+
+
+# The per-stage rebuild that the one-pass stage view replaced: every stage
+# re-filters the campaigns and records and recounts every item pair and
+# attribute sum from scratch; group summaries and pruning rescan the
+# records once per group.
+
+
+def rebuild_graph(
+    transactions: TransactionSet,
+    records=(),
+    min_support: float = 0.0,
+    min_lift: float = 1.0,
+) -> CoSelectionGraph:
+    """Build the co-selection network from transactions.
+
+    Nodes are items that occur at least once and reach min_support. An edge
+    (a, b) exists iff the pair co-occurs, its support reaches min_support
+    and its lift reaches min_lift. Empty transactions give an empty graph.
+    """
+    if not (0.0 <= min_support <= 1.0):
+        raise InvalidArgumentError("min_support must be in [0, 1]")
+    if not math.isfinite(min_lift):
+        raise InvalidArgumentError("min_lift must be finite")
+    total = len(transactions)
+    if total == 0:
+        return CoSelectionGraph(Graph(), {}, {}, min_support, min_lift)
+
+    single = Counter()
+    pairs = Counter()
+    for _, items in transactions.transactions:
+        ordered = sorted(items)
+        single.update(ordered)
+        pairs.update(combinations(ordered, 2))
+
+    node_set = {item for item, c in single.items() if c / total >= min_support}
+    g = Graph(nodes=sorted(node_set))
+    edge_lift = {}
+    for (a, b), c in sorted(pairs.items()):
+        if a not in node_set or b not in node_set:
+            continue
+        sp = c / total
+        if sp < min_support:
+            continue
+        value = sp / ((single[a] / total) * (single[b] / total))
+        if value >= min_lift:
+            g.add_edge(a, b)
+            edge_lift[(a, b)] = value
+
+    sums = defaultdict(lambda: defaultdict(float))
+    counts = defaultdict(lambda: defaultdict(int))
+    for rec in records:
+        if rec.item not in node_set:
+            continue
+        for name, value in rec.attributes.items():
+            sums[rec.item][name] += value
+            counts[rec.item][name] += 1
+    node_attributes = {
+        item: {name: sums[item][name] / counts[item][name] for name in sorted(sums[item])}
+        for item in sorted(sums)
+    }
+    return CoSelectionGraph(g, edge_lift, node_attributes, min_support, min_lift)
+
+
+def rebuild_stage_networks(
+    records,
+    transactions: TransactionSet,
+    assignment,
+    min_support: float = 0.0,
+    min_lift: float = 1.0,
+) -> tuple:
+    """One cumulative co-selection graph per observation window, each built from scratch."""
+    missing = [cid for cid, _ in transactions.transactions if cid not in assignment.window_of]
+    if missing:
+        raise InvalidArgumentError(
+            f"window assignment does not cover campaign {missing[0]!r}"
+        )
+    stages = []
+    for s in range(assignment.window_count):
+        included = {
+            cid
+            for cid, _ in transactions.transactions
+            if assignment.window_of[cid] <= s
+        }
+        sub_transactions = tuple(
+            (cid, items) for cid, items in transactions.transactions if cid in included
+        )
+        universe = frozenset().union(*(items for _, items in sub_transactions)) \
+            if sub_transactions else frozenset()
+        sub_records = [rec for rec in records if rec.campaign_id in included]
+        stages.append(
+            rebuild_graph(
+                TransactionSet(sub_transactions, universe),
+                sub_records,
+                min_support=min_support,
+                min_lift=min_lift,
+            )
+        )
+    return tuple(stages)
+
+
+def rescan_group_summary(groups, records, transactions: TransactionSet) -> list:
+    """Per group: item count, slab/campaign frequency, attribute means."""
+    known_items = {rec.item for rec in records}
+    seen = set()
+    for group in groups:
+        group = set(group)
+        if group & seen:
+            raise InvalidArgumentError("groups must be disjoint")
+        unknown = group - known_items
+        if unknown:
+            raise InvalidArgumentError(f"group contains unknown item {min(unknown)!r}")
+        seen |= group
+    total_records = len(records)
+    total_campaigns = len(transactions)
+    summaries = []
+    for group in groups:
+        group = set(group)
+        group_records = [rec for rec in records if rec.item in group]
+        campaigns = sum(
+            1 for _, items in transactions.transactions if items & group
+        )
+        sums: dict = {}
+        counts: dict = {}
+        for rec in group_records:
+            for name, value in rec.attributes.items():
+                sums[name] = sums.get(name, 0.0) + value
+                counts[name] = counts.get(name, 0) + 1
+        summaries.append(
+            GroupSummary(
+                items=len(group),
+                slab_frequency=len(group_records) / total_records if total_records else 0.0,
+                campaign_frequency=campaigns / total_campaigns if total_campaigns else 0.0,
+                attribute_means={name: sums[name] / counts[name] for name in sorted(sums)},
+            )
+        )
+    return summaries
+
+
+def rescan_prune_minor_groups(
+    graph: Graph,
+    partition,
+    records,
+    slab_frequency_floor: float,
+) -> Graph:
+    """Subgraph induced by groups whose slab frequency reaches the floor."""
+    if not (0.0 <= slab_frequency_floor <= 1.0):
+        raise InvalidArgumentError("slab frequency floor must be in [0, 1]")
+    nodes = set(graph.nodes())
+    covered = set()
+    for group in partition:
+        covered |= set(group)
+    if covered != nodes:
+        raise InvalidArgumentError("partition does not cover the graph's nodes")
+    total_records = len(records)
+    keep = set()
+    for group in partition:
+        group = set(group)
+        count = sum(1 for rec in records if rec.item in group)
+        frequency = count / total_records if total_records else 0.0
+        if frequency >= slab_frequency_floor:
+            keep |= group
+    return graph.subgraph(keep)

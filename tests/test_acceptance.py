@@ -19,7 +19,6 @@ from gradenet import (
     Graph,
     betweenness_all,
     build_graph,
-    clustering_coefficient,
     connected_components,
     calibrate_radius,
     er_gnm,
@@ -28,7 +27,6 @@ from gradenet import (
     girvan_newman,
     group_campaigns,
     kendall,
-    lift,
     midranks,
     modularity,
     parse_records,
@@ -50,8 +48,10 @@ from conftest import (
     WORKED_ITEMSETS,
     brute_betweenness,
     brute_clustering,
+    clustering_coefficient,
     graph_from_adjacency,
     kendall_exhaustive,
+    lift,
     random_graph,
 )
 

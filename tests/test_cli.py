@@ -8,17 +8,11 @@ import pytest
 
 from gradenet import build_graph, group_campaigns, parse_records
 from gradenet.cli import main
-from gradenet.exports import (
-    dot_dumps,
-    dot_loads,
-    graphml_dumps,
-    graphml_loads,
-    records_csv_dumps,
-)
+from gradenet.exports import dot_dumps, graphml_dumps, records_csv_dumps
 from gradenet.pipeline import AnalysisConfig, run_analysis, zscore_rows
 from gradenet.stats import STATISTICS
 
-from conftest import SNAPSHOT_CSV
+from conftest import SNAPSHOT_CSV, dot_loads, graphml_loads
 
 SYNTH_CONFIG = {
     "bands": [
@@ -157,6 +151,9 @@ def test_exit_codes(tmp_path, input_csv, capsys):
     duplicate_column.write_text("campaign,grade,grade\nA,1,2\nA,3,4\n", encoding="utf-8")
     assert main(["mine", str(duplicate_column), "--out", str(tmp_path / "o6")]) == 2
     assert main(["mine", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o3")]) == 2
+    negative_windows = ["mine", str(input_csv), "--out", str(tmp_path / "o7"), "--windows", "-3"]
+    assert main(negative_windows) == 1
+    assert not (tmp_path / "o7").exists()
     bad_config = tmp_path / "bad.json"
     bad_config.write_text("{not json", encoding="utf-8")
     assert main(["synth", str(bad_config), "--out", str(tmp_path / "o4")]) == 1

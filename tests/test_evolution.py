@@ -9,13 +9,22 @@ from hypothesis import strategies as st
 from gradenet import (
     Graph,
     InvalidArgumentError,
+    ProductionRecord,
+    WindowAssignment,
     assign_windows,
+    build_graph,
     group_campaigns,
     node_age,
     parse_records,
     stage_networks,
 )
 from gradenet.evolution import group_summary, prune_minor_groups
+from conftest import (
+    rebuild_graph,
+    rebuild_stage_networks,
+    rescan_group_summary,
+    rescan_prune_minor_groups,
+)
 
 
 def make_series(csv_text, windows, min_lift=1.0):
@@ -130,3 +139,105 @@ def test_stage_monotonicity_property(rows, windows):
     assert current == set(transactions.item_universe)
     ages = node_age(series)
     assert set(ages) == current
+
+
+# Attribute values whose running sums round, cancel to zero, or stay -0.0.
+ATTRIBUTE_VALUES = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, -0.1, 1e-17, 1.0 / 3.0, 2.5e3])
+
+
+@st.composite
+def interleaved_records(draw):
+    """Records of 1-10 campaigns in shuffled file order, so campaigns interleave.
+
+    Attribute sets may differ between records, and an item may have several
+    records in one campaign.
+    """
+    campaigns = draw(st.integers(min_value=1, max_value=10))
+    rows = []
+    for c in range(campaigns):
+        for item in draw(st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=5)):
+            names = draw(st.sampled_from([("x", "y"), ("x", "y"), ("x",), ()]))
+            rows.append((f"c{c}", item, {name: draw(ATTRIBUTE_VALUES) for name in names}))
+    rows = draw(st.permutations(rows))
+    return [
+        ProductionRecord(sequence_index=i, campaign_id=cid, item=item, attributes=attrs)
+        for i, (cid, item, attrs) in enumerate(rows)
+    ]
+
+
+def assert_same_graph(new, old):
+    assert new.graph.nodes() == old.graph.nodes()
+    assert new.graph.edges() == old.graph.edges()
+    assert new.edge_lift == old.edge_lift
+    assert repr(new.node_attributes) == repr(old.node_attributes)
+    assert (new.min_support, new.min_lift) == (old.min_support, old.min_lift)
+
+
+@given(
+    interleaved_records(),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+    st.sampled_from([0.0, 0.0, 0.2, 0.5]),
+    st.sampled_from([0.0, 1.0, 1.5]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_stage_networks_match_rebuild_oracle(
+    records, windows, contiguous, min_support, min_lift, data
+):
+    transactions = group_campaigns(records)
+    windows = min(windows, len(transactions))
+    if contiguous:
+        assignment = assign_windows(transactions, windows)
+    else:
+        # any assignment, including empty and out-of-order windows
+        assignment = WindowAssignment(
+            windows,
+            {
+                cid: data.draw(st.integers(min_value=0, max_value=windows - 1))
+                for cid, _ in transactions.transactions
+            },
+        )
+    series = stage_networks(records, transactions, assignment, min_support, min_lift)
+    oracle = rebuild_stage_networks(records, transactions, assignment, min_support, min_lift)
+    assert len(series.stages) == len(oracle) == windows
+    for s, (new, old) in enumerate(zip(series.stages, oracle)):
+        assert_same_graph(new, old)
+        included = {
+            cid for cid, _ in transactions.transactions if assignment.window_of[cid] <= s
+        }
+        prefix = series.prefixes[s]
+        assert sorted(cid for cid, _ in prefix.transactions) == sorted(included)
+        assert prefix.item_universe == frozenset().union(
+            *(items for _, items in prefix.transactions)
+        )
+        assert series.stage_records(s) == [rec for rec in records if rec.campaign_id in included]
+
+
+@given(interleaved_records(), st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 1.0, 2.0]))
+@settings(max_examples=150, deadline=None)
+def test_build_graph_matches_rebuild_oracle(records, min_support, min_lift):
+    # records of campaigns missing from the transactions still count, as before
+    transactions = group_campaigns(records[: len(records) // 2 + 1])
+    assert_same_graph(
+        build_graph(transactions, records, min_support, min_lift),
+        rebuild_graph(transactions, records, min_support, min_lift),
+    )
+
+
+@given(interleaved_records(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_group_summary_and_prune_match_rescan_oracles(records, data):
+    transactions = group_campaigns(records)
+    items = sorted(transactions.item_universe)
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(items), max_size=len(items)))
+    groups = [[v for v, g in zip(items, labels) if g == k] for k in range(4)]
+    groups = [group for group in groups if group]
+    assert repr(group_summary(groups, records, transactions)) == repr(
+        rescan_group_summary(groups, records, transactions)
+    )
+    graph = Graph(nodes=items)
+    floor = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+    assert prune_minor_groups(graph, groups, records, floor) == rescan_prune_minor_groups(
+        graph, groups, records, floor
+    )

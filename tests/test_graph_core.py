@@ -15,9 +15,7 @@ from gradenet import (
     InvalidArgumentError,
     betweenness_all,
     clustering_all,
-    clustering_coefficient,
     connected_components,
-    degree,
     edge_betweenness,
     girvan_newman,
     modularity,
@@ -25,6 +23,8 @@ from gradenet import (
 from conftest import (
     brute_betweenness,
     brute_clustering,
+    clustering_coefficient,
+    degree,
     dict_edge_betweenness,
     random_graph,
 )

@@ -11,13 +11,10 @@ from gradenet import (
     TransactionSet,
     UndefinedLiftError,
     build_graph,
-    lift,
     parse_records,
     group_campaigns,
-    support_pair,
-    support_single,
 )
-from gradenet.mining import pair_stats
+from conftest import lift, pair_stats, support_pair, support_single
 
 
 def test_worked_example_supports(worked_itemsets):

@@ -26,12 +26,11 @@ from gradenet import (
     node_metric_correlations,
     pearson,
     spearman,
-    zscore,
 )
 from gradenet.graph import _adjacency_matrix
 from gradenet.nullmodels import NullModelSpec, spec_for
 from gradenet.stats import STATISTICS, correlation, metric_vectors
-from conftest import graph_from_adjacency, kendall_exhaustive, random_graph
+from conftest import graph_from_adjacency, kendall_exhaustive, random_graph, zscore
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
