@@ -27,7 +27,6 @@ from .exports import (
     zscores_csv_dumps,
 )
 from .graph import connected_components, girvan_newman
-from .mining import build_graph  # noqa: F401  (perfbench's tracer patches it here)
 from .nullmodels import SeedStream
 from .pipeline import MODELS, AnalysisConfig, run_analysis, zscore_rows
 from .records import (

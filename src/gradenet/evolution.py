@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import Graph
-from .mining import build_graph  # noqa: F401  (perfbench's tracer patches it here)
 from .mining import cumulative_graphs
 from .records import TransactionSet, WindowAssignment
 
@@ -28,9 +27,15 @@ class StageSeries:
 
     stages: tuple  # CoSelectionGraph per stage, one per window
     assignment: WindowAssignment
-    prefixes: tuple  # TransactionSet per stage, campaigns stably sorted by window
+    transactions: tuple = field(repr=False)  # stably sorted by window
+    ends: tuple  # stage s holds transactions[:ends[s]]
     records: list = field(repr=False)  # every record, in file order
     record_window: np.ndarray = field(repr=False, compare=False)  # window_count: no stage
+
+    def prefix(self, s: int) -> TransactionSet:
+        """The campaigns of stage s, stably sorted by window."""
+        rows = self.transactions[: self.ends[s]]
+        return TransactionSet(rows, frozenset().union(*(items for _, items in rows)))
 
     def stage_records(self, s: int) -> list:
         """The records of stage s's campaigns, in file order."""
@@ -61,18 +66,14 @@ def stage_networks(
         raise InvalidArgumentError(
             f"window assignment does not cover campaign {exc.args[0]!r}"
         ) from None
-    ordered = sorted(transactions.transactions, key=lambda t: window_of[t[0]])
+    ordered = tuple(sorted(transactions.transactions, key=lambda t: window_of[t[0]]))
     windows = sorted(window_of.values())
-    ends = [bisect_right(windows, s) for s in range(assignment.window_count)]
-    universe: set = set()
-    prefixes = []
-    for start, end in zip([0, *ends], ends):
-        universe.update(*(items for _, items in ordered[start:end]))
-        prefixes.append(TransactionSet(tuple(ordered[:end]), frozenset(universe)))
+    ends = tuple(bisect_right(windows, s) for s in range(assignment.window_count))
     outside = assignment.window_count  # a record whose campaign is not a transaction
-    record_window = np.array([window_of.get(r.campaign_id, outside) for r in records], np.intp)
-    stages = cumulative_graphs(prefixes, records, record_window, min_support, min_lift)
-    return StageSeries(tuple(stages), assignment, tuple(prefixes), records, record_window)
+    per_record = (window_of.get(r.campaign_id, outside) for r in records)
+    record_window = np.fromiter(per_record, np.min_scalar_type(outside), len(records))
+    stages = cumulative_graphs(ordered, ends, records, record_window, min_support, min_lift)
+    return StageSeries(tuple(stages), assignment, ordered, ends, records, record_window)
 
 
 def node_age(series: StageSeries) -> dict:

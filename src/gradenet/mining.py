@@ -42,32 +42,35 @@ def build_graph(
     This is cumulative_graphs with one prefix. Empty transactions give an
     empty graph.
     """
-    return cumulative_graphs((transactions,), records, None, min_support, min_lift)[0]
+    rows = transactions.transactions
+    record_stage = np.zeros(len(records), np.intp)
+    return cumulative_graphs(rows, (len(rows),), records, record_stage, min_support, min_lift)[0]
 
 
-def cumulative_graphs(prefixes, records, record_stage, min_support: float, min_lift: float) -> list:
-    """One co-selection graph per TransactionSet in prefixes, each extending the one before.
+def cumulative_graphs(
+    transactions, ends, records, record_stage, min_support: float, min_lift: float
+) -> list:
+    """One co-selection graph per prefix transactions[:end] for end in ends (ascending).
 
     Nodes are items that occur and reach min_support; an edge (a, b) needs
     a pair that co-occurs, reaches min_support and has lift >= min_lift.
     Counts run on from prefix to prefix, so each campaign is counted once.
-    Graph s averages the attributes of the records with record_stage <= s
-    (all records when record_stage is None).
+    Graph s averages the attributes of the records with record_stage <= s.
     """
     if not (0.0 <= min_support <= 1.0):
         raise InvalidArgumentError("min_support must be in [0, 1]")
     if not math.isfinite(min_lift):
         raise InvalidArgumentError("min_lift must be finite")
-    means = _attribute_means(records, record_stage)
+    means = _attribute_means(records, record_stage, len(ends))
     single, pairs = Counter(), Counter()
     graphs = []
     total = 0
-    for stage, prefix in enumerate(prefixes):
-        for _, items in prefix.transactions[total:]:
+    for stage, end in enumerate(ends):
+        for _, items in transactions[total:end]:
             ordered = sorted(items)
             single.update(ordered)
             pairs.update(combinations(ordered, 2))
-        total = len(prefix)
+        total = end
         # a pair reaching min_support has both items reaching it too
         edge_lift = {}
         for (a, b), c in sorted(pairs.items()):
@@ -77,38 +80,36 @@ def cumulative_graphs(prefixes, records, record_stage, min_support: float, min_l
                 edge_lift[(a, b)] = value
         node_set = {item for item, c in single.items() if c / total >= min_support}
         g = Graph(nodes=sorted(node_set), edges=edge_lift)
-        graphs.append(
-            CoSelectionGraph(g, edge_lift, means(node_set, stage), min_support, min_lift)
-        )
+        node_attributes = {item: row for item, row in means[stage].items() if item in node_set}
+        graphs.append(CoSelectionGraph(g, edge_lift, node_attributes, min_support, min_lift))
     return graphs
 
 
-def _attribute_means(records, record_stage):
-    """means(node_set, s): node item -> {attribute -> mean over its records up to stage s}.
+def _attribute_means(records, record_stage, stages: int) -> list:
+    """Per stage s: item -> {attribute -> mean over its records with record_stage <= s}.
 
-    The records are held once as columns in record order. `np.bincount`
-    adds each item's weights in that order, starting from 0.0, so every sum
-    equals the running Python sum (checked against it in the tests).
+    One attribute column at a time, in record order: `np.bincount` adds each
+    item's values in that order, starting from 0.0, so every sum equals the
+    running Python sum (checked against it in the tests).
     """
     n = len(records)
     names = sorted(set().union(*(rec.attributes for rec in records)))
     codes: dict = {}
     item_code = np.fromiter((codes.setdefault(rec.item, len(codes)) for rec in records), np.intp, n)
-    stage_of = np.zeros(n, dtype=np.intp) if record_stage is None else record_stage
-    values = [np.fromiter((r.attributes.get(name, 0.0) for r in records), float, n) for name in names]
-    present = [np.fromiter((name in r.attributes for r in records), bool, n) for name in names]
-
-    def means(node_set, stage: int) -> dict:
-        keep = stage_of <= stage
-        kept = item_code[keep]
-        sums = [np.bincount(kept, column[keep], len(codes)).tolist() for column in values]
-        counts = [np.bincount(kept, column[keep], len(codes)).tolist() for column in present]
-        out = {}
-        for item in sorted(node_set & codes.keys()):
-            c = codes[item]
-            row = {name: s[c] / k[c] for name, s, k in zip(names, sums, counts) if k[c]}
-            if row:
-                out[item] = row
-        return out
-
-    return means
+    sums = np.zeros((stages, len(codes), len(names)))
+    counts = np.zeros((stages, len(codes), len(names)), np.intp)
+    for j, name in enumerate(names):
+        values = np.fromiter((r.attributes.get(name, 0.0) for r in records), float, n)
+        present = np.fromiter((name in r.attributes for r in records), bool, n)
+        for s in range(stages):
+            keep = record_stage <= s
+            sums[s, :, j] = np.bincount(item_code[keep], values[keep], len(codes))
+            counts[s, :, j] = np.bincount(item_code[keep & present], minlength=len(codes))
+    return [
+        {
+            item: {name: t / k for name, t, k in zip(names, stage_sums[c], stage_counts[c]) if k}
+            for item, c in sorted(codes.items())
+            if any(stage_counts[c])
+        }
+        for stage_sums, stage_counts in zip(sums.tolist(), counts.tolist())
+    ]

@@ -178,7 +178,7 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         entry = {
             "stage": s,
             "windows_included": s + 1,
-            "campaigns": len(series.prefixes[s]),
+            "campaigns": series.ends[s],
             "nodes": cograph.graph.number_of_nodes(),
             "edges": cograph.graph.number_of_edges(),
             "components": [sorted(c) for c in components],
@@ -201,7 +201,7 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         partition = girvan_newman(component_graph)
         communities = partition.ordered()
         stage_records = series.stage_records(s)
-        summaries = group_summary(communities, stage_records, series.prefixes[s])
+        summaries = group_summary(communities, stage_records, series.prefix(s))
         pruned_graph = prune_minor_groups(
             component_graph, communities, stage_records, config.prune_floor
         )

@@ -19,6 +19,7 @@ from gradenet import (
     Graph,
     betweenness_all,
     build_graph,
+    clustering_all,
     connected_components,
     calibrate_radius,
     er_gnm,
@@ -80,8 +81,10 @@ def test_acceptance_1_metric_oracles():
         g = random_graph(rng, max_nodes=7)
         expected = brute_betweenness(g)
         actual = betweenness_all(g)
+        clustering = clustering_all(g)
         for v in g.nodes():
             assert abs(actual[v] - expected[v]) <= 1e-9
+            assert abs(clustering[v] - brute_clustering(g, v)) <= 1e-9
             assert abs(clustering_coefficient(g, v) - brute_clustering(g, v)) <= 1e-9
     assert time.time() - started < 10.0
 
@@ -90,6 +93,7 @@ def test_acceptance_1_metric_oracles():
 def test_acceptance_2_formula_fixtures():
     ts = TransactionSet.from_itemsets(WORKED_ITEMSETS)
     assert lift("C", "D", ts) == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert build_graph(ts).edge_lift[("C", "D")] == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     records = parse_records(SNAPSHOT_CSV)
     cograph = build_graph(group_campaigns(records), records)

@@ -206,10 +206,11 @@ def test_stage_networks_match_rebuild_oracle(
         included = {
             cid for cid, _ in transactions.transactions if assignment.window_of[cid] <= s
         }
-        prefix = series.prefixes[s]
+        prefix = series.prefix(s)
         assert sorted(cid for cid, _ in prefix.transactions) == sorted(included)
+        assert len(prefix) == series.ends[s]
         assert prefix.item_universe == frozenset().union(
-            *(items for _, items in prefix.transactions)
+            *(items for cid, items in transactions.transactions if cid in included)
         )
         assert series.stage_records(s) == [rec for rec in records if rec.campaign_id in included]
 

@@ -23,6 +23,7 @@ def test_worked_example_supports(worked_itemsets):
     assert support_single("D", ts) == 0.75
     assert support_pair("C", "D", ts) == 0.75
     assert lift("C", "D", ts) == pytest.approx(4.0 / 3.0, abs=1e-15)
+    assert build_graph(ts).edge_lift[("C", "D")] == pytest.approx(4.0 / 3.0, abs=1e-15)
 
 
 def test_lift_symmetry(worked_itemsets):
@@ -51,6 +52,7 @@ def test_pair_stats_consistency(worked_itemsets):
     stats = pair_stats("D", "C", ts)
     assert (stats.item_a, stats.item_b) == ("C", "D")
     assert stats.lift == stats.support_pair / (stats.support_a * stats.support_b)
+    assert build_graph(ts, min_lift=0.0).edge_lift[("C", "D")] == stats.lift
 
 
 def test_build_graph_snapshot(snapshot_csv):
@@ -93,6 +95,7 @@ itemsets_strategy = st.lists(
 @settings(max_examples=150)
 def test_support_bounds_property(itemsets):
     ts = TransactionSet.from_itemsets(itemsets)
+    edge_lift = build_graph(ts, min_lift=0.0).edge_lift
     items = sorted(ts.item_universe)
     for i, a in enumerate(items):
         sa = support_single(a, ts)
@@ -104,6 +107,10 @@ def test_support_bounds_property(itemsets):
             value = lift(a, b, ts)
             assert value == pytest.approx(sp / (sa * sb), abs=1e-12)
             assert value <= 1.0 / max(sa, sb) + 1e-12
+            if sp > 0:
+                assert edge_lift[(a, b)] == pytest.approx(sp / (sa * sb), abs=1e-12)
+            else:
+                assert (a, b) not in edge_lift
 
 
 @given(
