@@ -9,7 +9,6 @@ from .errors import (
     ParseError,
     SchemaError,
     UndefinedCorrelationError,
-    UndefinedLiftError,
     UndefinedZScoreError,
 )
 from .evolution import (

@@ -17,10 +17,6 @@ class InvalidArgumentError(GradenetError, ValueError):
     """An argument is outside the documented domain of an operation."""
 
 
-class UndefinedLiftError(GradenetError):
-    """Lift is undefined because a singleton support is zero."""
-
-
 class UndefinedCorrelationError(GradenetError):
     """A correlation is undefined (zero variance or all-tied input)."""
 

@@ -4,7 +4,9 @@ Degree, clustering coefficient, Freeman betweenness, connected components,
 edge-betweenness community detection and modularity. All metrics treat the
 graph as unweighted and are deterministic. Node and edge betweenness both
 come from one Brandes kernel, `_dense_betweenness`, a sweep over all
-sources at once on the dense adjacency matrix.
+sources at once on the dense adjacency matrix. Girvan-Newman calls that
+kernel directly on one adjacency array, and after each edge removal it
+rescores only the component that held the edge.
 """
 
 from __future__ import annotations
@@ -246,26 +248,66 @@ def girvan_newman(graph: Graph) -> CommunityPartition:
     The returned communities are the dendrogram level with maximal
     modularity; on ties the level with fewer communities wins. A
     disconnected graph starts from its component partition.
+
+    The loop works on one adjacency array with a per-node component id and
+    a cached edge-betweenness matrix. A removal changes scores only inside
+    the component that held the edge, so only that component, or the two
+    it splits into, is rescored.
     """
+    labels, a = _adjacency_matrix(graph)
     base = _freeze_partition(connected_components(graph))
     best_q = modularity(graph, base)
-    best = base
-    work = graph.copy()
+    best = parts = base
+    index = {v: i for i, v in enumerate(labels)}
+    comp = np.empty(len(labels), dtype=np.intp)
+    eb = np.zeros_like(a)
+    for k, community in enumerate(base):
+        members = np.sort([index[v] for v in community])
+        comp[members] = k
+        _rescore(a, eb, members)
     dendrogram = []
-    prev_count = len(base)
-    while work.number_of_edges() > 0:
-        eb = edge_betweenness(work)
-        top = max(eb.values())
-        target = min(e for e, v in eb.items() if v >= top - _TIE_EPS)
-        work.remove_edge(*target)
-        parts = _freeze_partition(connected_components(work))
-        dendrogram.append((target, parts))
-        if len(parts) > prev_count:
+    remaining = graph.number_of_edges()
+    while remaining:
+        # eb is zero off the edges and at least 1 on them; labels are sorted,
+        # so the first (i, j) in row-major order is the smallest tied edge
+        tied = np.triu(eb >= eb.max() - _TIE_EPS, 1)
+        i, j = np.argwhere(tied)[0].tolist()
+        a[i, j] = a[j, i] = 0.0
+        eb[i, j] = eb[j, i] = 0.0
+        remaining -= 1
+        members = np.flatnonzero(comp == comp[i])
+        reached = _reachable(a[np.ix_(members, members)], np.searchsorted(members, i))
+        if reached[np.searchsorted(members, j)]:
+            _rescore(a, eb, members)
+        else:
+            comp[members[~reached]] = len(parts)
+            _rescore(a, eb, members[reached])
+            _rescore(a, eb, members[~reached])
+            groups = [np.flatnonzero(comp == k) for k in range(len(parts) + 1)]
+            groups.sort(key=lambda g: (-len(g), g[0]))
+            parts = tuple(frozenset(labels[t] for t in g.tolist()) for g in groups)
             q = modularity(graph, parts)
             if q > best_q + _TIE_EPS:
                 best_q = q
                 best = parts
-            prev_count = len(parts)
+        dendrogram.append(((labels[i], labels[j]), parts))
     return CommunityPartition(
         communities=best, modularity_q=best_q, dendrogram=tuple(dendrogram)
     )
+
+
+def _rescore(a: np.ndarray, eb: np.ndarray, members: np.ndarray) -> None:
+    """Overwrite the edge betweenness of one component's block of `eb`."""
+    block = np.ix_(members, members)
+    eb[block] = _dense_betweenness(a[block], edges=True)[1]
+
+
+def _reachable(a: np.ndarray, start: int) -> np.ndarray:
+    """Nodes of adjacency array `a` reachable from row `start`, by BFS."""
+    seen = np.zeros(a.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = a[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen

@@ -15,16 +15,21 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from gradenet import (
+    CommunityPartition,
     CoSelectionGraph,
     Graph,
+    GradenetError,
     GroupSummary,
     InvalidArgumentError,
     ParseError,
     TransactionSet,
-    UndefinedLiftError,
     UndefinedZScoreError,
+    connected_components,
+    edge_betweenness,
+    modularity,
 )
 from gradenet.exports import _GRAPHML_NS
+from gradenet.graph import _TIE_EPS, _freeze_partition
 from gradenet.nullmodels import max_edges
 
 # verdict lines collected by the acceptance-test decorator, printed once
@@ -142,6 +147,36 @@ def dict_edge_betweenness(graph: Graph) -> dict:
                 eb[edge_key(v, w)] += c
                 delta[v] += c
     return {e: val / 2.0 for e, val in eb.items()}
+
+
+def whole_graph_girvan_newman(graph: Graph, edge_betweenness=edge_betweenness):
+    """Girvan-Newman rescoring the whole graph after every removal.
+
+    The `Graph`-copy loop that the component-local `girvan_newman` replaced;
+    `edge_betweenness` is the scorer it calls, the dense wrapper by default.
+    """
+    base = _freeze_partition(connected_components(graph))
+    best_q = modularity(graph, base)
+    best = base
+    work = graph.copy()
+    dendrogram = []
+    prev_count = len(base)
+    while work.number_of_edges() > 0:
+        eb = edge_betweenness(work)
+        top = max(eb.values())
+        target = min(e for e, v in eb.items() if v >= top - _TIE_EPS)
+        work.remove_edge(*target)
+        parts = _freeze_partition(connected_components(work))
+        dendrogram.append((target, parts))
+        if len(parts) > prev_count:
+            q = modularity(graph, parts)
+            if q > best_q + _TIE_EPS:
+                best_q = q
+                best = parts
+            prev_count = len(parts)
+    return CommunityPartition(
+        communities=best, modularity_q=best_q, dendrogram=tuple(dendrogram)
+    )
 
 
 def brute_clustering(graph: Graph, node) -> float:
@@ -333,6 +368,10 @@ def support_pair(item_a, item_b, transactions: TransactionSet) -> float:
         1 for _, items in transactions.transactions if item_a in items and item_b in items
     )
     return count / total
+
+
+class UndefinedLiftError(GradenetError):
+    """Lift is undefined because a singleton support is zero."""
 
 
 def lift(item_a, item_b, transactions: TransactionSet) -> float:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gradenet.graph
 from gradenet import (
     Graph,
     InvalidArgumentError,
@@ -27,6 +26,7 @@ from conftest import (
     degree,
     dict_edge_betweenness,
     random_graph,
+    whole_graph_girvan_newman,
 )
 
 
@@ -180,17 +180,52 @@ def test_girvan_newman_deterministic():
         assert first.dendrogram == second.dendrogram
 
 
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12))
-@settings(max_examples=100, deadline=None)
-def test_girvan_newman_matches_dict_oracle(seed, max_nodes):
-    g = random_graph(np.random.default_rng(seed), max_nodes=max_nodes)
-    dense = girvan_newman(g)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gradenet.graph, "edge_betweenness", dict_edge_betweenness)
-        oracle = girvan_newman(g)
-    assert dense.communities == oracle.communities
-    assert dense.dendrogram == oracle.dendrogram
-    assert dense.modularity_q == oracle.modularity_q
+def assert_matches_whole_graph_oracle(g):
+    actual = girvan_newman(g)
+    for scorer in (edge_betweenness, dict_edge_betweenness):
+        expected = whole_graph_girvan_newman(g, scorer)
+        assert actual.communities == expected.communities
+        assert actual.dendrogram == expected.dendrogram
+        assert actual.modularity_q == expected.modularity_q
+
+
+@st.composite
+def gn_graphs(draw):
+    """Graphs of 0..14 nodes, int or str labels, including isolated nodes,
+    edgeless graphs and disconnected starts."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+    # str(v) sorts 10 before 2, so label order differs from insertion order
+    label = draw(st.sampled_from([int, str]))
+    g = Graph(nodes=map(label, range(n)))
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            g.add_edge(label(u), label(v))
+    return g
+
+
+def complete(nodes):
+    return list(itertools.combinations(nodes, 2))
+
+
+TIE_HEAVY = {
+    "C8": Graph(edges=[(i, (i + 1) % 8) for i in range(8)]),
+    "K5": Graph(edges=complete(range(5))),
+    "K3,3": Graph(edges=[(u, v) for u in range(3) for v in range(3, 6)]),
+    "2K4": Graph(edges=complete(range(4)) + complete(range(4, 8))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_HEAVY))
+def test_girvan_newman_tie_heavy_matches_whole_graph_oracle(name):
+    assert_matches_whole_graph_oracle(TIE_HEAVY[name])
+
+
+@given(gn_graphs())
+@settings(max_examples=300, deadline=None)
+def test_girvan_newman_matches_whole_graph_oracle(g):
+    assert_matches_whole_graph_oracle(g)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from gradenet import (
     InvalidArgumentError,
     TransactionSet,
-    UndefinedLiftError,
     build_graph,
     parse_records,
     group_campaigns,
 )
-from conftest import lift, pair_stats, support_pair, support_single
+from conftest import UndefinedLiftError, lift, pair_stats, support_pair, support_single
 
 
 def test_worked_example_supports(worked_itemsets):
