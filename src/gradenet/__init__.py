@@ -1,7 +1,6 @@
 """Co-selection network analysis of production-campaign records."""
 
 from .errors import (
-    EnsembleDegenerateError,
     GenerationError,
     GradenetError,
     InsufficientDataError,
@@ -9,7 +8,6 @@ from .errors import (
     ParseError,
     SchemaError,
     UndefinedCorrelationError,
-    UndefinedZScoreError,
 )
 from .evolution import (
     GroupSummary,

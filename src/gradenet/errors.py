@@ -25,22 +25,5 @@ class InsufficientDataError(GradenetError):
     """Fewer usable data points than the operation requires."""
 
 
-class UndefinedZScoreError(GradenetError):
-    """A z-score is undefined because the ensemble standard deviation is zero."""
-
-
-class EnsembleDegenerateError(GradenetError):
-    """More than half of the ensemble replicates were undefined."""
-
-    def __init__(self, statistic: str, dropped: int, replicates: int):
-        super().__init__(
-            f"ensemble degenerate for {statistic}: "
-            f"{dropped} of {replicates} replicates undefined"
-        )
-        self.statistic = statistic
-        self.dropped = dropped
-        self.replicates = replicates
-
-
 class GenerationError(GradenetError):
     """The synthetic planner could not produce a valid campaign."""

@@ -1,8 +1,8 @@
 """Randomized graph families used as null models.
 
 Three families: Erdos-Renyi G(n, m), degree-preserving switch
-randomization, and random geometric graphs in the unit square with a
-radius calibrated to hit a target edge count in expectation. All
+randomization, and random geometric graphs in the unit square with the
+radius solved in closed form to hit a target edge count in expectation. All
 generators are pure functions of (parameters, seeded generator), so
 ensemble replicates can be produced independently and reproducibly. Each
 replicate is an n x n bool adjacency array; no Graph is built for it.
@@ -14,13 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import InvalidArgumentError
 from .graph import Graph
-
-# stream index reserved for radius calibration, outside replicate indices
-CALIBRATION_STREAM = 0xCA11B
 
 
 @dataclass(frozen=True)
@@ -169,25 +165,36 @@ def random_geometric(n: int, radius: float, rng: np.random.Generator) -> np.ndar
         raise InvalidArgumentError("node count must be non-negative")
     if radius < 0:
         raise InvalidArgumentError("radius must be non-negative")
-    positions = rng.random((n, 2))
-    if n < 2:
-        return np.zeros((n, n), dtype=bool)
-    return squareform(pdist(positions) <= radius)
+    x, y = rng.random((n, 2)).T
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    a = np.sqrt(dx * dx + dy * dy) <= radius
+    np.fill_diagonal(a, False)
+    return a
 
 
-def calibrate_radius(
-    n: int,
-    target_m: int,
-    rng: np.random.Generator,
-    samples: int = 200,
-    max_steps: int = 40,
-    rel_tol: float = 0.01,
-) -> float:
-    """Bisect the radius until the Monte Carlo mean edge count hits target_m.
+def _pair_distance_cdf(r: float) -> float:
+    """P(|X - Y| <= r) for X, Y independent and uniform in the unit square.
 
-    The probe mean is taken over `samples` fresh point sets (drawn once and
-    reused across probes, which keeps the bisection monotone). Stops when
-    the mean is within rel_tol of the target or after max_steps bisections.
+    Closed form (Philip 2007; Penrose 2003, Random Geometric Graphs).
+    """
+    r2 = r * r
+    if r <= 1.0:
+        return math.pi * r2 - 8.0 * r2 * r / 3.0 + r2 * r2 / 2.0
+    return (
+        1.0 / 3.0
+        - 2.0 * r2
+        - r2 * r2 / 2.0
+        + 4.0 / 3.0 * (2.0 * r2 + 1.0) * math.sqrt(r2 - 1.0)
+        + 2.0 * r2 * (math.asin(1.0 / r) - math.acos(1.0 / r))
+    )
+
+
+def calibrate_radius(n: int, target_m: int) -> float:
+    """Smallest radius in [0, sqrt(2)] whose expected GRG edge count reaches target_m.
+
+    A GRG on n points has C(n, 2) * F(r) edges in expectation, F being the
+    pair-distance CDF. Bisection runs until its bounds are adjacent floats.
     """
     limit = max_edges(n)
     if not (0 <= target_m <= limit):
@@ -196,30 +203,18 @@ def calibrate_radius(
         return 0.0
     if target_m == limit:
         return math.sqrt(2.0)
-    if samples < 50:
-        raise InvalidArgumentError("at least 50 samples per probe required")
-    distances = [np.sort(pdist(rng.random((n, 2)))) for _ in range(samples)]
-
-    def mean_edges(radius: float) -> float:
-        return float(np.mean([np.searchsorted(d, radius, side="right") for d in distances]))
-
     lo, hi = 0.0, math.sqrt(2.0)
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_steps):
+    while True:
         mid = 0.5 * (lo + hi)
-        mean = mean_edges(mid)
-        if abs(mean - target_m) <= rel_tol * target_m:
-            return mid
-        if mean < target_m:
-            lo = mid
-        else:
+        if mid == lo or mid == hi:
+            return hi
+        if limit * _pair_distance_cdf(mid) >= target_m:
             hi = mid
-    return mid
+        else:
+            lo = mid
 
 
-def spec_for(
-    model: str, graph: Graph, stream: SeedStream, swap_multiplier: float = 10.0
-) -> NullModelSpec:
+def spec_for(model: str, graph: Graph, swap_multiplier: float = 10.0) -> NullModelSpec:
     """Build the null-model spec matched to an empirical graph."""
     n = graph.number_of_nodes()
     m = graph.number_of_edges()
@@ -231,8 +226,7 @@ def spec_for(
             kind="DEGSEQ", n=n, m=m, source=graph, swap_multiplier=swap_multiplier
         )
     if kind == "GRG":
-        radius = calibrate_radius(n, m, stream.generator(CALIBRATION_STREAM))
-        return NullModelSpec(kind="GRG", n=n, m=m, radius=radius)
+        return NullModelSpec(kind="GRG", n=n, m=m, radius=calibrate_radius(n, m))
     raise InvalidArgumentError(f"unknown null model {model!r}")
 
 

@@ -10,15 +10,10 @@ is deterministic given the seed, so the report is byte-reproducible.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    EnsembleDegenerateError,
-    InsufficientDataError,
-    InvalidArgumentError,
-    UndefinedCorrelationError,
-    UndefinedZScoreError,
-)
+from .errors import InsufficientDataError, InvalidArgumentError
 from .evolution import group_summary, node_age, prune_minor_groups, stage_networks
 from .graph import connected_components, girvan_newman
 from .nullmodels import SeedStream, spec_for
@@ -64,7 +59,11 @@ class AnalysisConfig:
             raise InvalidArgumentError(f"unknown correlation {self.correlation!r}")
         if not (0.0 <= self.prune_floor <= 1.0):
             raise InvalidArgumentError("prune floor must be in [0, 1]")
-        if self.component != "largest" and not self.component.startswith("min-mean:"):
+        if not 0 < self.swap_multiplier < math.inf:
+            raise InvalidArgumentError("swap multiplier must be positive and finite")
+        if self.component != "largest" and (
+            not self.component.startswith("min-mean:") or self.component == "min-mean:"
+        ):
             raise InvalidArgumentError(
                 "component selector must be 'largest' or 'min-mean:<attribute>'"
             )
@@ -78,21 +77,14 @@ def _select_component(components, cograph, selector: str):
     attribute = selector.split(":", 1)[1]
 
     def mean_attribute(component):
-        values = [
-            cograph.node_attributes.get(v, {}).get(attribute)
-            for v in component
-        ]
-        values = [v for v in values if v is not None]
-        if not values:
-            return float("inf")
-        return sum(values) / len(values)
+        return sum(cograph.node_attributes[v][attribute] for v in component) / len(component)
 
     return min(components, key=lambda c: (mean_attribute(c), -len(c), min(c)))
 
 
 def _correlation_entry(graph, kind):
     try:
-        results = node_metric_correlations(graph, kind, strict=False)
+        results = node_metric_correlations(graph, kind)
     except InsufficientDataError as exc:
         return {name: {"undefined": str(exc)} for name in STATISTICS}
     entry = {}
@@ -109,29 +101,16 @@ def _correlation_entry(graph, kind):
 
 
 def _ensemble_cells(graph, models, config: AnalysisConfig, stream: SeedStream):
-    """One {model: {statistic: cell}} block; never raises per-cell errors."""
+    """One {model: {statistic: cell}} block; an undefined cell says why."""
     cells = {}
     for model in models:
         model_stream = stream.child(_MODEL_INDEX[model])
         try:
-            spec = spec_for(
-                model, graph, model_stream, swap_multiplier=config.swap_multiplier
-            )
+            spec = spec_for(model, graph, swap_multiplier=config.swap_multiplier)
             summaries = ensemble_zscores(
-                graph,
-                spec,
-                config.ensemble,
-                kind=config.correlation,
-                stream=model_stream,
-                strict=False,
+                graph, spec, config.ensemble, kind=config.correlation, stream=model_stream
             )
-        except (
-            InsufficientDataError,
-            UndefinedCorrelationError,
-            UndefinedZScoreError,
-            EnsembleDegenerateError,
-            InvalidArgumentError,
-        ) as exc:
+        except InsufficientDataError as exc:
             cells[model] = {name: {"undefined": str(exc)} for name in STATISTICS}
             continue
         block = {}
@@ -161,6 +140,11 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         if config.attribute_columns is not None
         else None,
     )
+    if config.component != "largest" and records:
+        # every record carries every parsed attribute column
+        attribute = config.component.split(":", 1)[1]
+        if attribute not in records[0].attributes:
+            raise InvalidArgumentError(f"unknown component attribute {attribute!r}")
     transactions = group_campaigns(records)
     assignment = assign_windows(transactions, config.windows)
     series = stage_networks(

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sps
 
-from .errors import (
-    EnsembleDegenerateError,
-    InsufficientDataError,
-    InvalidArgumentError,
-    UndefinedCorrelationError,
-    UndefinedZScoreError,
-)
+from .errors import InsufficientDataError, InvalidArgumentError, UndefinedCorrelationError
 from .graph import Graph, _adjacency_matrix, _dense_betweenness, _dense_clustering
 from .nullmodels import NullModelSpec, SeedStream, generate_null
 
@@ -176,11 +170,10 @@ def metric_vectors(a: np.ndarray):
     return deg[keep], _dense_clustering(a)[keep], bc[keep]
 
 
-def node_metric_correlations(graph: Graph, kind: str = "spearman", strict: bool = True):
+def node_metric_correlations(graph: Graph, kind: str = "spearman"):
     """(COR_D_BC, COR_CC_BC) over the graph's non-isolated nodes.
 
-    With strict=False a statistic whose metric vector is constant comes
-    back as None instead of raising.
+    A statistic whose metric vector is constant comes back as None.
     """
     _, a = _adjacency_matrix(graph)
     deg, cvec, bvec = metric_vectors(a)
@@ -189,8 +182,6 @@ def node_metric_correlations(graph: Graph, kind: str = "spearman", strict: bool 
         try:
             results.append(correlation(x, bvec, kind))
         except UndefinedCorrelationError:
-            if strict:
-                raise
             results.append(None)
     return tuple(results)
 
@@ -210,20 +201,19 @@ def ensemble_zscores(
     replicates: int,
     kind: str = "spearman",
     stream: SeedStream | None = None,
-    strict: bool = True,
 ) -> list:
     """Z-scores of the graph's metric correlations against a null ensemble.
 
     One replicate adjacency is generated per index from the seed stream and
     both statistics are evaluated on it; undefined replicate values are
-    dropped and counted. With strict=True a statistic that loses more than
-    half its replicates or has zero ensemble spread raises; with
-    strict=False it comes back as a summary with z=None and a reason.
+    dropped and counted. A statistic that loses more than half its
+    replicates or has zero ensemble spread comes back with z=None and a
+    reason.
     """
     if replicates < 2:
         raise InvalidArgumentError("at least 2 replicates required")
     stream = stream if stream is not None else SeedStream.from_seed(0)
-    emp_d, emp_c = node_metric_correlations(graph, kind, strict=strict)
+    emp_d, emp_c = node_metric_correlations(graph, kind)
     empirical = {
         "COR_D_BC": emp_d.value if emp_d is not None else None,
         "COR_CC_BC": emp_c.value if emp_c is not None else None,
@@ -253,17 +243,11 @@ def ensemble_zscores(
         if empirical[name] is None:
             reason = "empirical correlation undefined"
         elif dropped[name] * 2 > replicates:
-            if strict:
-                raise EnsembleDegenerateError(name, dropped[name], replicates)
             reason = f"degenerate: {dropped[name]} of {replicates} replicates undefined"
         else:
             mean = float(vals.mean())
             std = float(vals.std())
             if std == 0.0:
-                if strict:
-                    raise UndefinedZScoreError(
-                        f"{name}: ensemble standard deviation is zero"
-                    )
                 reason = "zero ensemble standard deviation"
             else:
                 z = (empirical[name] - mean) / std

@@ -23,7 +23,6 @@ from gradenet import (
     InvalidArgumentError,
     ParseError,
     TransactionSet,
-    UndefinedZScoreError,
     connected_components,
     edge_betweenness,
     modularity,
@@ -333,6 +332,52 @@ def graph_random_geometric(n: int, radius: float, rng: np.random.Generator) -> G
     return g
 
 
+# The Monte Carlo radius calibrator that the closed-form one in
+# gradenet.nullmodels replaced; its accepted band brackets the exact radius.
+
+
+def monte_carlo_radius(
+    n: int,
+    target_m: int,
+    rng: np.random.Generator,
+    samples: int = 200,
+    max_steps: int = 40,
+    rel_tol: float = 0.01,
+) -> float:
+    """Bisect the radius until the Monte Carlo mean edge count hits target_m.
+
+    The probe mean is taken over `samples` fresh point sets (drawn once and
+    reused across probes, which keeps the bisection monotone). Stops when
+    the mean is within rel_tol of the target or after max_steps bisections.
+    """
+    limit = max_edges(n)
+    if not (0 <= target_m <= limit):
+        raise InvalidArgumentError(f"target edge count {target_m} outside [0, {limit}]")
+    if target_m == 0:
+        return 0.0
+    if target_m == limit:
+        return math.sqrt(2.0)
+    if samples < 50:
+        raise InvalidArgumentError("at least 50 samples per probe required")
+    distances = [np.sort(pdist(rng.random((n, 2)))) for _ in range(samples)]
+
+    def mean_edges(radius: float) -> float:
+        return float(np.mean([np.searchsorted(d, radius, side="right") for d in distances]))
+
+    lo, hi = 0.0, math.sqrt(2.0)
+    mid = 0.5 * (lo + hi)
+    for _ in range(max_steps):
+        mid = 0.5 * (lo + hi)
+        mean = mean_edges(mid)
+        if abs(mean - target_m) <= rel_tol * target_m:
+            return mid
+        if mean < target_m:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 # Scalar reference functions the package itself does not use: single-pair
 # supports and lift, per-node degree and clustering, one z-score, and the
 # GraphML/DOT readers that check exported networks round-trip.
@@ -411,6 +456,10 @@ def clustering_coefficient(graph: Graph, node) -> float:
         links += len(graph.neighbors(u) & nbrs)
     # each neighbor-neighbor edge counted twice
     return links / (k * (k - 1))
+
+
+class UndefinedZScoreError(GradenetError):
+    """A z-score is undefined because the ensemble standard deviation is zero."""
 
 
 def zscore(x: float, replicates) -> float:

@@ -150,7 +150,7 @@ def test_acceptance_4_null_models():
             sorted((v, len(shuffled.neighbors(v))) for v in shuffled.nodes())
             == source_degrees
         )
-    radius = calibrate_radius(100, 300, stream.generator(3))
+    radius = calibrate_radius(100, 300)
     fresh = [
         graph_from_adjacency(
             range(100), random_geometric(100, radius, stream.generator(4, i))
@@ -168,9 +168,7 @@ def test_acceptance_5_zscore_self_consistency():
     z_values = {"COR_D_BC": [], "COR_CC_BC": []}
     for trial in range(200):
         g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.generator(trial, 0)))
-        summaries = ensemble_zscores(
-            g, spec, 200, stream=stream.child(trial, 1), strict=False
-        )
+        summaries = ensemble_zscores(g, spec, 200, stream=stream.child(trial, 1))
         for summary in summaries:
             if summary.z is not None:
                 z_values[summary.statistic].append(summary.z)

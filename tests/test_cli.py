@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gradenet import build_graph, group_campaigns, parse_records
+import gradenet
+from gradenet import InvalidArgumentError, build_graph, group_campaigns, parse_records
 from gradenet.cli import main
 from gradenet.exports import dot_dumps, graphml_dumps, records_csv_dumps
 from gradenet.pipeline import AnalysisConfig, run_analysis, zscore_rows
@@ -168,7 +173,37 @@ def test_exit_codes(tmp_path, input_csv, capsys):
         ]
     )
     assert code == 1  # more windows than campaigns
+    analyze = ["analyze", str(input_csv), "--windows", "2", "--ensemble", "20"]
+    bad_options = [
+        ["--swap-multiplier", "0"],
+        ["--swap-multiplier", "-1"],
+        ["--swap-multiplier", "nan"],
+        ["--swap-multiplier", "inf"],
+        ["--component", "min-mean:carbn"],  # not a parsed column
+        ["--component", "min-mean:"],
+    ]
+    for i, option in enumerate(bad_options):
+        out = tmp_path / f"bad{i}"
+        assert main(analyze + option + ["--out", str(out)]) == 1, option
+        assert not (out / "report.json").exists(), option
     capsys.readouterr()
+
+
+def test_analyze_identical_across_hash_seeds(tmp_path, input_csv):
+    src = str(Path(gradenet.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        subprocess.run(
+            [sys.executable, "-m", "gradenet.cli", "analyze", str(input_csv), "--windows", "2",
+             "--ensemble", "50", "--seed", "13", "--out", str(out)],
+            env=env,
+            check=True,
+        )
+        outputs.append([(out / name).read_bytes() for name in ("report.json", "zscores.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_analyze_rejects_non_finite_report(tmp_path, input_csv, monkeypatch, capsys):
@@ -206,6 +241,13 @@ def test_analyze_component_selector(snapshot_csv):
     config_high = AnalysisConfig(windows=1, ensemble=20, component="largest")
     report_high = run_analysis(snapshot_csv, config_high)
     assert report_high["stages"][0]["selected_component"] == ["1", "2"]
+
+
+def test_analyze_component_selector_rejects_unknown_attribute(snapshot_csv):
+    with pytest.raises(InvalidArgumentError):
+        run_analysis(snapshot_csv, AnalysisConfig(windows=1, component="min-mean:carbn"))
+    with pytest.raises(InvalidArgumentError):
+        AnalysisConfig(component="min-mean:").validate()
 
 
 def test_analyze_node_ages(snapshot_csv):

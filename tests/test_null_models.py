@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from gradenet import (
     Graph,
@@ -22,11 +23,13 @@ from gradenet import (
     switch_randomize,
 )
 from gradenet.graph import _adjacency_matrix
+from gradenet.nullmodels import _pair_distance_cdf, max_edges
 from conftest import (
     graph_er_gnm,
     graph_from_adjacency,
     graph_random_geometric,
     graph_switch_randomize,
+    monte_carlo_radius,
     random_graph,
 )
 
@@ -131,7 +134,7 @@ def test_random_geometric_extremes():
 
 def test_calibrate_radius_hits_target():
     stream = SeedStream.from_seed(7)
-    radius = calibrate_radius(50, 100, stream.generator(0))
+    radius = calibrate_radius(50, 100)
     fresh = [
         graph_from_adjacency(
             range(50), random_geometric(50, radius, stream.generator(1, i))
@@ -142,13 +145,57 @@ def test_calibrate_radius_hits_target():
 
 
 def test_calibrate_radius_extremes():
-    rng = np.random.default_rng(8)
-    assert calibrate_radius(10, 0, rng) == 0.0
-    assert calibrate_radius(10, 45, rng) == math.sqrt(2.0)
+    assert calibrate_radius(10, 0) == 0.0
+    assert calibrate_radius(10, 45) == math.sqrt(2.0)
     with pytest.raises(InvalidArgumentError):
-        calibrate_radius(10, 46, rng)
-    with pytest.raises(InvalidArgumentError):
-        calibrate_radius(10, 20, rng, samples=10)
+        calibrate_radius(10, 46)
+
+
+def test_pair_distance_cdf_shape():
+    at_one = _pair_distance_cdf(1.0)
+    assert _pair_distance_cdf(math.nextafter(1.0, 2.0)) == pytest.approx(at_one, abs=1e-12)
+    assert _pair_distance_cdf(math.nextafter(1.0, 0.0)) == pytest.approx(at_one, abs=1e-12)
+    assert _pair_distance_cdf(0.0) == 0.0
+    assert _pair_distance_cdf(math.sqrt(2.0)) == pytest.approx(1.0, abs=1e-12)
+    grid = np.linspace(0.0, math.sqrt(2.0), 20_001)
+    values = np.array([_pair_distance_cdf(r) for r in grid])
+    # near sqrt(2), 1 - F shrinks like (sqrt(2) - r)^4 and drops below float
+    # resolution; what still moves there is rounding in the formula
+    assert np.diff(values).min() >= -4 * np.finfo(float).eps
+
+
+def test_pair_distance_cdf_matches_sampled_pairs():
+    rng = np.random.default_rng(12)
+    radii = (0.05, 0.2, 0.5, 0.9, 1.1, 1.3)
+    point_sets = [rng.random((2000, 2)) for _ in range(4)]
+    fractions = np.mean([[np.mean(pdist(p) <= r) for r in radii] for p in point_sets], axis=0)
+    for r, fraction in zip(radii, fractions):
+        assert fraction == pytest.approx(_pair_distance_cdf(r), rel=0.05), r
+
+
+@given(st.integers(min_value=3, max_value=120), st.data())
+@settings(max_examples=200, deadline=None)
+def test_calibrate_radius_exact_in_expectation(n, data):
+    limit = max_edges(n)
+    m = data.draw(st.integers(min_value=1, max_value=limit - 1))
+    r = calibrate_radius(n, m)
+    assert limit * _pair_distance_cdf(r) >= m > limit * _pair_distance_cdf(math.nextafter(r, 0.0))
+
+
+def _probe_mean_edges(n: int, radius: float, seed: int, samples: int) -> float:
+    # the Monte Carlo oracle's probe: mean edge count over the point sets it draws
+    rng = np.random.default_rng(seed)
+    return float(
+        np.mean([np.count_nonzero(pdist(rng.random((n, 2))) <= radius) for _ in range(samples)])
+    )
+
+
+# samples put the oracle's 1 % band at about 4 standard errors of its probe mean
+@pytest.mark.parametrize("n, m, samples", [(30, 147, 2500), (60, 600, 1000), (120, 1500, 500)])
+def test_calibrate_radius_inside_monte_carlo_band(n, m, samples):
+    oracle = monte_carlo_radius(n, m, np.random.default_rng(n), samples=samples)
+    for radius in (oracle, calibrate_radius(n, m)):
+        assert abs(_probe_mean_edges(n, radius, n, samples) - m) <= 0.01 * m, radius
 
 
 @pytest.mark.parametrize("model", ["er", "degseq", "grg"])
@@ -156,7 +203,7 @@ def test_generate_null_deterministic(model):
     rng = np.random.default_rng(9)
     g = graph_from_adjacency(range(25), er_gnm(25, 60, rng))
     stream = SeedStream.from_seed(10)
-    spec = spec_for(model, g, stream)
+    spec = spec_for(model, g)
     first = graph_from_adjacency(g.nodes(), generate_null(spec, stream.generator(0)))
     second = graph_from_adjacency(g.nodes(), generate_null(spec, stream.generator(0)))
     assert first.edges() == second.edges()
@@ -167,7 +214,7 @@ def test_generate_null_deterministic(model):
 def test_spec_for_unknown_model():
     g = Graph(edges=[(0, 1)])
     with pytest.raises(InvalidArgumentError):
-        spec_for("config", g, SeedStream.from_seed(0))
+        spec_for("config", g)
     with pytest.raises(InvalidArgumentError):
         generate_null(NullModelSpec(kind="??", n=2, m=1), np.random.default_rng(0))
 
