@@ -40,7 +40,7 @@ from .nullmodels import (
 )
 from .pipeline import AnalysisConfig, run_analysis
 from .records import (
-    ProductionRecord,
+    RecordTable,
     TransactionSet,
     WindowAssignment,
     assign_windows,
@@ -59,6 +59,6 @@ from .stats import (
     pearson,
     spearman,
 )
-from .synth import Band, PlannerConfig, generate, planted_two_band_config
+from .synth import Band, PlannerConfig, ProductionRecord, generate, planted_two_band_config
 
 __version__ = "0.1.0"

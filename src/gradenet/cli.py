@@ -116,8 +116,8 @@ def _annotations(cograph, ages=None):
 def cmd_mine(args) -> int:
     if args.windows < 0:
         raise InvalidArgumentError("windows must be >= 0")
-    records = parse_records(_read_text(args.input), item_column=args.item_column)
-    transactions = group_campaigns(records)
+    table = parse_records(_read_text(args.input), item_column=args.item_column)
+    transactions = group_campaigns(table)
     # --windows 0: no node ages, and one stage over every campaign (even none)
     assignment = (
         assign_windows(transactions, args.windows)
@@ -125,7 +125,7 @@ def cmd_mine(args) -> int:
         else WindowAssignment(1, {cid: 0 for cid, _ in transactions.transactions})
     )
     series = stage_networks(
-        records, transactions, assignment,
+        table, transactions, assignment,
         min_support=args.min_support, min_lift=args.min_lift,
     )
     cograph = series.stages[-1]
@@ -145,7 +145,7 @@ def cmd_mine(args) -> int:
     _write(
         out,
         "hist_slabs_per_grade.csv",
-        histogram_csv_dumps(slabs_per_item_histogram(records), "grade", "slabs"),
+        histogram_csv_dumps(slabs_per_item_histogram(table), "grade", "slabs"),
     )
     return 0
 

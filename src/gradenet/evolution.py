@@ -9,16 +9,14 @@ threshold in either direction).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import Graph
 from .mining import cumulative_graphs
-from .records import TransactionSet, WindowAssignment
+from .records import RecordTable, TransactionSet, WindowAssignment
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,7 @@ class StageSeries:
     assignment: WindowAssignment
     transactions: tuple = field(repr=False)  # stably sorted by window
     ends: tuple  # stage s holds transactions[:ends[s]]
-    records: list = field(repr=False)  # every record, in file order
+    records: RecordTable = field(repr=False)  # every record, in file order
     record_window: np.ndarray = field(repr=False, compare=False)  # window_count: no stage
 
     def prefix(self, s: int) -> TransactionSet:
@@ -37,9 +35,9 @@ class StageSeries:
         rows = self.transactions[: self.ends[s]]
         return TransactionSet(rows, frozenset().union(*(items for _, items in rows)))
 
-    def stage_records(self, s: int) -> list:
+    def stage_records(self, s: int) -> RecordTable:
         """The records of stage s's campaigns, in file order."""
-        return list(compress(self.records, self.record_window <= s))
+        return self.records.take(self.record_window <= s)
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class GroupSummary:
 
 
 def stage_networks(
-    records,
+    records: RecordTable,
     transactions: TransactionSet,
     assignment: WindowAssignment,
     min_support: float = 0.0,
@@ -70,8 +68,8 @@ def stage_networks(
     windows = sorted(window_of.values())
     ends = tuple(bisect_right(windows, s) for s in range(assignment.window_count))
     outside = assignment.window_count  # a record whose campaign is not a transaction
-    per_record = (window_of.get(r.campaign_id, outside) for r in records)
-    record_window = np.fromiter(per_record, np.min_scalar_type(outside), len(records))
+    per_campaign = [window_of.get(cid, outside) for cid in records.campaign_labels]
+    record_window = np.array(per_campaign, np.min_scalar_type(outside))[records.campaign]
     stages = cumulative_graphs(ordered, ends, records, record_window, min_support, min_lift)
     return StageSeries(tuple(stages), assignment, ordered, ends, records, record_window)
 
@@ -88,14 +86,14 @@ def node_age(series: StageSeries) -> dict:
     return {v: age for v, age in sorted(ages.items()) if v in final_nodes}
 
 
-def group_summary(groups, records, transactions: TransactionSet) -> list:
+def group_summary(groups, records: RecordTable, transactions: TransactionSet) -> list:
     """Per group: item count, slab/campaign frequency, attribute means.
 
-    One pass over the records (slab counts and attribute sums per group, in
-    record order) and one over the transactions.
+    Slab counts and attribute means come from one `RecordTable.bin_means`
+    over the records, campaign counts from one pass over the transactions.
     """
     groups = [set(group) for group in groups]
-    known_items = {rec.item for rec in records}
+    known_items = records.item_counts().keys()
     group_of: dict = {}
     for g, group in enumerate(groups):
         if group & group_of.keys():
@@ -104,16 +102,9 @@ def group_summary(groups, records, transactions: TransactionSet) -> list:
         if unknown:
             raise InvalidArgumentError(f"group contains unknown item {min(unknown)!r}")
         group_of.update(dict.fromkeys(group, g))
-    slabs = [0] * len(groups)
-    sums = [{} for _ in groups]
-    counts = [{} for _ in groups]
-    for rec in [rec for rec in records if rec.item in group_of]:
-        g = group_of[rec.item]
-        slabs[g] += 1
-        group_sums, group_counts = sums[g], counts[g]
-        for name, value in rec.attributes.items():
-            group_sums[name] = group_sums.get(name, 0.0) + value
-            group_counts[name] = group_counts.get(name, 0) + 1
+    outside = len(groups)  # the bin of rows whose item is in no group
+    code_group = np.array([group_of.get(v, outside) for v in records.item_labels], np.intp)
+    slabs, means = records.bin_means(code_group[records.item], outside + 1)
     members = frozenset(group_of)
     campaigns = [0] * len(groups)
     for _, items in transactions.transactions:
@@ -127,7 +118,7 @@ def group_summary(groups, records, transactions: TransactionSet) -> list:
             items=len(group),
             slab_frequency=slabs[g] / total_records if total_records else 0.0,
             campaign_frequency=campaigns[g] / total_campaigns if total_campaigns else 0.0,
-            attribute_means={name: sums[g][name] / counts[g][name] for name in sorted(sums[g])},
+            attribute_means=means[g],
         )
         for g, group in enumerate(groups)
     ]
@@ -136,24 +127,21 @@ def group_summary(groups, records, transactions: TransactionSet) -> list:
 def prune_minor_groups(
     graph: Graph,
     partition,
-    records,
+    records: RecordTable,
     slab_frequency_floor: float,
 ) -> Graph:
     """Subgraph induced by groups whose slab frequency reaches the floor."""
     if not (0.0 <= slab_frequency_floor <= 1.0):
         raise InvalidArgumentError("slab frequency floor must be in [0, 1]")
     nodes = set(graph.nodes())
-    covered = set()
-    for group in partition:
-        covered |= set(group)
-    if covered != nodes:
+    if set().union(*partition) != nodes:
         raise InvalidArgumentError("partition does not cover the graph's nodes")
     total_records = len(records)
-    item_counts = Counter([rec.item for rec in records if rec.item in nodes])
+    item_counts = records.item_counts()
     keep = set()
     for group in partition:
         group = set(group)
-        count = sum(item_counts[v] for v in group)
+        count = sum(item_counts.get(v, 0) for v in group)
         frequency = count / total_records if total_records else 0.0
         if frequency >= slab_frequency_floor:
             keep |= group

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import Graph
-from .records import TransactionSet
+from .records import RecordTable, TransactionSet
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,18 @@ class CoSelectionGraph:
 
 def build_graph(
     transactions: TransactionSet,
-    records=(),
+    records: RecordTable | None = None,
     min_support: float = 0.0,
     min_lift: float = 1.0,
 ) -> CoSelectionGraph:
     """Build the co-selection network from transactions, with its records' attribute means.
 
     This is cumulative_graphs with one prefix. Empty transactions give an
-    empty graph.
+    empty graph; without records no node has attribute means.
     """
     rows = transactions.transactions
+    if records is None:
+        records = RecordTable((), (), np.zeros(0, np.intp), np.zeros(0, np.intp), {})
     record_stage = np.zeros(len(records), np.intp)
     return cumulative_graphs(rows, (len(rows),), records, record_stage, min_support, min_lift)[0]
 
@@ -61,7 +63,7 @@ def cumulative_graphs(
         raise InvalidArgumentError("min_support must be in [0, 1]")
     if not math.isfinite(min_lift):
         raise InvalidArgumentError("min_lift must be finite")
-    means = _attribute_means(records, record_stage, len(ends))
+    labels = records.item_labels
     single, pairs = Counter(), Counter()
     graphs = []
     total = 0
@@ -78,38 +80,12 @@ def cumulative_graphs(
             value = sp / ((single[a] / total) * (single[b] / total))
             if sp >= min_support and value >= min_lift:
                 edge_lift[(a, b)] = value
-        node_set = {item for item, c in single.items() if c / total >= min_support}
-        g = Graph(nodes=sorted(node_set), edges=edge_lift)
-        node_attributes = {item: row for item, row in means[stage].items() if item in node_set}
+        nodes = sorted(item for item, c in single.items() if c / total >= min_support)
+        # records of later stages fall in the extra bin len(labels)
+        bins = np.where(record_stage <= stage, records.item, len(labels))
+        means = dict(zip(labels, records.bin_means(bins, len(labels) + 1)[1]))
+        node_attributes = {item: means[item] for item in nodes if means.get(item)}
+        g = Graph(nodes=nodes, edges=edge_lift)
         graphs.append(CoSelectionGraph(g, edge_lift, node_attributes, min_support, min_lift))
     return graphs
 
-
-def _attribute_means(records, record_stage, stages: int) -> list:
-    """Per stage s: item -> {attribute -> mean over its records with record_stage <= s}.
-
-    One attribute column at a time, in record order: `np.bincount` adds each
-    item's values in that order, starting from 0.0, so every sum equals the
-    running Python sum (checked against it in the tests).
-    """
-    n = len(records)
-    names = sorted(set().union(*(rec.attributes for rec in records)))
-    codes: dict = {}
-    item_code = np.fromiter((codes.setdefault(rec.item, len(codes)) for rec in records), np.intp, n)
-    sums = np.zeros((stages, len(codes), len(names)))
-    counts = np.zeros((stages, len(codes), len(names)), np.intp)
-    for j, name in enumerate(names):
-        values = np.fromiter((r.attributes.get(name, 0.0) for r in records), float, n)
-        present = np.fromiter((name in r.attributes for r in records), bool, n)
-        for s in range(stages):
-            keep = record_stage <= s
-            sums[s, :, j] = np.bincount(item_code[keep], values[keep], len(codes))
-            counts[s, :, j] = np.bincount(item_code[keep & present], minlength=len(codes))
-    return [
-        {
-            item: {name: t / k for name, t, k in zip(names, stage_sums[c], stage_counts[c]) if k}
-            for item, c in sorted(codes.items())
-            if any(stage_counts[c])
-        }
-        for stage_sums, stage_counts in zip(sums.tolist(), counts.tolist())
-    ]

@@ -133,22 +133,17 @@ def _ensemble_cells(graph, models, config: AnalysisConfig, stream: SeedStream):
 def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
     """Run the full pipeline on CSV text and return the report dict."""
     config.validate()
-    records = parse_records(
-        csv_text,
-        item_column=config.item_column,
-        attribute_columns=list(config.attribute_columns)
-        if config.attribute_columns is not None
-        else None,
+    table = parse_records(
+        csv_text, item_column=config.item_column, attribute_columns=config.attribute_columns
     )
-    if config.component != "largest" and records:
-        # every record carries every parsed attribute column
+    if config.component != "largest" and table:
         attribute = config.component.split(":", 1)[1]
-        if attribute not in records[0].attributes:
+        if attribute not in table.attributes:
             raise InvalidArgumentError(f"unknown component attribute {attribute!r}")
-    transactions = group_campaigns(records)
+    transactions = group_campaigns(table)
     assignment = assign_windows(transactions, config.windows)
     series = stage_networks(
-        records,
+        table,
         transactions,
         assignment,
         min_support=config.min_support,
@@ -231,7 +226,7 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
     report = {
         "input": {
             "sha256": hashlib.sha256(csv_text.encode("utf-8")).hexdigest(),
-            "records": len(records),
+            "records": len(table),
             "campaigns": len(transactions),
             "items": len(transactions.item_universe),
         },
@@ -252,7 +247,7 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
             "campaign_diversity": {
                 str(k): v for k, v in campaign_diversity_histogram(transactions).items()
             },
-            "slabs_per_item": slabs_per_item_histogram(records),
+            "slabs_per_item": slabs_per_item_histogram(table),
         },
         "stages": stages,
         "node_ages": node_age(series),

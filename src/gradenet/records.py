@@ -11,8 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import InvalidArgumentError, ParseError, SchemaError
 
@@ -31,20 +34,48 @@ _POSITIVE = {"width_mm", "thickness_mm"}
 _NONNEGATIVE = {"carbon", "manganese", "silicon", "titanium"}
 
 
-@dataclass(frozen=True)
-class ProductionRecord:
-    """One slab/order row in chronological file order."""
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Parsed rows as columns, in file order.
 
-    sequence_index: int
-    campaign_id: str
-    item: str
-    attributes: dict
+    Row i is a slab of campaign `campaign_labels[campaign[i]]` and item
+    `item_labels[item[i]]`, labels in order of first appearance, with a
+    value in every attribute column.
+    """
 
-    def __post_init__(self):
-        if not self.campaign_id:
-            raise ParseError("campaign id must be non-empty")
-        if not self.item:
-            raise ParseError("item label must be non-empty")
+    campaign_labels: tuple
+    item_labels: tuple
+    campaign: np.ndarray  # intp code per row
+    item: np.ndarray  # intp code per row
+    attributes: dict  # attribute name -> float64 column, in parse order
+
+    def __len__(self) -> int:
+        return len(self.campaign)
+
+    def take(self, rows) -> "RecordTable":
+        """The rows that `rows` (a boolean mask or row indices) selects, same labels."""
+        columns = {name: column[rows] for name, column in self.attributes.items()}
+        return replace(self, campaign=self.campaign[rows], item=self.item[rows], attributes=columns)
+
+    def item_counts(self) -> dict:
+        """Row count per item label, for the items that have rows."""
+        counts = np.bincount(self.item, minlength=len(self.item_labels)).tolist()
+        return {label: n for label, n in zip(self.item_labels, counts) if n}
+
+    def bin_means(self, bins, size: int) -> tuple:
+        """Row count and {attribute: mean} per bin, for rows binned by `bins` (codes < size).
+
+        `np.bincount` adds each bin's values in row order from 0.0, as a
+        running Python sum would. An empty bin has no means.
+        """
+        counts = np.bincount(bins, minlength=size).tolist()
+        names = sorted(self.attributes)
+        sums = [np.bincount(bins, self.attributes[name], size).tolist() for name in names]
+        means = [
+            {name: column[b] / n for name, column in zip(names, sums)} if n else {}
+            for b, n in enumerate(counts)
+        ]
+        return counts, means
 
 
 @dataclass(frozen=True)
@@ -82,14 +113,16 @@ def parse_records(
     item_column: str = ITEM_COLUMN,
     attribute_columns=None,
     campaign_column: str = CAMPAIGN_COLUMN,
-) -> list:
-    """Parse CSV text into ProductionRecords, preserving file order.
+) -> RecordTable:
+    """Parse CSV text into a RecordTable, preserving file order.
 
     Extra columns are ignored. A column that is read must appear exactly
     once in the header. When attribute_columns is None, the standard
-    attribute columns present in the header are used.
+    attribute columns present in the header are used. One leading UTF-8
+    byte-order mark is dropped. Rows are checked one at a time, so the
+    first bad cell in file order is the one reported.
     """
-    reader = csv.reader(io.StringIO(csv_text))
+    reader = csv.reader(io.StringIO(csv_text.removeprefix("\ufeff")))
     try:
         header = next(reader)
     except StopIteration:
@@ -105,7 +138,10 @@ def parse_records(
     col = {name: header.index(name) for name in header}
     width = max(col[c] for c in (campaign_column, item_column, *attribute_columns))
 
-    records = []
+    campaign_codes, item_codes = {}, {}
+    campaigns, items = array("q"), array("q")
+    columns = {name: array("d") for name in attribute_columns}
+    checks = [(n, col[n], columns[n].append, n in _POSITIVE, n in _NONNEGATIVE) for n in columns]
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -117,9 +153,8 @@ def parse_records(
             raise ParseError(f"row {line_no}: empty campaign cell")
         if not item:
             raise ParseError(f"row {line_no}: empty item cell")
-        attributes = {}
-        for name in attribute_columns:
-            cell = row[col[name]].strip()
+        for name, at, append, positive, nonnegative in checks:
+            cell = row[at].strip()
             try:
                 value = float(cell)
             except ValueError:
@@ -128,34 +163,32 @@ def parse_records(
                 ) from None
             if not math.isfinite(value):
                 raise ParseError(f"row {line_no}: non-finite value in column {name}")
-            if name in _POSITIVE and value <= 0:
+            if positive and value <= 0:
                 raise ParseError(f"row {line_no}: column {name} must be > 0")
-            if name in _NONNEGATIVE and value < 0:
+            if nonnegative and value < 0:
                 raise ParseError(f"row {line_no}: column {name} must be >= 0")
-            attributes[name] = value
-        records.append(
-            ProductionRecord(
-                sequence_index=len(records),
-                campaign_id=campaign,
-                item=item,
-                attributes=attributes,
-            )
-        )
-    return records
+            append(value)
+        campaigns.append(campaign_codes.setdefault(campaign, len(campaign_codes)))
+        items.append(item_codes.setdefault(item, len(item_codes)))
+    codes = np.array(campaigns, np.intp), np.array(items, np.intp)
+    floats = {name: np.frombuffer(column, np.float64) for name, column in columns.items()}
+    return RecordTable(tuple(campaign_codes), tuple(item_codes), *codes, floats)
 
 
-def group_campaigns(records) -> TransactionSet:
+def group_campaigns(table: RecordTable) -> TransactionSet:
     """One transaction per campaign, in order of first appearance."""
-    order = []
-    items = {}
-    for rec in records:
-        if rec.campaign_id not in items:
-            items[rec.campaign_id] = set()
-            order.append(rec.campaign_id)
-        items[rec.campaign_id].add(rec.item)
-    transactions = tuple((cid, frozenset(items[cid])) for cid in order)
-    universe = frozenset(rec.item for rec in records)
-    return TransactionSet(transactions, universe)
+    width = max(len(table.item_labels), 1)
+    campaign, item = np.divmod(np.unique(table.campaign * width + table.item), width)
+    starts = np.flatnonzero(np.diff(campaign, prepend=-1)).tolist()
+    labels = [table.item_labels[i] for i in item.tolist()]
+    itemsets = {
+        c: frozenset(labels[a:z])
+        for c, a, z in zip(campaign[starts].tolist(), starts, starts[1:] + [len(labels)])
+    }
+    codes, first = np.unique(table.campaign, return_index=True)
+    order = codes[np.argsort(first)].tolist()
+    transactions = tuple((table.campaign_labels[c], itemsets[c]) for c in order)
+    return TransactionSet(transactions, frozenset(table.item_counts()))
 
 
 def assign_windows(transactions: TransactionSet, window_count: int) -> WindowAssignment:
@@ -183,6 +216,6 @@ def campaign_diversity_histogram(transactions: TransactionSet) -> dict:
     return dict(sorted(Counter(len(items) for _, items in transactions.transactions).items()))
 
 
-def slabs_per_item_histogram(records) -> dict:
+def slabs_per_item_histogram(table: RecordTable) -> dict:
     """Record (slab) count per item."""
-    return dict(sorted(Counter(rec.item for rec in records).items()))
+    return dict(sorted(table.item_counts().items()))

@@ -10,11 +10,26 @@ output uses the same CSV schema the ingest module consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import GenerationError, InvalidArgumentError
-from .records import ATTRIBUTE_COLUMNS, ProductionRecord
+from .errors import GenerationError, InvalidArgumentError, ParseError
+
+
+@dataclass(frozen=True, slots=True)
+class ProductionRecord:
+    """One generated slab row, as `exports.records_csv_dumps` writes it."""
+
+    campaign_id: str
+    item: str
+    attributes: MappingProxyType  # read-only, shared by every record of the item
+
+    def __post_init__(self):
+        if not self.campaign_id:
+            raise ParseError("campaign id must be non-empty")
+        if not self.item:
+            raise ParseError("item label must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -137,6 +152,8 @@ def generate(config: PlannerConfig, rng: np.random.Generator) -> list:
     """Draw campaigns sequentially and return their slab records."""
     config.validate()
     weights = {band.name: _band_weights(band) for band in config.bands}
+    # one read-only attribute mapping per item, shared by all its records
+    item_attrs = {i: MappingProxyType(dict(a)) for b in config.bands for i, a in b.items.items()}
     records: list = []
     size_lo, size_hi = config.campaign_size
     slab_lo, slab_hi = config.slabs_per_item
@@ -172,20 +189,9 @@ def generate(config: PlannerConfig, rng: np.random.Generator) -> list:
                 _, extra = others[int(rng.choice(len(others), p=q))]
                 if extra not in chosen:
                     chosen.append(extra)
-        item_attrs = {}
-        for other in config.bands:
-            item_attrs.update(other.items)
         for item in chosen:
-            slabs = int(rng.integers(slab_lo, slab_hi + 1))
-            for _ in range(slabs):
-                records.append(
-                    ProductionRecord(
-                        sequence_index=len(records),
-                        campaign_id=campaign_id,
-                        item=item,
-                        attributes=dict(item_attrs[item]),
-                    )
-                )
+            record = ProductionRecord(campaign_id, item, item_attrs[item])
+            records.extend([record] * int(rng.integers(slab_lo, slab_hi + 1)))  # one per slab
     return records
 
 

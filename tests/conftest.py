@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import re
@@ -22,6 +24,9 @@ from gradenet import (
     GroupSummary,
     InvalidArgumentError,
     ParseError,
+    ProductionRecord,
+    RecordTable,
+    SchemaError,
     TransactionSet,
     connected_components,
     edge_betweenness,
@@ -30,6 +35,13 @@ from gradenet import (
 from gradenet.exports import _GRAPHML_NS
 from gradenet.graph import _TIE_EPS, _freeze_partition
 from gradenet.nullmodels import max_edges
+from gradenet.records import (
+    _NONNEGATIVE,
+    _POSITIVE,
+    ATTRIBUTE_COLUMNS,
+    CAMPAIGN_COLUMN,
+    ITEM_COLUMN,
+)
 
 # verdict lines collected by the acceptance-test decorator, printed once
 # pytest's capture has ended so they survive fd-level capturing
@@ -675,3 +687,114 @@ def rescan_prune_minor_groups(
         if frequency >= slab_frequency_floor:
             keep |= group
     return graph.subgraph(keep)
+
+
+# The row parser that the columnar one replaced: one ProductionRecord with
+# its own attribute dict per row. The RecordTable must hold the same
+# values, and malformed input must fail with the same exception and message.
+
+
+def row_parse_records(
+    csv_text: str,
+    item_column: str = ITEM_COLUMN,
+    attribute_columns=None,
+    campaign_column: str = CAMPAIGN_COLUMN,
+) -> list:
+    """Parse CSV text into ProductionRecords, preserving file order.
+
+    Extra columns are ignored. A column that is read must appear exactly
+    once in the header. When attribute_columns is None, the standard
+    attribute columns present in the header are used.
+    """
+    reader = csv.reader(io.StringIO(csv_text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("input has no header row") from None
+    header = [h.strip() for h in header]
+    if attribute_columns is None:
+        attribute_columns = [c for c in ATTRIBUTE_COLUMNS if c in header]
+    for required in (campaign_column, item_column, *attribute_columns):
+        if required not in header:
+            raise SchemaError(f"missing required column: {required}")
+        if header.count(required) > 1:
+            raise SchemaError(f"duplicate column: {required}")
+    col = {name: header.index(name) for name in header}
+    width = max(col[c] for c in (campaign_column, item_column, *attribute_columns))
+
+    records = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) <= width:
+            raise ParseError(f"row {line_no}: expected {len(header)} fields, got {len(row)}")
+        campaign = row[col[campaign_column]].strip()
+        item = row[col[item_column]].strip()
+        if not campaign:
+            raise ParseError(f"row {line_no}: empty campaign cell")
+        if not item:
+            raise ParseError(f"row {line_no}: empty item cell")
+        attributes = {}
+        for name in attribute_columns:
+            cell = row[col[name]].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"row {line_no}: non-numeric value {cell!r} in column {name}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(f"row {line_no}: non-finite value in column {name}")
+            if name in _POSITIVE and value <= 0:
+                raise ParseError(f"row {line_no}: column {name} must be > 0")
+            if name in _NONNEGATIVE and value < 0:
+                raise ParseError(f"row {line_no}: column {name} must be >= 0")
+            attributes[name] = value
+        records.append(
+            ProductionRecord(
+                campaign_id=campaign,
+                item=item,
+                attributes=attributes,
+            )
+        )
+    return records
+
+
+def record_table(records, names=None) -> RecordTable:
+    """The RecordTable holding `records` (ProductionRecords with equal attribute sets)."""
+    if names is None:
+        names = list(records[0].attributes) if records else []
+    campaigns = {rec.campaign_id: None for rec in records}
+    items = {rec.item: None for rec in records}
+    campaign_code = {label: c for c, label in enumerate(campaigns)}
+    item_code = {label: c for c, label in enumerate(items)}
+    return RecordTable(
+        tuple(campaigns),
+        tuple(items),
+        np.array([campaign_code[rec.campaign_id] for rec in records], np.intp),
+        np.array([item_code[rec.item] for rec in records], np.intp),
+        {name: np.array([rec.attributes[name] for rec in records], float) for name in names},
+    )
+
+
+def table_records(table: RecordTable) -> list:
+    """The table's rows as ProductionRecords, attributes in column order."""
+    columns = {name: column.tolist() for name, column in table.attributes.items()}
+    return [
+        ProductionRecord(
+            campaign_id=table.campaign_labels[c],
+            item=table.item_labels[i],
+            attributes={name: column[row] for name, column in columns.items()},
+        )
+        for row, (c, i) in enumerate(zip(table.campaign.tolist(), table.item.tolist()))
+    ]
+
+
+def assert_table_matches(table: RecordTable, records) -> None:
+    """The table holds exactly `records`: labels in first-appearance order, bit-equal values."""
+    assert table.campaign.dtype == table.item.dtype == np.intp
+    assert all(column.dtype == np.float64 for column in table.attributes.values())
+    assert table.campaign_labels == tuple(dict.fromkeys(rec.campaign_id for rec in records))
+    assert table.item_labels == tuple(dict.fromkeys(rec.item for rec in records))
+    assert len(table) == len(records)
+    assert repr(table_records(table)) == repr(records)

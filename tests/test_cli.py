@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,7 +18,13 @@ from gradenet.exports import dot_dumps, graphml_dumps, records_csv_dumps
 from gradenet.pipeline import AnalysisConfig, run_analysis, zscore_rows
 from gradenet.stats import STATISTICS
 
-from conftest import SNAPSHOT_CSV, dot_loads, graphml_loads
+from conftest import (
+    SNAPSHOT_CSV,
+    assert_table_matches,
+    dot_loads,
+    graphml_loads,
+    row_parse_records,
+)
 
 SYNTH_CONFIG = {
     "bands": [
@@ -69,6 +76,19 @@ def test_mine_outputs(tmp_path, input_csv):
     assert (out / "edges.csv").read_text().splitlines()[0] == "item_a,item_b,lift"
 
 
+def test_byte_order_mark_is_ignored(tmp_path, input_csv):
+    bom_csv = tmp_path / "bom.csv"
+    bom_csv.write_text("\ufeff" + SNAPSHOT_CSV, encoding="utf-8")
+    for name, path in (("plain", input_csv), ("bom", bom_csv)):
+        assert main(["mine", str(path), "--out", str(tmp_path / name)]) == 0
+    for output in sorted((tmp_path / "plain").iterdir()):
+        assert (tmp_path / "bom" / output.name).read_bytes() == output.read_bytes()
+    report = run_analysis(bom_csv.read_text(encoding="utf-8"), AnalysisConfig(windows=2, ensemble=5))
+    # the digest is of the input as given, mark included
+    assert report["input"]["sha256"] == hashlib.sha256(bom_csv.read_bytes()).hexdigest()
+    assert report["input"]["records"] == 4
+
+
 def test_export_round_trip_preserves_graph():
     records = parse_records(SNAPSHOT_CSV)
     cograph = build_graph(group_campaigns(records), records)
@@ -79,9 +99,8 @@ def test_export_round_trip_preserves_graph():
 
 
 def test_records_csv_round_trip():
-    records = parse_records(SNAPSHOT_CSV)
-    again = parse_records(records_csv_dumps(records))
-    assert again == records
+    records = row_parse_records(SNAPSHOT_CSV)
+    assert_table_matches(parse_records(records_csv_dumps(records)), records)
 
 
 def test_analyze_outputs(tmp_path, input_csv):
@@ -124,8 +143,8 @@ def test_synth_command(tmp_path):
     config_path.write_text(json.dumps(SYNTH_CONFIG), encoding="utf-8")
     out = tmp_path / "synthetic"
     assert main(["synth", str(config_path), "--seed", "3", "--out", str(out)]) == 0
-    records = parse_records((out / "records.csv").read_text())
-    assert {rec.item[0] for rec in records} == {"L", "H"}
+    table = parse_records((out / "records.csv").read_text())
+    assert {item[0] for item in table.item_labels} == {"L", "H"}
     # synth output feeds straight back into analyze
     out2 = tmp_path / "analysis"
     code = main(

@@ -22,8 +22,10 @@ from gradenet.evolution import group_summary, prune_minor_groups
 from conftest import (
     rebuild_graph,
     rebuild_stage_networks,
+    record_table,
     rescan_group_summary,
     rescan_prune_minor_groups,
+    table_records,
 )
 
 
@@ -99,7 +101,7 @@ def test_prune_minor_groups(snapshot_csv):
     assert set(prune_minor_groups(graph, partition, records, 0.0).nodes()) == {
         "1", "2", "3", "4",
     }
-    skewed = records * 3 + [records[0]] * 8
+    skewed = records.take([0, 1, 2, 3] * 3 + [0] * 8)
     pruned = prune_minor_groups(graph, partition, skewed, 0.4)
     assert set(pruned.nodes()) == {"1", "2"}
     with pytest.raises(InvalidArgumentError):
@@ -149,19 +151,19 @@ ATTRIBUTE_VALUES = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, -0.1, 1e-17, 1.0 /
 def interleaved_records(draw):
     """Records of 1-10 campaigns in shuffled file order, so campaigns interleave.
 
-    Attribute sets may differ between records, and an item may have several
-    records in one campaign.
+    Every record has the same attribute columns, as in a parsed table, and
+    an item may have several records in one campaign.
     """
     campaigns = draw(st.integers(min_value=1, max_value=10))
+    names = draw(st.sampled_from([("x", "y"), ("x", "y"), ("x",), ()]))
     rows = []
     for c in range(campaigns):
         for item in draw(st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=5)):
-            names = draw(st.sampled_from([("x", "y"), ("x", "y"), ("x",), ()]))
             rows.append((f"c{c}", item, {name: draw(ATTRIBUTE_VALUES) for name in names}))
     rows = draw(st.permutations(rows))
     return [
-        ProductionRecord(sequence_index=i, campaign_id=cid, item=item, attributes=attrs)
-        for i, (cid, item, attrs) in enumerate(rows)
+        ProductionRecord(campaign_id=cid, item=item, attributes=attrs)
+        for cid, item, attrs in rows
     ]
 
 
@@ -185,7 +187,8 @@ def assert_same_graph(new, old):
 def test_stage_networks_match_rebuild_oracle(
     records, windows, contiguous, min_support, min_lift, data
 ):
-    transactions = group_campaigns(records)
+    table = record_table(records)
+    transactions = group_campaigns(table)
     windows = min(windows, len(transactions))
     if contiguous:
         assignment = assign_windows(transactions, windows)
@@ -198,7 +201,7 @@ def test_stage_networks_match_rebuild_oracle(
                 for cid, _ in transactions.transactions
             },
         )
-    series = stage_networks(records, transactions, assignment, min_support, min_lift)
+    series = stage_networks(table, transactions, assignment, min_support, min_lift)
     oracle = rebuild_stage_networks(records, transactions, assignment, min_support, min_lift)
     assert len(series.stages) == len(oracle) == windows
     for s, (new, old) in enumerate(zip(series.stages, oracle)):
@@ -212,16 +215,19 @@ def test_stage_networks_match_rebuild_oracle(
         assert prefix.item_universe == frozenset().union(
             *(items for cid, items in transactions.transactions if cid in included)
         )
-        assert series.stage_records(s) == [rec for rec in records if rec.campaign_id in included]
+        assert table_records(series.stage_records(s)) == [
+            rec for rec in records if rec.campaign_id in included
+        ]
 
 
 @given(interleaved_records(), st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 1.0, 2.0]))
 @settings(max_examples=150, deadline=None)
 def test_build_graph_matches_rebuild_oracle(records, min_support, min_lift):
     # records of campaigns missing from the transactions still count, as before
-    transactions = group_campaigns(records[: len(records) // 2 + 1])
+    table = record_table(records)
+    transactions = group_campaigns(table.take(slice(len(records) // 2 + 1)))
     assert_same_graph(
-        build_graph(transactions, records, min_support, min_lift),
+        build_graph(transactions, table, min_support, min_lift),
         rebuild_graph(transactions, records, min_support, min_lift),
     )
 
@@ -229,16 +235,17 @@ def test_build_graph_matches_rebuild_oracle(records, min_support, min_lift):
 @given(interleaved_records(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_group_summary_and_prune_match_rescan_oracles(records, data):
-    transactions = group_campaigns(records)
+    table = record_table(records)
+    transactions = group_campaigns(table)
     items = sorted(transactions.item_universe)
     labels = data.draw(st.lists(st.integers(0, 3), min_size=len(items), max_size=len(items)))
     groups = [[v for v, g in zip(items, labels) if g == k] for k in range(4)]
     groups = [group for group in groups if group]
-    assert repr(group_summary(groups, records, transactions)) == repr(
+    assert repr(group_summary(groups, table, transactions)) == repr(
         rescan_group_summary(groups, records, transactions)
     )
     graph = Graph(nodes=items)
     floor = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
-    assert prune_minor_groups(graph, groups, records, floor) == rescan_prune_minor_groups(
+    assert prune_minor_groups(graph, groups, table, floor) == rescan_prune_minor_groups(
         graph, groups, records, floor
     )

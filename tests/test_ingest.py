@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,34 +14,56 @@ from gradenet import (
     InvalidArgumentError,
     ParseError,
     SchemaError,
+    SeedStream,
     TransactionSet,
     assign_windows,
     campaign_diversity_histogram,
+    generate,
     group_campaigns,
     parse_records,
+    planted_two_band_config,
     slabs_per_item_histogram,
 )
+from gradenet.exports import records_csv_dumps
+from conftest import assert_table_matches, row_parse_records, table_records
 
 
 def test_parse_snapshot(snapshot_csv):
-    records = parse_records(snapshot_csv)
-    assert [rec.campaign_id for rec in records] == ["A", "A", "B", "B"]
-    assert [rec.item for rec in records] == ["1", "2", "3", "4"]
-    assert records[0].attributes == {
+    table = parse_records(snapshot_csv)
+    assert table.campaign_labels == ("A", "B")
+    assert table.item_labels == ("1", "2", "3", "4")
+    assert table.campaign.tolist() == [0, 0, 1, 1]
+    assert table.item.tolist() == [0, 1, 2, 3]
+    assert list(table.attributes) == ["width_mm", "thickness_mm", "carbon", "manganese", "silicon"]
+    assert {name: column[0] for name, column in table.attributes.items()} == {
         "width_mm": 1800.0,
         "thickness_mm": 55.0,
         "carbon": 0.010,
         "manganese": 0.010,
         "silicon": 0.005,
     }
-    assert [rec.sequence_index for rec in records] == [0, 1, 2, 3]
+    assert len(table) == 4
+    assert_table_matches(table, row_parse_records(snapshot_csv))
+
+
+def test_parse_ignores_byte_order_mark(snapshot_csv):
+    table = parse_records("\ufeff" + snapshot_csv)
+    assert_table_matches(table, table_records(parse_records(snapshot_csv)))
+
+
+def test_take_keeps_labels(snapshot_csv):
+    table = parse_records(snapshot_csv)
+    part = table.take(table.campaign == 1)
+    assert (part.campaign_labels, part.item_labels) == (table.campaign_labels, table.item_labels)
+    assert [(r.campaign_id, r.item) for r in table_records(part)] == [("B", "3"), ("B", "4")]
+    assert part.attributes["carbon"].tolist() == [0.020, 0.020]
 
 
 def test_parse_ignores_extra_columns(snapshot_csv):
     text = snapshot_csv.replace("campaign,", "note,campaign,").replace(
         "\nA,", "\nx,A,"
     ).replace("\nB,", "\nx,B,")
-    records = parse_records(text)
+    records = table_records(parse_records(text))
     assert len(records) == 4
     assert records[0].campaign_id == "A"
 
@@ -56,7 +80,7 @@ def test_parse_duplicate_read_column():
         with pytest.raises(SchemaError, match="duplicate column"):
             parse_records(f"{header}\n{row}\n")
     # a repeated column that is never read stays harmless
-    records = parse_records("note,campaign,grade,note\nx,A,1,y\n")
+    records = table_records(parse_records("note,campaign,grade,note\nx,A,1,y\n"))
     assert [(r.campaign_id, r.item) for r in records] == [("A", "1")]
 
 
@@ -82,16 +106,16 @@ def test_parse_bad_rows(snapshot_csv):
 
 def test_parse_custom_item_column():
     text = "campaign,grade,width_mm,carbon\nA,1,1800,0.01\nA,2,1750,0.01\n"
-    records = parse_records(text, item_column="width_mm")
-    assert [rec.item for rec in records] == ["1800", "1750"]
+    table = parse_records(text, item_column="width_mm")
+    assert [rec.item for rec in table_records(table)] == ["1800", "1750"]
 
 
 def test_group_campaigns_membership(snapshot_csv):
-    records = parse_records(snapshot_csv)
-    transactions = group_campaigns(records)
+    table = parse_records(snapshot_csv)
+    transactions = group_campaigns(table)
     assert len(transactions) == 2
     by_id = dict(transactions.transactions)
-    for rec in records:
+    for rec in table_records(table):
         assert rec.item in by_id[rec.campaign_id]
     assert transactions.item_universe == frozenset("1234")
 
@@ -123,10 +147,10 @@ def test_assign_windows_bounds():
 
 
 def test_histograms(snapshot_csv):
-    records = parse_records(snapshot_csv)
-    transactions = group_campaigns(records)
+    table = parse_records(snapshot_csv)
+    transactions = group_campaigns(table)
     assert campaign_diversity_histogram(transactions) == {2: 2}
-    assert slabs_per_item_histogram(records) == {"1": 1, "2": 1, "3": 1, "4": 1}
+    assert slabs_per_item_histogram(table) == {"1": 1, "2": 1, "3": 1, "4": 1}
 
 
 @st.composite
@@ -147,13 +171,20 @@ def record_rows(draw):
 @settings(max_examples=100)
 def test_histogram_totals_property(rows):
     text = "campaign,grade\n" + "".join(f"{c},{i}\n" for c, i in rows)
-    records = parse_records(text)
-    transactions = group_campaigns(records)
+    table = parse_records(text)
+    transactions = group_campaigns(table)
     assert sum(campaign_diversity_histogram(transactions).values()) == len(transactions)
-    assert sum(slabs_per_item_histogram(records).values()) == len(records)
-    # every record's item belongs to its campaign's transaction
-    by_id = dict(transactions.transactions)
-    assert all(rec.item in by_id[rec.campaign_id] for rec in records)
+    assert sum(slabs_per_item_histogram(table).values()) == len(table)
+    # each campaign's transaction holds exactly its records' items
+    records = table_records(table)
+    expected: dict = {}
+    for rec in records:
+        expected.setdefault(rec.campaign_id, set()).add(rec.item)
+    assert dict(transactions.transactions) == expected
+    assert [cid for cid, _ in transactions.transactions] == list(
+        dict.fromkeys(rec.campaign_id for rec in records)
+    )
+    assert transactions.item_universe == frozenset(rec.item for rec in records)
 
 
 @given(record_rows(), st.integers(min_value=1, max_value=8))
@@ -172,3 +203,87 @@ def test_window_property(rows, window_count):
     assert max(sizes) - min(sizes) <= 1
     order = [assignment.window_of[cid] for cid, _ in transactions.transactions]
     assert order == sorted(order)
+
+
+# Cells for the parser-oracle test: mostly valid numbers, some edge and bad ones.
+GOOD_NUMBERS = ["1", "2.5", "0.25", "1e3", " 7 ", '"4.5"']
+EDGE_NUMBERS = ["0", "0.0", "-0.0", "-1", "abc", "inf", "-inf", "nan", "", "1_0"]
+LABELS = ["A", "B", "c1", " x y ", "2.5", '"a,b"']
+HEADER_OPTIONAL = ["carbon", "width_mm", "thickness_mm", "x", " note", "silicon"]
+
+
+@st.composite
+def parser_inputs(draw):
+    """CSV text and parser arguments, valid or malformed in the header or any row."""
+    header = ["campaign", "grade"] + draw(
+        st.lists(st.sampled_from(HEADER_OPTIONAL), max_size=4, unique=True)
+    )
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(["campaign", "grade"])))
+    if draw(st.integers(0, 9)) == 0:
+        header.append(draw(st.sampled_from(header)) + " ")
+    header = draw(st.permutations(header))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["full"] * 6 + ["blank", "short", "long"]))
+        if shape == "blank":
+            lines.append("")
+            continue
+        cells = []
+        for name in header:
+            if name.strip() in ("campaign", "grade"):
+                pool = LABELS * 4 + ["", " "]
+            else:
+                pool = GOOD_NUMBERS * 8 + EDGE_NUMBERS
+            cells.append(draw(st.sampled_from(pool)))
+        if shape == "short":
+            cells = cells[: draw(st.integers(0, len(cells)))]
+        elif shape == "long":
+            cells += ["extra"] * draw(st.integers(1, 2))
+        lines.append(",".join(cells))
+    kwargs = {}
+    names = [name.strip() for name in header if name.strip() != "campaign"]
+    if draw(st.booleans()):
+        kwargs["item_column"] = draw(st.sampled_from(names * 3 + ["note", "titanium"]))
+    if draw(st.booleans()):
+        kwargs["attribute_columns"] = draw(
+            st.lists(st.sampled_from(names * 3 + ["titanium"]), max_size=3)
+        )
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"])), kwargs
+
+
+def outcome(parse, text, kwargs):
+    try:
+        return parse(text, **kwargs), None
+    except Exception as exc:  # any difference in what is raised must show
+        return None, (type(exc), str(exc))
+
+
+@given(parser_inputs())
+@settings(max_examples=600, deadline=None)
+def test_parse_matches_row_parser_oracle(case):
+    text, kwargs = case
+    table, error = outcome(parse_records, text, kwargs)
+    records, oracle_error = outcome(row_parse_records, text, kwargs)
+    assert error == oracle_error
+    if error is None:
+        assert_table_matches(table, records)
+
+
+def test_parse_retains_under_150_bytes_per_row():
+    config = planted_two_band_config(grades_per_band=10, campaign_count=600)
+    text = records_csv_dumps(generate(config, SeedStream.from_seed(0).generator()))
+    rows = text.count("\n") - 1
+    assert 4000 <= rows <= 7000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = parse_records(text)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(table) == rows
+    # the row parser keeps about 590 bytes per row here; six floats and two codes need 64
+    assert retained / rows < 150

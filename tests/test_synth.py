@@ -16,6 +16,7 @@ from gradenet import (
     group_campaigns,
     planted_two_band_config,
 )
+from conftest import record_table
 
 
 def small_config(**overrides):
@@ -39,10 +40,11 @@ def test_band_purity_and_components():
     band_of = {
         item: band.name for band in config.bands for item in band.items
     }
-    transactions = group_campaigns(records)
+    table = record_table(records)
+    transactions = group_campaigns(table)
     for _, items in transactions.transactions:
         assert len({band_of[item] for item in items}) == 1
-    cograph = build_graph(transactions, records)
+    cograph = build_graph(transactions, table)
     components = connected_components(cograph.graph)
     assert len(components) == 2
     for component in components:
@@ -57,7 +59,7 @@ def test_cross_band_mixing():
     config = small_config(cross_band_rate=0.5)
     records = generate(config, SeedStream.from_seed(4).generator())
     band_of = {item: band.name for band in config.bands for item in band.items}
-    transactions = group_campaigns(records)
+    transactions = group_campaigns(record_table(records))
     mixed = sum(
         1
         for _, items in transactions.transactions
@@ -87,7 +89,8 @@ def test_single_item_band():
     )
     records = generate(config, SeedStream.from_seed(6).generator())
     assert {rec.item for rec in records} == {"X"}
-    cograph = build_graph(group_campaigns(records), records)
+    table = record_table(records)
+    cograph = build_graph(group_campaigns(table), table)
     assert cograph.graph.nodes() == ["X"]
     assert cograph.graph.number_of_edges() == 0
 
@@ -152,7 +155,7 @@ def test_heavy_tailed_default_popularity():
     records = generate(config, SeedStream.from_seed(7).generator())
     from gradenet import slabs_per_item_histogram
 
-    histogram = slabs_per_item_histogram(records)
+    histogram = slabs_per_item_histogram(record_table(records))
     low_band = sorted(k for k in histogram if k.startswith("L"))
     # 1/rank weights: the first item of a band is produced far more often
     assert histogram[low_band[0]] > 2 * histogram[low_band[-1]]
