@@ -20,14 +20,11 @@ from .evolution import (
 from .graph import (
     CommunityPartition,
     Graph,
-    betweenness_all,
-    clustering_all,
     connected_components,
-    edge_betweenness,
     girvan_newman,
     modularity,
 )
-from .mining import CoSelectionGraph, build_graph
+from .mining import CoSelectionGraph
 from .nullmodels import (
     NullModelSpec,
     SeedStream,

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage/validation, 2 data/schema, 3 internal.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -47,6 +48,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _model_list(text: str) -> tuple:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gradenet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -70,8 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(analyze)
     analyze.add_argument("--windows", type=int, default=10)
     analyze.add_argument("--ensemble", type=int, default=1000)
-    analyze.add_argument("--models", default=",".join(MODELS))
-    analyze.add_argument("--corr", choices=("pearson", "spearman", "kendall"), default="spearman")
+    analyze.add_argument("--models", type=_model_list, default=MODELS)
+    analyze.add_argument(
+        "--corr", dest="correlation", choices=("pearson", "spearman", "kendall"),
+        default="spearman",
+    )
     analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument("--prune-floor", type=float, default=0.01)
     analyze.add_argument(
@@ -151,19 +159,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = AnalysisConfig(
-        item_column=args.item_column,
-        windows=args.windows,
-        min_support=args.min_support,
-        min_lift=args.min_lift,
-        ensemble=args.ensemble,
-        models=tuple(m.strip() for m in args.models.split(",") if m.strip()),
-        correlation=args.corr,
-        seed=args.seed,
-        prune_floor=args.prune_floor,
-        component=args.component,
-        swap_multiplier=args.swap_multiplier,
-    )
+    fields = dataclasses.fields(AnalysisConfig)
+    config = AnalysisConfig(**{f.name: getattr(args, f.name) for f in fields})
     report = run_analysis(_read_text(args.input), config)
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)

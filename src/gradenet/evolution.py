@@ -30,11 +30,6 @@ class StageSeries:
     records: RecordTable = field(repr=False)  # every record, in file order
     record_window: np.ndarray = field(repr=False, compare=False)  # window_count: no stage
 
-    def prefix(self, s: int) -> TransactionSet:
-        """The campaigns of stage s, stably sorted by window."""
-        rows = self.transactions[: self.ends[s]]
-        return TransactionSet(rows, frozenset().union(*(items for _, items in rows)))
-
     def stage_records(self, s: int) -> RecordTable:
         """The records of stage s's campaigns, in file order."""
         return self.records.take(self.record_window <= s)
@@ -86,11 +81,12 @@ def node_age(series: StageSeries) -> dict:
     return {v: age for v, age in sorted(ages.items()) if v in final_nodes}
 
 
-def group_summary(groups, records: RecordTable, transactions: TransactionSet) -> list:
+def group_summary(groups, records: RecordTable) -> list:
     """Per group: item count, slab/campaign frequency, attribute means.
 
     Slab counts and attribute means come from one `RecordTable.bin_means`
-    over the records, campaign counts from one pass over the transactions.
+    over the records. A group's campaigns are the distinct campaigns of its
+    rows, out of the distinct campaigns of all rows.
     """
     groups = [set(group) for group in groups]
     known_items = records.item_counts().keys()
@@ -104,15 +100,13 @@ def group_summary(groups, records: RecordTable, transactions: TransactionSet) ->
         group_of.update(dict.fromkeys(group, g))
     outside = len(groups)  # the bin of rows whose item is in no group
     code_group = np.array([group_of.get(v, outside) for v in records.item_labels], np.intp)
-    slabs, means = records.bin_means(code_group[records.item], outside + 1)
-    members = frozenset(group_of)
-    campaigns = [0] * len(groups)
-    for _, items in transactions.transactions:
-        if not items.isdisjoint(members):
-            for g in {group_of[v] for v in items & members}:
-                campaigns[g] += 1
+    row_group = code_group[records.item]
+    slabs, means = records.bin_means(row_group, outside + 1)
+    seen = np.zeros((len(records.campaign_labels), outside + 1), dtype=bool)
+    seen[records.campaign, row_group] = True
+    campaigns = seen[:, :outside].sum(axis=0).tolist()
     total_records = len(records)
-    total_campaigns = len(transactions)
+    total_campaigns = int(seen.any(axis=1).sum())
     return [
         GroupSummary(
             items=len(group),

@@ -102,22 +102,6 @@ class CommunityPartition:
         return sorted((sorted(c) for c in self.communities), key=lambda c: (-len(c), c[0]))
 
 
-def clustering_all(graph: Graph) -> dict:
-    labels, a = _adjacency_matrix(graph)
-    if not labels:
-        return {}
-    return dict(zip(labels, _dense_clustering(a).tolist()))
-
-
-def betweenness_all(graph: Graph) -> dict:
-    """Raw Freeman betweenness over unordered node pairs, endpoints excluded."""
-    labels, a = _adjacency_matrix(graph)
-    if not labels:
-        return {}
-    values, _ = _dense_betweenness(a, edges=False)
-    return dict(zip(labels, values.tolist()))
-
-
 def _adjacency_matrix(graph: Graph):
     labels = graph.nodes()
     index = {v: i for i, v in enumerate(labels)}
@@ -199,14 +183,6 @@ def connected_components(graph: Graph) -> list:
         components.append(comp)
     components.sort(key=lambda c: (-len(c), min(c)))
     return components
-
-
-def edge_betweenness(graph: Graph) -> dict:
-    """Brandes edge-betweenness over unordered pairs."""
-    labels, a = _adjacency_matrix(graph)
-    index = {v: i for i, v in enumerate(labels)}
-    _, eb = _dense_betweenness(a, edges=True)
-    return {(u, v): float(eb[index[u], index[v]]) for u, v in graph.edges()}
 
 
 def modularity(graph: Graph, partition) -> float:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import Graph
-from .records import RecordTable, TransactionSet
 
 
 @dataclass(frozen=True)
@@ -27,26 +26,6 @@ class CoSelectionGraph:
     graph: Graph
     edge_lift: dict  # (a, b) with a < b -> lift
     node_attributes: dict  # item -> {attribute -> mean over its records}
-    min_support: float
-    min_lift: float
-
-
-def build_graph(
-    transactions: TransactionSet,
-    records: RecordTable | None = None,
-    min_support: float = 0.0,
-    min_lift: float = 1.0,
-) -> CoSelectionGraph:
-    """Build the co-selection network from transactions, with its records' attribute means.
-
-    This is cumulative_graphs with one prefix. Empty transactions give an
-    empty graph; without records no node has attribute means.
-    """
-    rows = transactions.transactions
-    if records is None:
-        records = RecordTable((), (), np.zeros(0, np.intp), np.zeros(0, np.intp), {})
-    record_stage = np.zeros(len(records), np.intp)
-    return cumulative_graphs(rows, (len(rows),), records, record_stage, min_support, min_lift)[0]
 
 
 def cumulative_graphs(
@@ -86,6 +65,6 @@ def cumulative_graphs(
         means = dict(zip(labels, records.bin_means(bins, len(labels) + 1)[1]))
         node_attributes = {item: means[item] for item in nodes if means.get(item)}
         g = Graph(nodes=nodes, edges=edge_lift)
-        graphs.append(CoSelectionGraph(g, edge_lift, node_attributes, min_support, min_lift))
+        graphs.append(CoSelectionGraph(g, edge_lift, node_attributes))
     return graphs
 

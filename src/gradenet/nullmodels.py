@@ -80,9 +80,7 @@ def er_gnm(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return a | a.T
 
 
-def switch_randomize(
-    graph: Graph, swap_multiplier: float = 10.0, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def switch_randomize(graph: Graph, swap_multiplier: float, rng: np.random.Generator) -> np.ndarray:
     """Degree-preserving double-edge-swap randomization.
 
     Performs ceil(swap_multiplier * m) successful swaps: two edges with four
@@ -93,7 +91,6 @@ def switch_randomize(
     """
     if swap_multiplier <= 0:
         raise InvalidArgumentError("swap multiplier must be positive")
-    rng = rng if rng is not None else np.random.default_rng()
     labels = graph.nodes()
     index = {v: i for i, v in enumerate(labels)}
     n = len(labels)

@@ -9,9 +9,9 @@ is deterministic given the seed, so the report is byte-reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass, field
 
 from .errors import InsufficientDataError, InvalidArgumentError
 from .evolution import group_summary, node_age, prune_minor_groups, stage_networks
@@ -32,7 +32,7 @@ _MODEL_INDEX = {name: i for i, name in enumerate(MODELS)}
 _SCOPES = ("full", "pruned")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class AnalysisConfig:
     item_column: str = ITEM_COLUMN
     windows: int = 10
@@ -45,7 +45,6 @@ class AnalysisConfig:
     prune_floor: float = 0.01
     component: str = "largest"  # or "min-mean:<attribute>"
     swap_multiplier: float = 10.0
-    attribute_columns: tuple | None = field(default=None)
 
     def validate(self) -> None:
         if self.windows < 1:
@@ -133,9 +132,8 @@ def _ensemble_cells(graph, models, config: AnalysisConfig, stream: SeedStream):
 def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
     """Run the full pipeline on CSV text and return the report dict."""
     config.validate()
-    table = parse_records(
-        csv_text, item_column=config.item_column, attribute_columns=config.attribute_columns
-    )
+    digest = hashlib.sha256(csv_text.encode("utf-8")).hexdigest()
+    table = parse_records(csv_text, item_column=config.item_column)
     if config.component != "largest" and table:
         attribute = config.component.split(":", 1)[1]
         if attribute not in table.attributes:
@@ -180,7 +178,7 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         partition = girvan_newman(component_graph)
         communities = partition.ordered()
         stage_records = series.stage_records(s)
-        summaries = group_summary(communities, stage_records, series.prefix(s))
+        summaries = group_summary(communities, stage_records)
         pruned_graph = prune_minor_groups(
             component_graph, communities, stage_records, config.prune_floor
         )
@@ -225,24 +223,12 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
 
     report = {
         "input": {
-            "sha256": hashlib.sha256(csv_text.encode("utf-8")).hexdigest(),
+            "sha256": digest,
             "records": len(table),
             "campaigns": len(transactions),
             "items": len(transactions.item_universe),
         },
-        "config": {
-            "item_column": config.item_column,
-            "windows": config.windows,
-            "min_support": config.min_support,
-            "min_lift": config.min_lift,
-            "ensemble": config.ensemble,
-            "models": list(config.models),
-            "correlation": config.correlation,
-            "seed": config.seed,
-            "prune_floor": config.prune_floor,
-            "component": config.component,
-            "swap_multiplier": config.swap_multiplier,
-        },
+        "config": dataclasses.asdict(config),
         "histograms": {
             "campaign_diversity": {
                 str(k): v for k, v in campaign_diversity_histogram(transactions).items()

@@ -88,17 +88,6 @@ class TransactionSet:
     def __len__(self) -> int:
         return len(self.transactions)
 
-    @classmethod
-    def from_itemsets(cls, itemsets, ids=None) -> "TransactionSet":
-        """Build from bare item sets; mainly for tests and fixtures."""
-        itemsets = [frozenset(s) for s in itemsets]
-        if any(not s for s in itemsets):
-            raise InvalidArgumentError("transactions must be non-empty item sets")
-        if ids is None:
-            ids = [f"t{i}" for i in range(len(itemsets))]
-        universe = frozenset().union(*itemsets) if itemsets else frozenset()
-        return cls(tuple(zip(ids, itemsets)), universe)
-
 
 @dataclass(frozen=True)
 class WindowAssignment:
@@ -112,7 +101,6 @@ def parse_records(
     csv_text: str,
     item_column: str = ITEM_COLUMN,
     attribute_columns=None,
-    campaign_column: str = CAMPAIGN_COLUMN,
 ) -> RecordTable:
     """Parse CSV text into a RecordTable, preserving file order.
 
@@ -130,13 +118,13 @@ def parse_records(
     header = [h.strip() for h in header]
     if attribute_columns is None:
         attribute_columns = [c for c in ATTRIBUTE_COLUMNS if c in header]
-    for required in (campaign_column, item_column, *attribute_columns):
+    for required in (CAMPAIGN_COLUMN, item_column, *attribute_columns):
         if required not in header:
             raise SchemaError(f"missing required column: {required}")
         if header.count(required) > 1:
             raise SchemaError(f"duplicate column: {required}")
     col = {name: header.index(name) for name in header}
-    width = max(col[c] for c in (campaign_column, item_column, *attribute_columns))
+    width = max(col[c] for c in (CAMPAIGN_COLUMN, item_column, *attribute_columns))
 
     campaign_codes, item_codes = {}, {}
     campaigns, items = array("q"), array("q")
@@ -147,7 +135,7 @@ def parse_records(
             continue
         if len(row) <= width:
             raise ParseError(f"row {line_no}: expected {len(header)} fields, got {len(row)}")
-        campaign = row[col[campaign_column]].strip()
+        campaign = row[col[CAMPAIGN_COLUMN]].strip()
         item = row[col[item_column]].strip()
         if not campaign:
             raise ParseError(f"row {line_no}: empty campaign cell")

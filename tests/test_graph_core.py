@@ -12,19 +12,19 @@ from hypothesis import strategies as st
 from gradenet import (
     Graph,
     InvalidArgumentError,
-    betweenness_all,
-    clustering_all,
     connected_components,
-    edge_betweenness,
     girvan_newman,
     modularity,
 )
 from conftest import (
+    betweenness_all,
     brute_betweenness,
     brute_clustering,
+    clustering_all,
     clustering_coefficient,
     degree,
     dict_edge_betweenness,
+    edge_betweenness,
     random_graph,
     whole_graph_girvan_newman,
 )

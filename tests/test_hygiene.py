@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+every public function and class has a caller inside the package."""
 
 from __future__ import annotations
 
@@ -28,3 +29,35 @@ def test_no_unused_imports():
     modules = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [entry for path in modules for entry in unused_imports(path)] == []
+
+
+def names_used(path: Path) -> set:
+    """Names and attributes a module references, outside the definitions they name."""
+    used = set()
+    for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(statement)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(statement.name)
+        used |= names
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    # synth.py's planted_two_band_config is a helper for library users;
+    # a re-export from __init__.py is not a caller
+    modules = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+    used = set().union(*(names_used(path) for path in modules))
+    uncalled = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path in modules
+        if path.name != "synth.py"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert uncalled == []

@@ -15,7 +15,6 @@ from gradenet import (
     ParseError,
     SchemaError,
     SeedStream,
-    TransactionSet,
     assign_windows,
     campaign_diversity_histogram,
     generate,
@@ -25,7 +24,7 @@ from gradenet import (
     slabs_per_item_histogram,
 )
 from gradenet.exports import records_csv_dumps
-from conftest import assert_table_matches, row_parse_records, table_records
+from conftest import assert_table_matches, from_itemsets, row_parse_records, table_records
 
 
 def test_parse_snapshot(snapshot_csv):
@@ -128,7 +127,7 @@ def test_group_campaigns_first_appearance_order():
 
 
 def test_assign_windows_balanced():
-    transactions = TransactionSet.from_itemsets([{"x"}] * 10)
+    transactions = from_itemsets([{"x"}] * 10)
     assignment = assign_windows(transactions, 3)
     sizes = [0, 0, 0]
     for w in assignment.window_of.values():
@@ -139,7 +138,7 @@ def test_assign_windows_balanced():
 
 
 def test_assign_windows_bounds():
-    transactions = TransactionSet.from_itemsets([{"x"}] * 3)
+    transactions = from_itemsets([{"x"}] * 3)
     with pytest.raises(InvalidArgumentError):
         assign_windows(transactions, 0)
     with pytest.raises(InvalidArgumentError):

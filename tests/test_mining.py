@@ -9,15 +9,22 @@ from hypothesis import strategies as st
 from gradenet import (
     InvalidArgumentError,
     TransactionSet,
-    build_graph,
     parse_records,
     group_campaigns,
 )
-from conftest import UndefinedLiftError, lift, pair_stats, support_pair, support_single
+from conftest import (
+    UndefinedLiftError,
+    build_graph,
+    from_itemsets,
+    lift,
+    pair_stats,
+    support_pair,
+    support_single,
+)
 
 
 def test_worked_example_supports(worked_itemsets):
-    ts = TransactionSet.from_itemsets(worked_itemsets)
+    ts = from_itemsets(worked_itemsets)
     assert support_single("C", ts) == 0.75
     assert support_single("D", ts) == 0.75
     assert support_pair("C", "D", ts) == 0.75
@@ -26,19 +33,19 @@ def test_worked_example_supports(worked_itemsets):
 
 
 def test_lift_symmetry(worked_itemsets):
-    ts = TransactionSet.from_itemsets(worked_itemsets)
+    ts = from_itemsets(worked_itemsets)
     assert lift("A", "B", ts) == lift("B", "A", ts)
     assert support_pair("A", "B", ts) == support_pair("B", "A", ts)
 
 
 def test_lift_undefined_for_absent_item(worked_itemsets):
-    ts = TransactionSet.from_itemsets(worked_itemsets)
+    ts = from_itemsets(worked_itemsets)
     with pytest.raises(UndefinedLiftError):
         lift("A", "Z", ts)
 
 
 def test_support_rejects_degenerate_input(worked_itemsets):
-    ts = TransactionSet.from_itemsets(worked_itemsets)
+    ts = from_itemsets(worked_itemsets)
     with pytest.raises(InvalidArgumentError):
         support_pair("A", "A", ts)
     empty = TransactionSet((), frozenset())
@@ -47,7 +54,7 @@ def test_support_rejects_degenerate_input(worked_itemsets):
 
 
 def test_pair_stats_consistency(worked_itemsets):
-    ts = TransactionSet.from_itemsets(worked_itemsets)
+    ts = from_itemsets(worked_itemsets)
     stats = pair_stats("D", "C", ts)
     assert (stats.item_a, stats.item_b) == ("C", "D")
     assert stats.lift == stats.support_pair / (stats.support_a * stats.support_b)
@@ -68,7 +75,7 @@ def test_build_graph_empty():
 
 
 def test_build_graph_thresholds(worked_itemsets):
-    ts = TransactionSet.from_itemsets(worked_itemsets)
+    ts = from_itemsets(worked_itemsets)
     cograph = build_graph(ts, min_lift=4.0 / 3.0)
     assert ("C", "D") in cograph.edge_lift
     cograph_strict = build_graph(ts, min_lift=4.0 / 3.0 + 1e-9)
@@ -76,7 +83,7 @@ def test_build_graph_thresholds(worked_itemsets):
 
 
 def test_build_graph_validates_thresholds(worked_itemsets):
-    ts = TransactionSet.from_itemsets(worked_itemsets)
+    ts = from_itemsets(worked_itemsets)
     with pytest.raises(InvalidArgumentError):
         build_graph(ts, min_support=1.5)
     with pytest.raises(InvalidArgumentError):
@@ -93,7 +100,7 @@ itemsets_strategy = st.lists(
 @given(itemsets_strategy)
 @settings(max_examples=150)
 def test_support_bounds_property(itemsets):
-    ts = TransactionSet.from_itemsets(itemsets)
+    ts = from_itemsets(itemsets)
     edge_lift = build_graph(ts, min_lift=0.0).edge_lift
     items = sorted(ts.item_universe)
     for i, a in enumerate(items):
@@ -119,7 +126,7 @@ def test_support_bounds_property(itemsets):
 )
 @settings(max_examples=100)
 def test_threshold_monotonicity_property(itemsets, min_support, min_lift):
-    ts = TransactionSet.from_itemsets(itemsets)
+    ts = from_itemsets(itemsets)
     loose = build_graph(ts, min_support=min_support, min_lift=min_lift)
     tighter = build_graph(ts, min_support=min_support, min_lift=min_lift + 0.25)
     assert set(tighter.graph.edges()) <= set(loose.graph.edges())
@@ -140,7 +147,7 @@ def test_independence_calibration():
         chosen = {item for item in items if rng.random() < 0.4}
         if chosen:
             itemsets.append(chosen)
-    ts = TransactionSet.from_itemsets(itemsets)
+    ts = from_itemsets(itemsets)
     lifts = [
         lift(a, b, ts)
         for i, a in enumerate(items)

@@ -15,8 +15,6 @@ from gradenet import (
     InvalidArgumentError,
     SeedStream,
     UndefinedCorrelationError,
-    betweenness_all,
-    clustering_all,
     ensemble_zscores,
     er_gnm,
     kendall,
@@ -30,6 +28,8 @@ from gradenet.nullmodels import NullModelSpec, spec_for
 from gradenet.stats import STATISTICS, correlation, metric_vectors
 from conftest import (
     UndefinedZScoreError,
+    betweenness_all,
+    clustering_all,
     graph_from_adjacency,
     kendall_exhaustive,
     random_graph,
@@ -244,4 +244,4 @@ def test_ensemble_zscores_validates_replicates():
     g = graph_from_adjacency(range(10), er_gnm(10, 20, np.random.default_rng(0)))
     spec = NullModelSpec(kind="ER", n=10, m=20)
     with pytest.raises(InvalidArgumentError):
-        ensemble_zscores(g, spec, 1)
+        ensemble_zscores(g, spec, 1, stream=SeedStream.from_seed(0))

@@ -10,13 +10,12 @@ from gradenet import (
     InvalidArgumentError,
     PlannerConfig,
     SeedStream,
-    build_graph,
     connected_components,
     generate,
     group_campaigns,
     planted_two_band_config,
 )
-from conftest import record_table
+from conftest import build_graph, record_table
 
 
 def small_config(**overrides):
