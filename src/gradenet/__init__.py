@@ -39,7 +39,6 @@ from .pipeline import AnalysisConfig, run_analysis
 from .records import (
     RecordTable,
     TransactionSet,
-    WindowAssignment,
     assign_windows,
     campaign_diversity_histogram,
     group_campaigns,

@@ -31,7 +31,6 @@ from .graph import connected_components, girvan_newman
 from .nullmodels import SeedStream
 from .pipeline import MODELS, AnalysisConfig, run_analysis, zscore_rows
 from .records import (
-    WindowAssignment,
     assign_windows,
     campaign_diversity_histogram,
     group_campaigns,
@@ -127,13 +126,9 @@ def cmd_mine(args) -> int:
     table = parse_records(_read_text(args.input), item_column=args.item_column)
     transactions = group_campaigns(table)
     # --windows 0: no node ages, and one stage over every campaign (even none)
-    assignment = (
-        assign_windows(transactions, args.windows)
-        if args.windows
-        else WindowAssignment(1, {cid: 0 for cid, _ in transactions.transactions})
-    )
+    ends = assign_windows(transactions, args.windows) if args.windows else (len(transactions),)
     series = stage_networks(
-        table, transactions, assignment,
+        table, transactions, ends,
         min_support=args.min_support, min_lift=args.min_lift,
     )
     cograph = series.stages[-1]

@@ -1,14 +1,14 @@
 """Cumulative-window stage networks, node age, and group contributions.
 
 Stage s is the co-selection graph built from all campaigns in windows
-0..s, so the final stage equals the full-data network and node sets grow
-monotonically (edge sets need not: cumulative lift can cross the
-threshold in either direction).
+0..s. Windows are runs of consecutive campaign codes, so stage s is the
+campaigns with code < ends[s]: the final stage equals the full-data
+network and node sets grow monotonically (edge sets need not: cumulative
+lift can cross the threshold in either direction).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,23 +16,20 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .graph import Graph
 from .mining import cumulative_graphs
-from .records import RecordTable, TransactionSet, WindowAssignment
+from .records import RecordTable, TransactionSet
 
 
 @dataclass(frozen=True)
 class StageSeries:
-    """The one stage view: stage s holds every campaign in windows 0..s."""
+    """The one stage view: stage s holds the campaigns with code < ends[s]."""
 
     stages: tuple  # CoSelectionGraph per stage, one per window
-    assignment: WindowAssignment
-    transactions: tuple = field(repr=False)  # stably sorted by window
-    ends: tuple  # stage s holds transactions[:ends[s]]
+    ends: tuple  # campaign count of each stage, ascending
     records: RecordTable = field(repr=False)  # every record, in file order
-    record_window: np.ndarray = field(repr=False, compare=False)  # window_count: no stage
 
     def stage_records(self, s: int) -> RecordTable:
         """The records of stage s's campaigns, in file order."""
-        return self.records.take(self.record_window <= s)
+        return self.records.take(self.records.campaign < self.ends[s])
 
 
 @dataclass(frozen=True)
@@ -48,25 +45,16 @@ class GroupSummary:
 def stage_networks(
     records: RecordTable,
     transactions: TransactionSet,
-    assignment: WindowAssignment,
+    ends: tuple,
     min_support: float = 0.0,
     min_lift: float = 1.0,
 ) -> StageSeries:
-    """Build one cumulative co-selection graph per observation window, in one pass."""
-    try:
-        window_of = {cid: assignment.window_of[cid] for cid, _ in transactions.transactions}
-    except KeyError as exc:
-        raise InvalidArgumentError(
-            f"window assignment does not cover campaign {exc.args[0]!r}"
-        ) from None
-    ordered = tuple(sorted(transactions.transactions, key=lambda t: window_of[t[0]]))
-    windows = sorted(window_of.values())
-    ends = tuple(bisect_right(windows, s) for s in range(assignment.window_count))
-    outside = assignment.window_count  # a record whose campaign is not a transaction
-    per_campaign = [window_of.get(cid, outside) for cid in records.campaign_labels]
-    record_window = np.array(per_campaign, np.min_scalar_type(outside))[records.campaign]
-    stages = cumulative_graphs(ordered, ends, records, record_window, min_support, min_lift)
-    return StageSeries(tuple(stages), assignment, ordered, ends, records, record_window)
+    """One cumulative co-selection graph per stage end of `assign_windows`, in one pass.
+
+    `transactions` are `group_campaigns(records)`: transaction i is campaign code i.
+    """
+    stages = cumulative_graphs(transactions.transactions, ends, records, min_support, min_lift)
+    return StageSeries(tuple(stages), ends, records)
 
 
 def node_age(series: StageSeries) -> dict:

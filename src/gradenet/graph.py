@@ -40,16 +40,6 @@ class Graph:
         self._adj.setdefault(u, set()).add(v)
         self._adj.setdefault(v, set()).add(u)
 
-    def remove_edge(self, u, v) -> None:
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-
-    def has_node(self, v) -> bool:
-        return v in self._adj
-
-    def has_edge(self, u, v) -> bool:
-        return u in self._adj and v in self._adj[u]
-
     def neighbors(self, v) -> set:
         return self._adj[v]
 
@@ -70,11 +60,6 @@ class Graph:
 
     def number_of_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
-
-    def copy(self) -> "Graph":
-        g = Graph()
-        g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
-        return g
 
     def subgraph(self, nodes) -> "Graph":
         keep = set(nodes)

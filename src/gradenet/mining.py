@@ -29,14 +29,16 @@ class CoSelectionGraph:
 
 
 def cumulative_graphs(
-    transactions, ends, records, record_stage, min_support: float, min_lift: float
+    transactions, ends, records, min_support: float, min_lift: float
 ) -> list:
     """One co-selection graph per prefix transactions[:end] for end in ends (ascending).
 
-    Nodes are items that occur and reach min_support; an edge (a, b) needs
-    a pair that co-occurs, reaches min_support and has lift >= min_lift.
-    Counts run on from prefix to prefix, so each campaign is counted once.
-    Graph s averages the attributes of the records with record_stage <= s.
+    Transaction i is campaign code i of `records`, so a prefix of
+    transactions is a prefix of campaign codes. Nodes are items that occur
+    and reach min_support; an edge (a, b) needs a pair that co-occurs,
+    reaches min_support and has lift >= min_lift. Counts run on from prefix
+    to prefix, so each campaign is counted once. Graph s averages the
+    attributes of the records with campaign code < ends[s].
     """
     if not (0.0 <= min_support <= 1.0):
         raise InvalidArgumentError("min_support must be in [0, 1]")
@@ -46,7 +48,7 @@ def cumulative_graphs(
     single, pairs = Counter(), Counter()
     graphs = []
     total = 0
-    for stage, end in enumerate(ends):
+    for end in ends:
         for _, items in transactions[total:end]:
             ordered = sorted(items)
             single.update(ordered)
@@ -60,8 +62,8 @@ def cumulative_graphs(
             if sp >= min_support and value >= min_lift:
                 edge_lift[(a, b)] = value
         nodes = sorted(item for item, c in single.items() if c / total >= min_support)
-        # records of later stages fall in the extra bin len(labels)
-        bins = np.where(record_stage <= stage, records.item, len(labels))
+        # records of later campaigns fall in the extra bin len(labels)
+        bins = np.where(records.campaign < end, records.item, len(labels))
         means = dict(zip(labels, records.bin_means(bins, len(labels) + 1)[1]))
         node_attributes = {item: means[item] for item in nodes if means.get(item)}
         g = Graph(nodes=nodes, edges=edge_lift)

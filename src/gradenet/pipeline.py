@@ -51,9 +51,13 @@ class AnalysisConfig:
             raise InvalidArgumentError("windows must be >= 1")
         if self.ensemble < 2:
             raise InvalidArgumentError("ensemble size must be >= 2")
+        if not self.models:
+            raise InvalidArgumentError("models must name at least one null model")
         unknown = [m for m in self.models if m not in MODELS]
         if unknown:
             raise InvalidArgumentError(f"unknown null model {unknown[0]!r}")
+        if len(set(self.models)) < len(self.models):
+            raise InvalidArgumentError("models must not repeat a null model")
         if self.correlation not in ("pearson", "spearman", "kendall"):
             raise InvalidArgumentError(f"unknown correlation {self.correlation!r}")
         if not (0.0 <= self.prune_floor <= 1.0):
@@ -139,11 +143,10 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         if attribute not in table.attributes:
             raise InvalidArgumentError(f"unknown component attribute {attribute!r}")
     transactions = group_campaigns(table)
-    assignment = assign_windows(transactions, config.windows)
     series = stage_networks(
         table,
         transactions,
-        assignment,
+        assign_windows(transactions, config.windows),
         min_support=config.min_support,
         min_lift=config.min_lift,
     )

@@ -2,8 +2,10 @@
 
 CSV rows are slabs: a campaign label, an item label (steel grade by
 default) and numeric attributes. File row order is taken as the
-chronological order; observation windows are assigned per campaign so a
-campaign is never split across windows.
+chronological order, and campaign codes follow first appearance, so the
+first k campaign codes are the first k campaigns in time. Observation
+windows are runs of consecutive campaign codes, so a campaign is never
+split across windows and stage s (windows 0..s) is a prefix of codes.
 """
 
 from __future__ import annotations
@@ -89,14 +91,6 @@ class TransactionSet:
         return len(self.transactions)
 
 
-@dataclass(frozen=True)
-class WindowAssignment:
-    """Chronological split of campaigns into equally-sized windows."""
-
-    window_count: int
-    window_of: dict  # campaign_id -> window index
-
-
 def parse_records(
     csv_text: str,
     item_column: str = ITEM_COLUMN,
@@ -164,7 +158,11 @@ def parse_records(
 
 
 def group_campaigns(table: RecordTable) -> TransactionSet:
-    """One transaction per campaign, in order of first appearance."""
+    """One transaction per campaign, in order of first appearance.
+
+    Transaction i is the campaign with code i, `table.campaign_labels[i]`,
+    whenever every label has a row (as in a parsed table).
+    """
     width = max(len(table.item_labels), 1)
     campaign, item = np.divmod(np.unique(table.campaign * width + table.item), width)
     starts = np.flatnonzero(np.diff(campaign, prepend=-1)).tolist()
@@ -179,8 +177,12 @@ def group_campaigns(table: RecordTable) -> TransactionSet:
     return TransactionSet(transactions, frozenset(table.item_counts()))
 
 
-def assign_windows(transactions: TransactionSet, window_count: int) -> WindowAssignment:
-    """Split campaigns into contiguous windows, remainder to the earliest."""
+def assign_windows(transactions: TransactionSet, window_count: int) -> tuple:
+    """Stage ends for contiguous windows, remainder to the earliest.
+
+    Entry s is the number of campaigns in windows 0..s, so stage s is the
+    prefix transactions[:ends[s]], the campaign codes below ends[s].
+    """
     n = len(transactions)
     if window_count < 1:
         raise InvalidArgumentError("window_count must be >= 1")
@@ -189,14 +191,7 @@ def assign_windows(transactions: TransactionSet, window_count: int) -> WindowAss
             f"window_count {window_count} exceeds campaign count {n}"
         )
     q, r = divmod(n, window_count)
-    window_of = {}
-    position = 0
-    for w in range(window_count):
-        size = q + 1 if w < r else q
-        for cid, _ in transactions.transactions[position : position + size]:
-            window_of[cid] = w
-        position += size
-    return WindowAssignment(window_count, window_of)
+    return tuple((w + 1) * q + min(w + 1, r) for w in range(window_count))
 
 
 def campaign_diversity_histogram(transactions: TransactionSet) -> dict:

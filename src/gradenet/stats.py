@@ -35,7 +35,6 @@ class EnsembleSummary:
 
     statistic: str
     empirical: float
-    replicate_values: tuple
     mean: float
     std: float
     z: float | None
@@ -255,7 +254,6 @@ def ensemble_zscores(
             EnsembleSummary(
                 statistic=name,
                 empirical=empirical[name] if empirical[name] is not None else math.nan,
-                replicate_values=tuple(vals.tolist()),
                 mean=mean if mean is not None else math.nan,
                 std=std if std is not None else math.nan,
                 z=z,

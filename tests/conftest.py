@@ -88,7 +88,8 @@ def worked_itemsets():
 
 # Label-keyed views of the package's kernels that only the tests call: one
 # co-selection graph, per-node clustering and betweenness, per-edge
-# betweenness, and transactions from bare item sets.
+# betweenness, transactions from bare item sets, and the Graph copy, edge
+# removal and lookups that only the oracles below use.
 
 
 def from_itemsets(itemsets, ids=None) -> TransactionSet:
@@ -102,6 +103,26 @@ def from_itemsets(itemsets, ids=None) -> TransactionSet:
     return TransactionSet(tuple(zip(ids, itemsets)), universe)
 
 
+def copy_graph(graph: Graph) -> Graph:
+    """An independent copy of `graph`."""
+    g = Graph()
+    g._adj = {v: set(nbrs) for v, nbrs in graph._adj.items()}
+    return g
+
+
+def remove_edge(graph: Graph, u, v) -> None:
+    graph._adj[u].discard(v)
+    graph._adj[v].discard(u)
+
+
+def has_node(graph: Graph, v) -> bool:
+    return v in graph._adj
+
+
+def has_edge(graph: Graph, u, v) -> bool:
+    return u in graph._adj and v in graph._adj[u]
+
+
 def build_graph(
     transactions: TransactionSet,
     records: RecordTable | None = None,
@@ -110,13 +131,13 @@ def build_graph(
 ) -> CoSelectionGraph:
     """The co-selection network of all the transactions: `cumulative_graphs` with one prefix.
 
-    Without records no node has attribute means.
+    Transaction i is campaign code i of `records`, so the records of later
+    campaign codes do not count. Without records no node has attribute means.
     """
     rows = transactions.transactions
     if records is None:
         records = RecordTable((), (), np.zeros(0, np.intp), np.zeros(0, np.intp), {})
-    record_stage = np.zeros(len(records), np.intp)
-    return cumulative_graphs(rows, (len(rows),), records, record_stage, min_support, min_lift)[0]
+    return cumulative_graphs(rows, (len(rows),), records, min_support, min_lift)[0]
 
 
 def clustering_all(graph: Graph) -> dict:
@@ -229,14 +250,14 @@ def whole_graph_girvan_newman(graph: Graph, edge_betweenness=edge_betweenness):
     base = _freeze_partition(connected_components(graph))
     best_q = modularity(graph, base)
     best = base
-    work = graph.copy()
+    work = copy_graph(graph)
     dendrogram = []
     prev_count = len(base)
     while work.number_of_edges() > 0:
         eb = edge_betweenness(work)
         top = max(eb.values())
         target = min(e for e, v in eb.items() if v >= top - _TIE_EPS)
-        work.remove_edge(*target)
+        remove_edge(work, *target)
         parts = _freeze_partition(connected_components(work))
         dendrogram.append((target, parts))
         if len(parts) > prev_count:
@@ -256,7 +277,7 @@ def brute_clustering(graph: Graph, node) -> float:
     k = len(nbrs)
     if k < 2:
         return 0.0
-    links = sum(1 for u, v in itertools.combinations(nbrs, 2) if graph.has_edge(u, v))
+    links = sum(1 for u, v in itertools.combinations(nbrs, 2) if has_edge(graph, u, v))
     return 2.0 * links / (k * (k - 1))
 
 
@@ -339,7 +360,7 @@ def graph_switch_randomize(
     if swap_multiplier <= 0:
         raise InvalidArgumentError("swap multiplier must be positive")
     rng = rng if rng is not None else np.random.default_rng()
-    result = graph.copy()
+    result = copy_graph(graph)
     edges = result.edges()
     m = len(edges)
     if m < 2:
@@ -375,8 +396,8 @@ def graph_switch_randomize(
             edge_set.discard(edges[j])
             edge_set.add(new1)
             edge_set.add(new2)
-            result.remove_edge(*edges[i])
-            result.remove_edge(*edges[j])
+            remove_edge(result, *edges[i])
+            remove_edge(result, *edges[j])
             result.add_edge(*new1)
             result.add_edge(*new2)
             edges[i] = new1
@@ -510,14 +531,14 @@ def pair_stats(item_a, item_b, transactions: TransactionSet) -> RuleStats:
 
 
 def degree(graph: Graph, node) -> int:
-    if not graph.has_node(node):
+    if not has_node(graph, node):
         raise KeyError(node)
     return len(graph.neighbors(node))
 
 
 def clustering_coefficient(graph: Graph, node) -> float:
     """Watts-Strogatz local clustering; 0 by convention for degree < 2."""
-    if not graph.has_node(node):
+    if not has_node(graph, node):
         raise KeyError(node)
     nbrs = graph.neighbors(node)
     k = len(nbrs)
@@ -651,23 +672,18 @@ def rebuild_graph(
 def rebuild_stage_networks(
     records,
     transactions: TransactionSet,
-    assignment,
+    window_of: dict,
+    window_count: int,
     min_support: float = 0.0,
     min_lift: float = 1.0,
 ) -> tuple:
-    """One cumulative co-selection graph per observation window, each built from scratch."""
-    missing = [cid for cid, _ in transactions.transactions if cid not in assignment.window_of]
-    if missing:
-        raise InvalidArgumentError(
-            f"window assignment does not cover campaign {missing[0]!r}"
-        )
+    """One cumulative co-selection graph per observation window, each built from scratch.
+
+    `window_of` maps every campaign id of the transactions to its window.
+    """
     stages = []
-    for s in range(assignment.window_count):
-        included = {
-            cid
-            for cid, _ in transactions.transactions
-            if assignment.window_of[cid] <= s
-        }
+    for s in range(window_count):
+        included = {cid for cid, _ in transactions.transactions if window_of[cid] <= s}
         sub_transactions = tuple(
             (cid, items) for cid, items in transactions.transactions if cid in included
         )

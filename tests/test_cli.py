@@ -201,12 +201,23 @@ def test_exit_codes(tmp_path, input_csv, capsys):
         ["--swap-multiplier", "inf"],
         ["--component", "min-mean:carbn"],  # not a parsed column
         ["--component", "min-mean:"],
+        ["--models", "er,er"],  # the second ER run would overwrite the first
+        ["--models", ","],  # no model at all
     ]
     for i, option in enumerate(bad_options):
         out = tmp_path / f"bad{i}"
         assert main(analyze + option + ["--out", str(out)]) == 1, option
         assert not (out / "report.json").exists(), option
     capsys.readouterr()
+
+
+def test_mine_header_only_csv(tmp_path):
+    # --windows 0 builds one stage over every campaign, here none
+    header_only = tmp_path / "empty.csv"
+    header_only.write_text("campaign,grade\n", encoding="utf-8")
+    assert main(["mine", str(header_only), "--windows", "0", "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "edges.csv").read_text(encoding="utf-8") == "item_a,item_b,lift\n"
+    assert (tmp_path / "o" / "network.dot").read_text(encoding="utf-8") == "graph coselection {\n}\n"
 
 
 def test_analyze_identical_across_hash_seeds(tmp_path, input_csv):

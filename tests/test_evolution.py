@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from gradenet import (
     Graph,
     InvalidArgumentError,
     ProductionRecord,
-    WindowAssignment,
     assign_windows,
     group_campaigns,
     node_age,
@@ -33,9 +34,8 @@ from conftest import (
 def make_series(csv_text, windows, min_lift=1.0):
     records = parse_records(csv_text)
     transactions = group_campaigns(records)
-    assignment = assign_windows(transactions, windows)
     return records, transactions, stage_networks(
-        records, transactions, assignment, min_lift=min_lift
+        records, transactions, assign_windows(transactions, windows), min_lift=min_lift
     )
 
 
@@ -62,15 +62,6 @@ def test_node_age():
         for v in cograph.graph.nodes():
             if v in ages:
                 assert ages[v] <= stage
-
-
-def test_stage_networks_requires_full_assignment():
-    records = parse_records(LATE_CSV)
-    transactions = group_campaigns(records)
-    assignment = assign_windows(transactions, 2)
-    trimmed = type(assignment)(2, {"c0": 0})
-    with pytest.raises(InvalidArgumentError):
-        stage_networks(records, transactions, trimmed)
 
 
 def test_group_summary_snapshot(snapshot_csv):
@@ -130,8 +121,7 @@ def test_stage_monotonicity_property(rows, windows):
     transactions = group_campaigns(records)
     if windows > len(transactions):
         return
-    assignment = assign_windows(transactions, windows)
-    series = stage_networks(records, transactions, assignment)
+    series = stage_networks(records, transactions, assign_windows(transactions, windows))
     previous = set()
     for cograph in series.stages:
         current = set(cograph.graph.nodes())
@@ -176,40 +166,27 @@ def assert_same_graph(new, old):
 @given(
     interleaved_records(),
     st.integers(min_value=1, max_value=5),
-    st.booleans(),
     st.sampled_from([0.0, 0.0, 0.2, 0.5]),
     st.sampled_from([0.0, 1.0, 1.5]),
-    st.data(),
 )
 @settings(max_examples=300, deadline=None)
-def test_stage_networks_match_rebuild_oracle(
-    records, windows, contiguous, min_support, min_lift, data
-):
+def test_stage_networks_match_rebuild_oracle(records, windows, min_support, min_lift):
     table = record_table(records)
     transactions = group_campaigns(table)
     windows = min(windows, len(transactions))
-    if contiguous:
-        assignment = assign_windows(transactions, windows)
-    else:
-        # any assignment, including empty and out-of-order windows
-        assignment = WindowAssignment(
-            windows,
-            {
-                cid: data.draw(st.integers(min_value=0, max_value=windows - 1))
-                for cid, _ in transactions.transactions
-            },
-        )
-    series = stage_networks(table, transactions, assignment, min_support, min_lift)
-    oracle = rebuild_stage_networks(records, transactions, assignment, min_support, min_lift)
+    ends = assign_windows(transactions, windows)
+    window_of = {
+        cid: bisect_right(ends, i) for i, (cid, _) in enumerate(transactions.transactions)
+    }
+    series = stage_networks(table, transactions, ends, min_support, min_lift)
+    oracle = rebuild_stage_networks(
+        records, transactions, window_of, windows, min_support, min_lift
+    )
+    assert series.ends == ends
     assert len(series.stages) == len(oracle) == windows
     for s, (new, old) in enumerate(zip(series.stages, oracle)):
         assert_same_graph(new, old)
-        included = {
-            cid for cid, _ in transactions.transactions if assignment.window_of[cid] <= s
-        }
-        prefix = series.transactions[: series.ends[s]]
-        assert sorted(cid for cid, _ in prefix) == sorted(included)
-        assert len(prefix) == series.ends[s]
+        included = {cid for cid, w in window_of.items() if w <= s}
         assert table_records(series.stage_records(s)) == [
             rec for rec in records if rec.campaign_id in included
         ]
@@ -218,12 +195,18 @@ def test_stage_networks_match_rebuild_oracle(
 @given(interleaved_records(), st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 1.0, 2.0]))
 @settings(max_examples=150, deadline=None)
 def test_build_graph_matches_rebuild_oracle(records, min_support, min_lift):
-    # records of campaigns missing from the transactions still count, as before
+    # the transactions of the first campaigns, and only their records count
     table = record_table(records)
     transactions = group_campaigns(table.take(slice(len(records) // 2 + 1)))
+    included = {cid for cid, _ in transactions.transactions}
     assert_same_graph(
         build_graph(transactions, table, min_support, min_lift),
-        rebuild_graph(transactions, records, min_support, min_lift),
+        rebuild_graph(
+            transactions,
+            [rec for rec in records if rec.campaign_id in included],
+            min_support,
+            min_lift,
+        ),
     )
 
 

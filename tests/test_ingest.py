@@ -128,13 +128,8 @@ def test_group_campaigns_first_appearance_order():
 
 def test_assign_windows_balanced():
     transactions = from_itemsets([{"x"}] * 10)
-    assignment = assign_windows(transactions, 3)
-    sizes = [0, 0, 0]
-    for w in assignment.window_of.values():
-        sizes[w] += 1
-    assert sizes == [4, 3, 3]  # remainder goes to the earliest windows
-    windows = [assignment.window_of[cid] for cid, _ in transactions.transactions]
-    assert windows == sorted(windows)
+    # window sizes 4, 3, 3: the remainder goes to the earliest windows
+    assert assign_windows(transactions, 3) == (4, 7, 10)
 
 
 def test_assign_windows_bounds():
@@ -183,6 +178,8 @@ def test_histogram_totals_property(rows):
     assert [cid for cid, _ in transactions.transactions] == list(
         dict.fromkeys(rec.campaign_id for rec in records)
     )
+    # transaction i is campaign code i
+    assert [cid for cid, _ in transactions.transactions] == list(table.campaign_labels)
     assert transactions.item_universe == frozenset(rec.item for rec in records)
 
 
@@ -195,13 +192,11 @@ def test_window_property(rows, window_count):
         with pytest.raises(InvalidArgumentError):
             assign_windows(transactions, window_count)
         return
-    assignment = assign_windows(transactions, window_count)
-    sizes = [0] * window_count
-    for w in assignment.window_of.values():
-        sizes[w] += 1
-    assert max(sizes) - min(sizes) <= 1
-    order = [assignment.window_of[cid] for cid, _ in transactions.transactions]
-    assert order == sorted(order)
+    ends = assign_windows(transactions, window_count)
+    assert len(ends) == window_count and ends[-1] == len(transactions)
+    sizes = [end - start for start, end in zip((0, *ends), ends)]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert sizes == sorted(sizes, reverse=True)
 
 
 # Cells for the parser-oracle test: mostly valid numbers, some edge and bad ones.

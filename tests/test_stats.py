@@ -24,7 +24,7 @@ from gradenet import (
     spearman,
 )
 from gradenet.graph import _adjacency_matrix
-from gradenet.nullmodels import NullModelSpec, spec_for
+from gradenet.nullmodels import NullModelSpec, generate_null, spec_for
 from gradenet.stats import STATISTICS, correlation, metric_vectors
 from conftest import (
     UndefinedZScoreError,
@@ -223,11 +223,18 @@ def test_ensemble_zscores_deterministic():
     second = ensemble_zscores(g, spec, 50, stream=stream)
     assert first == second
     assert [s.statistic for s in first] == list(STATISTICS)
+    # the replicate values, regenerated from the same stream
+    values = {name: [] for name in STATISTICS}
+    for i in range(50):
+        deg, cc, bc = metric_vectors(generate_null(spec, stream.generator(i)))
+        for name, x in zip(STATISTICS, (deg, cc)):
+            try:
+                values[name].append(correlation(x, bc, "spearman").value)
+            except UndefinedCorrelationError:
+                pass
     for summary in first:
-        assert summary.z == pytest.approx(
-            zscore(summary.empirical, summary.replicate_values)
-        )
-        assert summary.dropped + len(summary.replicate_values) == 50
+        assert summary.z == pytest.approx(zscore(summary.empirical, values[summary.statistic]))
+        assert summary.dropped + len(values[summary.statistic]) == 50
 
 
 def test_ensemble_zscores_degenerate():
