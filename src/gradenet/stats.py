@@ -4,6 +4,12 @@ Pearson, Spearman (midranks) and Kendall tau-b, each with the usual
 approximate two-sided p-value; the degree-vs-betweenness and
 clustering-vs-betweenness correlations that serve as randomness probes;
 and z = (X - mu) / sigma against null-model ensembles.
+
+The p-values come from the special functions imported below: twice the
+Student t tail `stdtr(n - 2, -|t|)` for Pearson and Spearman, twice the
+normal tail `ndtr(-|z|)` for Kendall. The `sf` of the t and normal
+distributions evaluates these same functions, so the p-values equal
+theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import ndtr, stdtr
 
 from .errors import InsufficientDataError, InvalidArgumentError, UndefinedCorrelationError
 from .graph import Graph, _adjacency_matrix, _dense_betweenness, _dense_clustering
@@ -58,13 +64,15 @@ def midranks(values) -> np.ndarray:
     return ranks
 
 
-def _check_lengths(x, y, minimum: int = 3):
+def _check_samples(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) != len(y):
         raise InvalidArgumentError("sequences must have equal length")
-    if len(x) < minimum:
-        raise InvalidArgumentError(f"at least {minimum} observations required")
+    if len(x) < 3:
+        raise InvalidArgumentError("at least 3 observations required")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidArgumentError("correlation arguments must be finite")
     return x, y
 
 
@@ -83,24 +91,23 @@ def _t_p_value(r: float, n: int) -> float:
     if abs(r) >= 1.0:
         return 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * sps.t.sf(abs(t), n - 2))
+    return float(2.0 * stdtr(n - 2, -abs(t)))
 
 
 def pearson(x, y) -> CorrelationResult:
-    x, y = _check_lengths(x, y)
+    x, y = _check_samples(x, y)
     r = _pearson_value(x, y)
     return CorrelationResult("pearson", r, _t_p_value(r, len(x)), len(x))
 
 
 def spearman(x, y) -> CorrelationResult:
-    x, y = _check_lengths(x, y)
+    x, y = _check_samples(x, y)
     r = _pearson_value(midranks(x), midranks(y))
     return CorrelationResult("spearman", r, _t_p_value(r, len(x)), len(x))
 
 
-def kendall(x, y) -> CorrelationResult:
-    """Tau-b with tie correction; p-value from the normal approximation."""
-    x, y = _check_lengths(x, y)
+def _kendall_tau(x: np.ndarray, y: np.ndarray):
+    """(tau-b, concordant minus discordant pairs) with tie correction."""
     n = len(x)
     dx = np.sign(x[:, None] - x[None, :])
     dy = np.sign(y[:, None] - y[None, :])
@@ -113,7 +120,14 @@ def kendall(x, y) -> CorrelationResult:
     denom = math.sqrt((n0 - tx) * (n0 - ty))
     if denom == 0.0:
         raise UndefinedCorrelationError("all-tied sequence in kendall tau")
-    tau = min(1.0, max(-1.0, num / denom))
+    return min(1.0, max(-1.0, num / denom)), num
+
+
+def kendall(x, y) -> CorrelationResult:
+    """Tau-b with tie correction; p-value from the normal approximation."""
+    x, y = _check_samples(x, y)
+    n = len(x)
+    tau, num = _kendall_tau(x, y)
 
     def tie_sizes(values):
         _, counts = np.unique(values, return_counts=True)
@@ -134,11 +148,9 @@ def kendall(x, y) -> CorrelationResult:
         * float((u_sizes * (u_sizes - 1) * (u_sizes - 2)).sum())
         / (9.0 * n * (n - 1) * (n - 2))
     )
+    # null variance of num: positive, as both samples are finite and not all tied
     var = (v0 - vt - vu) / 18.0 + v1 + v2
-    if var <= 0:
-        p = 1.0
-    else:
-        p = float(2.0 * sps.norm.sf(abs(num) / math.sqrt(var)))
+    p = float(2.0 * ndtr(-abs(num) / math.sqrt(var)))
     return CorrelationResult("kendall", tau, min(1.0, p), n)
 
 
@@ -191,7 +203,7 @@ def _correlation_value(x: np.ndarray, y: np.ndarray, kind: str) -> float:
         return _pearson_value(x, y)
     if kind == "spearman":
         return _pearson_value(midranks(x), midranks(y))
-    return kendall(x, y).value
+    return _kendall_tau(x, y)[0]
 
 
 def ensemble_zscores(

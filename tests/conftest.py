@@ -14,32 +14,24 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 from scipy.spatial.distance import pdist
 
-from gradenet import (
-    CommunityPartition,
-    CoSelectionGraph,
-    Graph,
-    GradenetError,
-    GroupSummary,
-    InvalidArgumentError,
-    ParseError,
-    ProductionRecord,
-    RecordTable,
-    SchemaError,
-    TransactionSet,
-    connected_components,
-    modularity,
-)
+from gradenet.errors import GradenetError, InvalidArgumentError, ParseError, SchemaError
+from gradenet.evolution import GroupSummary
 from gradenet.exports import _GRAPHML_NS
 from gradenet.graph import (
     _TIE_EPS,
+    CommunityPartition,
+    Graph,
     _adjacency_matrix,
     _dense_betweenness,
     _dense_clustering,
     _freeze_partition,
+    connected_components,
+    modularity,
 )
-from gradenet.mining import cumulative_graphs
+from gradenet.mining import CoSelectionGraph, cumulative_graphs
 from gradenet.nullmodels import max_edges
 from gradenet.records import (
     _NONNEGATIVE,
@@ -47,7 +39,10 @@ from gradenet.records import (
     ATTRIBUTE_COLUMNS,
     CAMPAIGN_COLUMN,
     ITEM_COLUMN,
+    RecordTable,
+    TransactionSet,
 )
+from gradenet.synth import ProductionRecord
 
 # verdict lines collected by the acceptance-test decorator, printed once
 # pytest's capture has ended so they survive fd-level capturing
@@ -314,6 +309,44 @@ def kendall_exhaustive(x, y):
     if denom == 0:
         return None
     return (concordant - discordant) / denom
+
+
+def t_p_value_oracle(r, n):
+    """Two-sided p-value of a correlation r over n pairs, 2·P(T > |t|) with T ~ t(n - 2)."""
+    if abs(r) >= 1.0:
+        return 0.0
+    t = r * math.sqrt((n - 2) / (1.0 - r * r))
+    return float(2 * sps.t.sf(abs(t), n - 2))
+
+
+def normal_p_value_oracle(z):
+    """Two-sided p-value 2·P(Z > |z|) with Z standard normal."""
+    return float(2 * sps.norm.sf(abs(z)))
+
+
+def kendall_z_oracle(x, y):
+    """|S| / sd(S) for Kendall's S = concordant - discordant, by pair and tie counting.
+
+    Every part of the tie-corrected null variance is an exact integer ratio,
+    so summed in this order it equals the vectorised value bit for bit.
+    """
+    n = len(x)
+    s = sum(
+        ((x[i] > x[j]) - (x[i] < x[j])) * ((y[i] > y[j]) - (y[i] < y[j]))
+        for i, j in itertools.combinations(range(n), 2)
+    )
+    t = Counter(x).values()
+    u = Counter(y).values()
+    v0 = n * (n - 1) * (2 * n + 5)
+    vt = sum(k * (k - 1) * (2 * k + 5) for k in t)
+    vu = sum(k * (k - 1) * (2 * k + 5) for k in u)
+    v1 = sum(k * (k - 1) for k in t) * sum(k * (k - 1) for k in u) / (2 * n * (n - 1))
+    v2 = (
+        sum(k * (k - 1) * (k - 2) for k in t)
+        * sum(k * (k - 1) * (k - 2) for k in u)
+        / (9 * n * (n - 1) * (n - 2))
+    )
+    return abs(s) / math.sqrt((v0 - vt - vu) / 18 + v1 + v2)
 
 
 def graph_from_adjacency(labels, a) -> Graph:

@@ -15,29 +15,21 @@ import time
 import numpy as np
 import pytest
 
-from gradenet import (
-    Graph,
-    connected_components,
-    calibrate_radius,
-    er_gnm,
-    ensemble_zscores,
-    generate,
-    girvan_newman,
-    group_campaigns,
-    kendall,
-    midranks,
-    modularity,
-    parse_records,
-    pearson,
-    planted_two_band_config,
-    random_geometric,
-    spearman,
-    switch_randomize,
-)
 from gradenet.cli import main
 from gradenet.exports import records_csv_dumps
-from gradenet.nullmodels import NullModelSpec, SeedStream
+from gradenet.graph import Graph, connected_components, girvan_newman, modularity
+from gradenet.nullmodels import (
+    NullModelSpec,
+    SeedStream,
+    calibrate_radius,
+    er_gnm,
+    random_geometric,
+    switch_randomize,
+)
 from gradenet.pipeline import AnalysisConfig, run_analysis
+from gradenet.records import group_campaigns, parse_records
+from gradenet.stats import ensemble_zscores, kendall, midranks, pearson, spearman
+from gradenet.synth import generate, planted_two_band_config
 
 from conftest import (
     ACCEPTANCE_VERDICTS,

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import gradenet
-from gradenet import InvalidArgumentError, group_campaigns, parse_records
 from gradenet.cli import main
+from gradenet.errors import InvalidArgumentError
 from gradenet.exports import dot_dumps, graphml_dumps, records_csv_dumps
 from gradenet.pipeline import AnalysisConfig, run_analysis, zscore_rows
+from gradenet.records import group_campaigns, parse_records
 from gradenet.stats import STATISTICS
 
 from conftest import (

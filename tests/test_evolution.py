@@ -9,17 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradenet import (
-    Graph,
-    InvalidArgumentError,
-    ProductionRecord,
-    assign_windows,
-    group_campaigns,
-    node_age,
-    parse_records,
-    stage_networks,
-)
-from gradenet.evolution import group_summary, prune_minor_groups
+from gradenet.errors import InvalidArgumentError
+from gradenet.evolution import group_summary, node_age, prune_minor_groups, stage_networks
+from gradenet.graph import Graph
+from gradenet.records import assign_windows, group_campaigns, parse_records
+from gradenet.synth import ProductionRecord
 from conftest import (
     build_graph,
     rebuild_graph,

@@ -9,13 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradenet import (
-    Graph,
-    InvalidArgumentError,
-    connected_components,
-    girvan_newman,
-    modularity,
-)
+from gradenet.errors import InvalidArgumentError
+from gradenet.graph import Graph, connected_components, girvan_newman, modularity
 from conftest import (
     betweenness_all,
     brute_betweenness,

@@ -1,10 +1,14 @@
 """Source hygiene: every module-level import in the package is used, every
-public function and class has a caller inside the package, and every
-public field and method of a class is read there."""
+public function and class has a caller inside the package, every
+public field and method of a class is read there, and the CLI loads no
+scipy subpackage but `scipy.special`."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "gradenet"
@@ -101,3 +105,19 @@ def test_every_class_member_is_read():
                 if attr not in read and key not in MEMBERS_READ_ELSEWHERE:
                     unread.append(f"{name}:{member.lineno}: {key}")
     assert unread == []
+
+
+def test_cli_imports_only_scipy_special():
+    # a fresh interpreter: this process already holds scipy.spatial and
+    # scipy.stats through conftest.py
+    probe = (
+        "import sys; import gradenet.cli; "
+        "print(sorted(name for name, module in sys.modules.items() "
+        "if name.startswith('scipy.') and name.count('.') == 1 "
+        "and not name.startswith('scipy._') and hasattr(module, '__path__')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert ast.literal_eval(out) == ["scipy.special"]

@@ -10,20 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradenet import (
-    InvalidArgumentError,
-    ParseError,
-    SchemaError,
-    SeedStream,
+from gradenet.errors import InvalidArgumentError, ParseError, SchemaError
+from gradenet.exports import records_csv_dumps
+from gradenet.nullmodels import SeedStream
+from gradenet.records import (
     assign_windows,
     campaign_diversity_histogram,
-    generate,
     group_campaigns,
     parse_records,
-    planted_two_band_config,
     slabs_per_item_histogram,
 )
-from gradenet.exports import records_csv_dumps
+from gradenet.synth import generate, planted_two_band_config
 from conftest import assert_table_matches, from_itemsets, row_parse_records, table_records
 
 

@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradenet import (
-    InvalidArgumentError,
-    TransactionSet,
-    parse_records,
-    group_campaigns,
-)
+from gradenet.errors import InvalidArgumentError
+from gradenet.records import TransactionSet, group_campaigns, parse_records
 from conftest import (
     UndefinedLiftError,
     build_graph,

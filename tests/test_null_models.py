@@ -10,20 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from gradenet import (
-    Graph,
-    InvalidArgumentError,
+from gradenet.errors import InvalidArgumentError
+from gradenet.graph import Graph, _adjacency_matrix
+from gradenet.nullmodels import (
     NullModelSpec,
     SeedStream,
+    _pair_distance_cdf,
     calibrate_radius,
     er_gnm,
     generate_null,
+    max_edges,
     random_geometric,
     spec_for,
     switch_randomize,
 )
-from gradenet.graph import _adjacency_matrix
-from gradenet.nullmodels import _pair_distance_cdf, max_edges
 from conftest import (
     graph_er_gnm,
     graph_from_adjacency,

@@ -6,33 +6,33 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradenet import (
-    Graph,
-    InsufficientDataError,
-    InvalidArgumentError,
-    SeedStream,
-    UndefinedCorrelationError,
+from gradenet.errors import InsufficientDataError, InvalidArgumentError, UndefinedCorrelationError
+from gradenet.graph import Graph, _adjacency_matrix
+from gradenet.nullmodels import NullModelSpec, SeedStream, er_gnm, generate_null, spec_for
+from gradenet.stats import (
+    STATISTICS,
+    correlation,
     ensemble_zscores,
-    er_gnm,
     kendall,
+    metric_vectors,
     midranks,
     node_metric_correlations,
     pearson,
     spearman,
 )
-from gradenet.graph import _adjacency_matrix
-from gradenet.nullmodels import NullModelSpec, generate_null, spec_for
-from gradenet.stats import STATISTICS, correlation, metric_vectors
 from conftest import (
     UndefinedZScoreError,
     betweenness_all,
     clustering_all,
     graph_from_adjacency,
     kendall_exhaustive,
+    kendall_z_oracle,
+    normal_p_value_oracle,
     random_graph,
+    t_p_value_oracle,
     zscore,
 )
 
@@ -72,6 +72,11 @@ def test_correlation_input_validation():
         kendall([1, 1, 1], [1, 2, 3])
     with pytest.raises(InvalidArgumentError):
         correlation([1, 2, 3], [1, 2, 3], "tau")
+    for kind in ("pearson", "spearman", "kendall"):
+        with pytest.raises(InvalidArgumentError):
+            correlation([1.0, math.nan, 3.0], [1, 2, 3], kind)
+        with pytest.raises(InvalidArgumentError):
+            correlation([1, 2, 3], [math.inf, 2.0, 3.0], kind)
 
 
 def test_kendall_fixture():
@@ -111,6 +116,41 @@ def test_kendall_matches_exhaustive_counting(xy):
     assert result.value == pytest.approx(expected, abs=1e-12)
     assert -1.0 <= result.value <= 1.0
     assert 0.0 <= result.p_value <= 1.0
+
+
+def tied_sequences(min_size=3, max_size=12):
+    # values from {0, 1, 2}: many ties, including samples tied all but once
+    values = st.integers(min_value=0, max_value=2).map(float)
+    return st.integers(min_value=min_size, max_value=max_size).flatmap(
+        lambda n: st.tuples(
+            st.lists(values, min_size=n, max_size=n),
+            st.lists(values, min_size=n, max_size=n),
+        )
+    )
+
+
+@given(st.one_of(sequences(), tied_sequences()))
+@example(([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]))  # n = 3: the t tail with df = 1
+@example(([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]))  # r = 1: p = 0 without a t statistic
+@example(([1.0, 2.0, 3.0, 4.0], [8.0, 6.0, 4.0, 2.0]))  # r = -1
+@example(([0.0] * 11 + [1.0], [0.0] * 11 + [1.0]))  # both samples tied all but once
+@settings(max_examples=300)
+def test_p_values_match_scipy_stats_oracles(xy):
+    # exact equality: the special-function tails are what scipy.stats evaluates
+    x, y = xy
+    for fn in (pearson, spearman):
+        try:
+            result = fn(x, y)
+        except UndefinedCorrelationError:
+            continue
+        assert result.p_value == t_p_value_oracle(result.value, len(x))
+        if abs(result.value) >= 1.0:
+            assert result.p_value == 0.0
+    try:
+        result = kendall(x, y)
+    except UndefinedCorrelationError:
+        return
+    assert result.p_value == normal_p_value_oracle(kendall_z_oracle(x, y))
 
 
 def integer_sequences(min_size=3, max_size=8):

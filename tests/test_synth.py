@@ -4,17 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from gradenet import (
-    Band,
-    GenerationError,
-    InvalidArgumentError,
-    PlannerConfig,
-    SeedStream,
-    connected_components,
-    generate,
-    group_campaigns,
-    planted_two_band_config,
-)
+from gradenet.errors import GenerationError, InvalidArgumentError
+from gradenet.graph import connected_components
+from gradenet.nullmodels import SeedStream
+from gradenet.records import group_campaigns
+from gradenet.synth import Band, PlannerConfig, generate, planted_two_band_config
 from conftest import build_graph, record_table
 
 
@@ -152,7 +146,7 @@ def test_from_dict_round_trip():
 def test_heavy_tailed_default_popularity():
     config = small_config(uniform_popularity=False)
     records = generate(config, SeedStream.from_seed(7).generator())
-    from gradenet import slabs_per_item_histogram
+    from gradenet.records import slabs_per_item_histogram
 
     histogram = slabs_per_item_histogram(record_table(records))
     low_band = sorted(k for k in histogram if k.startswith("L"))
