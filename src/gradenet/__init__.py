@@ -8,6 +8,6 @@ else is imported from its submodule (`gradenet.records`, `gradenet.stats`,
 from .evolution import stage_networks
 from .graph import girvan_newman
 from .pipeline import AnalysisConfig, run_analysis
-from .records import assign_windows, group_campaigns, parse_records
+from .records import assign_windows, parse_records
 
 __version__ = "0.1.0"

@@ -33,7 +33,6 @@ from .pipeline import MODELS, AnalysisConfig, run_analysis, zscore_rows
 from .records import (
     assign_windows,
     campaign_diversity_histogram,
-    group_campaigns,
     parse_records,
     slabs_per_item_histogram,
 )
@@ -124,13 +123,9 @@ def cmd_mine(args) -> int:
     if args.windows < 0:
         raise InvalidArgumentError("windows must be >= 0")
     table = parse_records(_read_text(args.input), item_column=args.item_column)
-    transactions = group_campaigns(table)
     # --windows 0: no node ages, and one stage over every campaign (even none)
-    ends = assign_windows(transactions, args.windows) if args.windows else (len(transactions),)
-    series = stage_networks(
-        table, transactions, ends,
-        min_support=args.min_support, min_lift=args.min_lift,
-    )
+    ends = assign_windows(table, args.windows) if args.windows else (len(table.campaign_labels),)
+    series = stage_networks(table, ends, min_support=args.min_support, min_lift=args.min_lift)
     cograph = series.stages[-1]
     ages = node_age(series) if args.windows else None
     annotations = _annotations(cograph, ages)
@@ -142,7 +137,7 @@ def cmd_mine(args) -> int:
         out,
         "hist_campaign_diversity.csv",
         histogram_csv_dumps(
-            campaign_diversity_histogram(transactions), "grades_per_campaign", "campaigns"
+            campaign_diversity_histogram(table), "grades_per_campaign", "campaigns"
         ),
     )
     _write(

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .graph import Graph
 from .mining import cumulative_graphs
-from .records import RecordTable, TransactionSet
+from .records import RecordTable
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,16 @@ class GroupSummary:
 
 def stage_networks(
     records: RecordTable,
-    transactions: TransactionSet,
     ends: tuple,
     min_support: float = 0.0,
     min_lift: float = 1.0,
 ) -> StageSeries:
     """One cumulative co-selection graph per stage end of `assign_windows`, in one pass.
 
-    `transactions` are `group_campaigns(records)`: transaction i is campaign code i.
+    Stage s is the campaigns with code < ends[s]; pair counts run on from
+    stage to stage over `records.campaign_items()`.
     """
-    stages = cumulative_graphs(transactions.transactions, ends, records, min_support, min_lift)
+    stages = cumulative_graphs(records, ends, min_support, min_lift)
     return StageSeries(tuple(stages), ends, records)
 
 

@@ -9,14 +9,14 @@ attribute but all topology metrics treat the graph as unweighted.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import Graph
+
+_BLOCK_CAMPAIGNS = 2048
 
 
 @dataclass(frozen=True)
@@ -28,40 +28,49 @@ class CoSelectionGraph:
     node_attributes: dict  # item -> {attribute -> mean over its records}
 
 
-def cumulative_graphs(
-    transactions, ends, records, min_support: float, min_lift: float
-) -> list:
-    """One co-selection graph per prefix transactions[:end] for end in ends (ascending).
+def cumulative_graphs(records, ends, min_support: float, min_lift: float) -> list:
+    """One co-selection graph per stage: the campaign codes below end, for end in ends (ascending).
 
-    Transaction i is campaign code i of `records`, so a prefix of
-    transactions is a prefix of campaign codes. Nodes are items that occur
-    and reach min_support; an edge (a, b) needs a pair that co-occurs,
-    reaches min_support and has lift >= min_lift. Counts run on from prefix
-    to prefix, so each campaign is counted once. Graph s averages the
-    attributes of the records with campaign code < ends[s].
+    Nodes are items that occur and reach min_support; an edge (a, b) needs
+    a pair that co-occurs, reaches min_support and has lift >= min_lift.
+    Supports count campaigns, from a running item x item count that each
+    stage extends by B.T @ B over the 0/1 campaign x item incidence B of
+    its new campaigns, so each campaign is counted once. Graph s averages
+    the attributes of the records with campaign code < ends[s].
     """
     if not (0.0 <= min_support <= 1.0):
         raise InvalidArgumentError("min_support must be in [0, 1]")
     if not math.isfinite(min_lift):
         raise InvalidArgumentError("min_lift must be finite")
     labels = records.item_labels
-    single, pairs = Counter(), Counter()
+    # counts run in sorted-label order, so the upper triangle is the sorted edge list
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    names = [labels[i] for i in order]
+    rank = np.empty(len(labels), np.intp)
+    rank[order] = np.arange(len(labels))
+    campaign, items = records.campaign_items()
+    counts = np.zeros((len(labels), len(labels)), np.int64)
     graphs = []
     total = 0
     for end in ends:
-        for _, items in transactions[total:end]:
-            ordered = sorted(items)
-            single.update(ordered)
-            pairs.update(combinations(ordered, 2))
+        # B in blocks of campaigns, so its size does not grow with the campaign count
+        for lo in range(total, end, _BLOCK_CAMPAIGNS):
+            hi = min(lo + _BLOCK_CAMPAIGNS, end)
+            a, z = np.searchsorted(campaign, (lo, hi)).tolist()
+            block = np.zeros((hi - lo, len(labels)))
+            block[campaign[a:z] - lo, rank[items[a:z]]] = 1.0
+            counts += (block.T @ block).astype(np.int64)  # small integer sums are exact
         total = end
+        single = counts.diagonal()
+        i, j = np.nonzero(np.triu(counts, 1))
+        support = counts[i, j] / total
+        lift = support / ((single[i] / total) * (single[j] / total))
         # a pair reaching min_support has both items reaching it too
-        edge_lift = {}
-        for (a, b), c in sorted(pairs.items()):
-            sp = c / total
-            value = sp / ((single[a] / total) * (single[b] / total))
-            if sp >= min_support and value >= min_lift:
-                edge_lift[(a, b)] = value
-        nodes = sorted(item for item, c in single.items() if c / total >= min_support)
+        keep = (support >= min_support) & (lift >= min_lift)
+        pairs = zip(i[keep].tolist(), j[keep].tolist(), lift[keep].tolist())
+        edge_lift = {(names[a], names[b]): value for a, b, value in pairs}
+        occurs = np.flatnonzero(single)
+        nodes = [names[k] for k in occurs[single[occurs] / total >= min_support].tolist()]
         # records of later campaigns fall in the extra bin len(labels)
         bins = np.where(records.campaign < end, records.item, len(labels))
         means = dict(zip(labels, records.bin_means(bins, len(labels) + 1)[1]))
@@ -69,4 +78,3 @@ def cumulative_graphs(
         g = Graph(nodes=nodes, edges=edge_lift)
         graphs.append(CoSelectionGraph(g, edge_lift, node_attributes))
     return graphs
-

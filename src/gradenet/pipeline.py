@@ -21,7 +21,6 @@ from .records import (
     ITEM_COLUMN,
     assign_windows,
     campaign_diversity_histogram,
-    group_campaigns,
     parse_records,
     slabs_per_item_histogram,
 )
@@ -142,11 +141,9 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         attribute = config.component.split(":", 1)[1]
         if attribute not in table.attributes:
             raise InvalidArgumentError(f"unknown component attribute {attribute!r}")
-    transactions = group_campaigns(table)
     series = stage_networks(
         table,
-        transactions,
-        assign_windows(transactions, config.windows),
+        assign_windows(table, config.windows),
         min_support=config.min_support,
         min_lift=config.min_lift,
     )
@@ -228,13 +225,13 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         "input": {
             "sha256": digest,
             "records": len(table),
-            "campaigns": len(transactions),
-            "items": len(transactions.item_universe),
+            "campaigns": len(table.campaign_labels),
+            "items": len(table.item_labels),
         },
         "config": dataclasses.asdict(config),
         "histograms": {
             "campaign_diversity": {
-                str(k): v for k, v in campaign_diversity_histogram(transactions).items()
+                str(k): v for k, v in campaign_diversity_histogram(table).items()
             },
             "slabs_per_item": slabs_per_item_histogram(table),
         },

@@ -14,7 +14,6 @@ import csv
 import io
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,6 +63,11 @@ class RecordTable:
         counts = np.bincount(self.item, minlength=len(self.item_labels)).tolist()
         return {label: n for label, n in zip(self.item_labels, counts) if n}
 
+    def campaign_items(self) -> tuple:
+        """The distinct (campaign, item) code pairs as two code columns, sorted by campaign."""
+        width = max(len(self.item_labels), 1)
+        return np.divmod(np.unique(self.campaign * width + self.item), width)
+
     def bin_means(self, bins, size: int) -> tuple:
         """Row count and {attribute: mean} per bin, for rows binned by `bins` (codes < size).
 
@@ -78,17 +82,6 @@ class RecordTable:
             for b, n in enumerate(counts)
         ]
         return counts, means
-
-
-@dataclass(frozen=True)
-class TransactionSet:
-    """Campaigns viewed as market-basket transactions."""
-
-    transactions: tuple  # ((campaign_id, frozenset of items), ...)
-    item_universe: frozenset
-
-    def __len__(self) -> int:
-        return len(self.transactions)
 
 
 def parse_records(
@@ -157,33 +150,13 @@ def parse_records(
     return RecordTable(tuple(campaign_codes), tuple(item_codes), *codes, floats)
 
 
-def group_campaigns(table: RecordTable) -> TransactionSet:
-    """One transaction per campaign, in order of first appearance.
-
-    Transaction i is the campaign with code i, `table.campaign_labels[i]`,
-    whenever every label has a row (as in a parsed table).
-    """
-    width = max(len(table.item_labels), 1)
-    campaign, item = np.divmod(np.unique(table.campaign * width + table.item), width)
-    starts = np.flatnonzero(np.diff(campaign, prepend=-1)).tolist()
-    labels = [table.item_labels[i] for i in item.tolist()]
-    itemsets = {
-        c: frozenset(labels[a:z])
-        for c, a, z in zip(campaign[starts].tolist(), starts, starts[1:] + [len(labels)])
-    }
-    codes, first = np.unique(table.campaign, return_index=True)
-    order = codes[np.argsort(first)].tolist()
-    transactions = tuple((table.campaign_labels[c], itemsets[c]) for c in order)
-    return TransactionSet(transactions, frozenset(table.item_counts()))
-
-
-def assign_windows(transactions: TransactionSet, window_count: int) -> tuple:
-    """Stage ends for contiguous windows, remainder to the earliest.
+def assign_windows(table: RecordTable, window_count: int) -> tuple:
+    """Stage ends for contiguous windows of the table's campaigns, remainder to the earliest.
 
     Entry s is the number of campaigns in windows 0..s, so stage s is the
-    prefix transactions[:ends[s]], the campaign codes below ends[s].
+    campaign codes below ends[s].
     """
-    n = len(transactions)
+    n = len(table.campaign_labels)
     if window_count < 1:
         raise InvalidArgumentError("window_count must be >= 1")
     if window_count > n:
@@ -194,9 +167,11 @@ def assign_windows(transactions: TransactionSet, window_count: int) -> tuple:
     return tuple((w + 1) * q + min(w + 1, r) for w in range(window_count))
 
 
-def campaign_diversity_histogram(transactions: TransactionSet) -> dict:
-    """Histogram of the number of distinct items per campaign."""
-    return dict(sorted(Counter(len(items) for _, items in transactions.transactions).items()))
+def campaign_diversity_histogram(table: RecordTable) -> dict:
+    """Histogram of the number of distinct items per campaign that has rows."""
+    campaign, _ = table.campaign_items()
+    sizes, campaigns = np.unique(np.bincount(campaign), return_counts=True)
+    return {k: n for k, n in zip(sizes.tolist(), campaigns.tolist()) if k}
 
 
 def slabs_per_item_histogram(table: RecordTable) -> dict:

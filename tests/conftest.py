@@ -40,7 +40,6 @@ from gradenet.records import (
     CAMPAIGN_COLUMN,
     ITEM_COLUMN,
     RecordTable,
-    TransactionSet,
 )
 from gradenet.synth import ProductionRecord
 
@@ -83,19 +82,8 @@ def worked_itemsets():
 
 # Label-keyed views of the package's kernels that only the tests call: one
 # co-selection graph, per-node clustering and betweenness, per-edge
-# betweenness, transactions from bare item sets, and the Graph copy, edge
-# removal and lookups that only the oracles below use.
-
-
-def from_itemsets(itemsets, ids=None) -> TransactionSet:
-    """Transactions t0, t1, ... (or `ids`) holding the given non-empty item sets."""
-    itemsets = [frozenset(s) for s in itemsets]
-    if any(not s for s in itemsets):
-        raise InvalidArgumentError("transactions must be non-empty item sets")
-    if ids is None:
-        ids = [f"t{i}" for i in range(len(itemsets))]
-    universe = frozenset().union(*itemsets) if itemsets else frozenset()
-    return TransactionSet(tuple(zip(ids, itemsets)), universe)
+# betweenness, and the Graph copy, edge removal and lookups that only the
+# oracles below use.
 
 
 def copy_graph(graph: Graph) -> Graph:
@@ -119,20 +107,17 @@ def has_edge(graph: Graph, u, v) -> bool:
 
 
 def build_graph(
-    transactions: TransactionSet,
-    records: RecordTable | None = None,
+    records: RecordTable,
     min_support: float = 0.0,
     min_lift: float = 1.0,
 ) -> CoSelectionGraph:
-    """The co-selection network of all the transactions: `cumulative_graphs` with one prefix.
+    """The co-selection network of every campaign of `records`: `cumulative_graphs` with one stage.
 
-    Transaction i is campaign code i of `records`, so the records of later
-    campaign codes do not count. Without records no node has attribute means.
+    The stage is the campaign codes up to the largest one with rows, so a
+    table taken down to a prefix of campaign codes gives that prefix's network.
     """
-    rows = transactions.transactions
-    if records is None:
-        records = RecordTable((), (), np.zeros(0, np.intp), np.zeros(0, np.intp), {})
-    return cumulative_graphs(rows, (len(rows),), records, min_support, min_lift)[0]
+    end = int(records.campaign.max()) + 1 if len(records) else 0
+    return cumulative_graphs(records, (end,), min_support, min_lift)[0]
 
 
 def clustering_all(graph: Graph) -> dict:
@@ -502,6 +487,46 @@ def monte_carlo_radius(
         else:
             hi = mid
     return mid
+
+
+# Campaigns as market-basket transactions, the view the pair counter read
+# before it counted from the record table: one frozenset of items per
+# campaign. The scalar supports and the rebuild oracles below read it.
+
+
+@dataclass(frozen=True)
+class TransactionSet:
+    """Campaigns viewed as market-basket transactions."""
+
+    transactions: tuple  # ((campaign_id, frozenset of items), ...)
+    item_universe: frozenset
+
+    def __len__(self) -> int:
+        return len(self.transactions)
+
+
+def group_campaigns(table: RecordTable) -> TransactionSet:
+    """One transaction per campaign that has rows, in order of first appearance."""
+    itemsets: dict = {}
+    for c, i in zip(table.campaign.tolist(), table.item.tolist()):
+        itemsets.setdefault(table.campaign_labels[c], set()).add(table.item_labels[i])
+    transactions = tuple((cid, frozenset(items)) for cid, items in itemsets.items())
+    return TransactionSet(transactions, frozenset().union(*itemsets.values()))
+
+
+def itemsets_table(itemsets) -> RecordTable:
+    """A table of campaigns t0, t1, ... with one row per item of each non-empty item set."""
+    itemsets = [sorted(s) for s in itemsets]
+    if any(not s for s in itemsets):
+        raise InvalidArgumentError("transactions must be non-empty item sets")
+    return record_table(
+        [ProductionRecord(f"t{c}", item, {}) for c, items in enumerate(itemsets) for item in items]
+    )
+
+
+def from_itemsets(itemsets) -> TransactionSet:
+    """Transactions t0, t1, ... holding the given non-empty item sets."""
+    return group_campaigns(itemsets_table(itemsets))
 
 
 # Scalar reference functions the package itself does not use: single-pair

@@ -27,7 +27,7 @@ from gradenet.nullmodels import (
     switch_randomize,
 )
 from gradenet.pipeline import AnalysisConfig, run_analysis
-from gradenet.records import group_campaigns, parse_records
+from gradenet.records import parse_records
 from gradenet.stats import ensemble_zscores, kendall, midranks, pearson, spearman
 from gradenet.synth import generate, planted_two_band_config
 
@@ -43,6 +43,7 @@ from conftest import (
     clustering_coefficient,
     from_itemsets,
     graph_from_adjacency,
+    itemsets_table,
     kendall_exhaustive,
     lift,
     random_graph,
@@ -85,10 +86,11 @@ def test_acceptance_1_metric_oracles():
 def test_acceptance_2_formula_fixtures():
     ts = from_itemsets(WORKED_ITEMSETS)
     assert lift("C", "D", ts) == pytest.approx(4.0 / 3.0, abs=1e-12)
-    assert build_graph(ts).edge_lift[("C", "D")] == pytest.approx(4.0 / 3.0, abs=1e-12)
+    cograph = build_graph(itemsets_table(WORKED_ITEMSETS))
+    assert cograph.edge_lift[("C", "D")] == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     records = parse_records(SNAPSHOT_CSV)
-    cograph = build_graph(group_campaigns(records), records)
+    cograph = build_graph(records)
     components = connected_components(cograph.graph)
     assert [sorted(c) for c in components] == [["1", "2"], ["3", "4"]]
     means = []

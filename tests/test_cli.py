@@ -16,7 +16,7 @@ from gradenet.cli import main
 from gradenet.errors import InvalidArgumentError
 from gradenet.exports import dot_dumps, graphml_dumps, records_csv_dumps
 from gradenet.pipeline import AnalysisConfig, run_analysis, zscore_rows
-from gradenet.records import group_campaigns, parse_records
+from gradenet.records import parse_records
 from gradenet.stats import STATISTICS
 
 from conftest import (
@@ -93,7 +93,7 @@ def test_byte_order_mark_is_ignored(tmp_path, input_csv):
 
 def test_export_round_trip_preserves_graph():
     records = parse_records(SNAPSHOT_CSV)
-    cograph = build_graph(group_campaigns(records), records)
+    cograph = build_graph(records)
     for dumps, loads in ((graphml_dumps, graphml_loads), (dot_dumps, dot_loads)):
         nodes, edges = loads(dumps(cograph))
         assert nodes == cograph.graph.nodes()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import string
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,17 @@ from gradenet.nullmodels import SeedStream
 from gradenet.records import (
     assign_windows,
     campaign_diversity_histogram,
-    group_campaigns,
     parse_records,
     slabs_per_item_histogram,
 )
 from gradenet.synth import generate, planted_two_band_config
-from conftest import assert_table_matches, from_itemsets, row_parse_records, table_records
+from conftest import (
+    assert_table_matches,
+    group_campaigns,
+    itemsets_table,
+    row_parse_records,
+    table_records,
+)
 
 
 def test_parse_snapshot(snapshot_csv):
@@ -114,33 +120,39 @@ def test_group_campaigns_membership(snapshot_csv):
     for rec in table_records(table):
         assert rec.item in by_id[rec.campaign_id]
     assert transactions.item_universe == frozenset("1234")
+    campaign, item = table.campaign_items()
+    assert campaign.tolist() == [0, 0, 1, 1] and item.tolist() == [0, 1, 2, 3]
 
 
 def test_group_campaigns_first_appearance_order():
     text = "campaign,grade\nB,1\nA,2\nB,3\n"
-    transactions = group_campaigns(parse_records(text))
+    table = parse_records(text)
+    transactions = group_campaigns(table)
     assert [cid for cid, _ in transactions.transactions] == ["B", "A"]
     assert dict(transactions.transactions)["B"] == frozenset({"1", "3"})
+    # campaign code i is the i-th campaign to appear, so the pairs sort by appearance
+    pairs = zip(*(column.tolist() for column in table.campaign_items()))
+    labelled = [(table.campaign_labels[c], table.item_labels[i]) for c, i in pairs]
+    assert labelled == [("B", "1"), ("B", "3"), ("A", "2")]
 
 
 def test_assign_windows_balanced():
-    transactions = from_itemsets([{"x"}] * 10)
+    table = itemsets_table([{"x"}] * 10)
     # window sizes 4, 3, 3: the remainder goes to the earliest windows
-    assert assign_windows(transactions, 3) == (4, 7, 10)
+    assert assign_windows(table, 3) == (4, 7, 10)
 
 
 def test_assign_windows_bounds():
-    transactions = from_itemsets([{"x"}] * 3)
+    table = itemsets_table([{"x"}] * 3)
     with pytest.raises(InvalidArgumentError):
-        assign_windows(transactions, 0)
+        assign_windows(table, 0)
     with pytest.raises(InvalidArgumentError):
-        assign_windows(transactions, 4)
+        assign_windows(table, 4)
 
 
 def test_histograms(snapshot_csv):
     table = parse_records(snapshot_csv)
-    transactions = group_campaigns(table)
-    assert campaign_diversity_histogram(transactions) == {2: 2}
+    assert campaign_diversity_histogram(table) == {2: 2}
     assert slabs_per_item_histogram(table) == {"1": 1, "2": 1, "3": 1, "4": 1}
 
 
@@ -164,7 +176,11 @@ def test_histogram_totals_property(rows):
     text = "campaign,grade\n" + "".join(f"{c},{i}\n" for c, i in rows)
     table = parse_records(text)
     transactions = group_campaigns(table)
-    assert sum(campaign_diversity_histogram(transactions).values()) == len(transactions)
+    histogram = campaign_diversity_histogram(table)
+    assert sum(histogram.values()) == len(transactions)
+    oracle = Counter(len(items) for _, items in transactions.transactions)
+    # equal reprs: keys and counts are Python ints, keys ascending
+    assert repr(histogram) == repr(dict(sorted(oracle.items())))
     assert sum(slabs_per_item_histogram(table).values()) == len(table)
     # each campaign's transaction holds exactly its records' items
     records = table_records(table)
@@ -178,18 +194,22 @@ def test_histogram_totals_property(rows):
     # transaction i is campaign code i
     assert [cid for cid, _ in transactions.transactions] == list(table.campaign_labels)
     assert transactions.item_universe == frozenset(rec.item for rec in records)
+    # campaign_items is the same membership as (code, code) pairs, sorted
+    pairs = list(zip(*(column.tolist() for column in table.campaign_items())))
+    assert pairs == sorted(set(zip(table.campaign.tolist(), table.item.tolist())))
 
 
 @given(record_rows(), st.integers(min_value=1, max_value=8))
 @settings(max_examples=100)
 def test_window_property(rows, window_count):
     text = "campaign,grade\n" + "".join(f"{c},{i}\n" for c, i in rows)
-    transactions = group_campaigns(parse_records(text))
+    table = parse_records(text)
+    transactions = group_campaigns(table)
     if window_count > len(transactions):
         with pytest.raises(InvalidArgumentError):
-            assign_windows(transactions, window_count)
+            assign_windows(table, window_count)
         return
-    ends = assign_windows(transactions, window_count)
+    ends = assign_windows(table, window_count)
     assert len(ends) == window_count and ends[-1] == len(transactions)
     sizes = [end - start for start, end in zip((0, *ends), ends)]
     assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1

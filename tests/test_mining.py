@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradenet.errors import InvalidArgumentError
-from gradenet.records import TransactionSet, group_campaigns, parse_records
+from gradenet.records import parse_records
 from conftest import (
+    TransactionSet,
     UndefinedLiftError,
     build_graph,
     from_itemsets,
+    itemsets_table,
     lift,
     pair_stats,
     support_pair,
@@ -25,7 +27,8 @@ def test_worked_example_supports(worked_itemsets):
     assert support_single("D", ts) == 0.75
     assert support_pair("C", "D", ts) == 0.75
     assert lift("C", "D", ts) == pytest.approx(4.0 / 3.0, abs=1e-15)
-    assert build_graph(ts).edge_lift[("C", "D")] == pytest.approx(4.0 / 3.0, abs=1e-15)
+    cograph = build_graph(itemsets_table(worked_itemsets))
+    assert cograph.edge_lift[("C", "D")] == pytest.approx(4.0 / 3.0, abs=1e-15)
 
 
 def test_lift_symmetry(worked_itemsets):
@@ -54,36 +57,37 @@ def test_pair_stats_consistency(worked_itemsets):
     stats = pair_stats("D", "C", ts)
     assert (stats.item_a, stats.item_b) == ("C", "D")
     assert stats.lift == stats.support_pair / (stats.support_a * stats.support_b)
-    assert build_graph(ts, min_lift=0.0).edge_lift[("C", "D")] == stats.lift
+    cograph = build_graph(itemsets_table(worked_itemsets), min_lift=0.0)
+    assert cograph.edge_lift[("C", "D")] == stats.lift
 
 
 def test_build_graph_snapshot(snapshot_csv):
     records = parse_records(snapshot_csv)
-    cograph = build_graph(group_campaigns(records), records)
+    cograph = build_graph(records)
     assert cograph.graph.edges() == [("1", "2"), ("3", "4")]
     assert cograph.edge_lift[("1", "2")] == pytest.approx(2.0)
     assert cograph.node_attributes["1"]["carbon"] == pytest.approx(0.010)
 
 
 def test_build_graph_empty():
-    cograph = build_graph(TransactionSet((), frozenset()))
+    cograph = build_graph(itemsets_table([]))
     assert cograph.graph.number_of_nodes() == 0
 
 
 def test_build_graph_thresholds(worked_itemsets):
-    ts = from_itemsets(worked_itemsets)
-    cograph = build_graph(ts, min_lift=4.0 / 3.0)
+    table = itemsets_table(worked_itemsets)
+    cograph = build_graph(table, min_lift=4.0 / 3.0)
     assert ("C", "D") in cograph.edge_lift
-    cograph_strict = build_graph(ts, min_lift=4.0 / 3.0 + 1e-9)
+    cograph_strict = build_graph(table, min_lift=4.0 / 3.0 + 1e-9)
     assert ("C", "D") not in cograph_strict.edge_lift
 
 
 def test_build_graph_validates_thresholds(worked_itemsets):
-    ts = from_itemsets(worked_itemsets)
+    table = itemsets_table(worked_itemsets)
     with pytest.raises(InvalidArgumentError):
-        build_graph(ts, min_support=1.5)
+        build_graph(table, min_support=1.5)
     with pytest.raises(InvalidArgumentError):
-        build_graph(ts, min_lift=float("nan"))
+        build_graph(table, min_lift=float("nan"))
 
 
 itemsets_strategy = st.lists(
@@ -97,7 +101,7 @@ itemsets_strategy = st.lists(
 @settings(max_examples=150)
 def test_support_bounds_property(itemsets):
     ts = from_itemsets(itemsets)
-    edge_lift = build_graph(ts, min_lift=0.0).edge_lift
+    edge_lift = build_graph(itemsets_table(itemsets), min_lift=0.0).edge_lift
     items = sorted(ts.item_universe)
     for i, a in enumerate(items):
         sa = support_single(a, ts)
@@ -122,12 +126,12 @@ def test_support_bounds_property(itemsets):
 )
 @settings(max_examples=100)
 def test_threshold_monotonicity_property(itemsets, min_support, min_lift):
-    ts = from_itemsets(itemsets)
-    loose = build_graph(ts, min_support=min_support, min_lift=min_lift)
-    tighter = build_graph(ts, min_support=min_support, min_lift=min_lift + 0.25)
+    table = itemsets_table(itemsets)
+    loose = build_graph(table, min_support=min_support, min_lift=min_lift)
+    tighter = build_graph(table, min_support=min_support, min_lift=min_lift + 0.25)
     assert set(tighter.graph.edges()) <= set(loose.graph.edges())
     higher_support = build_graph(
-        ts, min_support=min(1.0, min_support + 0.25), min_lift=min_lift
+        table, min_support=min(1.0, min_support + 0.25), min_lift=min_lift
     )
     assert set(higher_support.graph.edges()) <= set(loose.graph.edges())
 

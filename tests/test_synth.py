@@ -7,9 +7,8 @@ import pytest
 from gradenet.errors import GenerationError, InvalidArgumentError
 from gradenet.graph import connected_components
 from gradenet.nullmodels import SeedStream
-from gradenet.records import group_campaigns
 from gradenet.synth import Band, PlannerConfig, generate, planted_two_band_config
-from conftest import build_graph, record_table
+from conftest import build_graph, group_campaigns, record_table
 
 
 def small_config(**overrides):
@@ -37,7 +36,7 @@ def test_band_purity_and_components():
     transactions = group_campaigns(table)
     for _, items in transactions.transactions:
         assert len({band_of[item] for item in items}) == 1
-    cograph = build_graph(transactions, table)
+    cograph = build_graph(table)
     components = connected_components(cograph.graph)
     assert len(components) == 2
     for component in components:
@@ -83,7 +82,7 @@ def test_single_item_band():
     records = generate(config, SeedStream.from_seed(6).generator())
     assert {rec.item for rec in records} == {"X"}
     table = record_table(records)
-    cograph = build_graph(group_campaigns(table), table)
+    cograph = build_graph(table)
     assert cograph.graph.nodes() == ["X"]
     assert cograph.graph.number_of_edges() == 0
 
