@@ -84,7 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--component", default="largest",
         help="'largest' or 'min-mean:<attribute>' (e.g. min-mean:carbon)",
     )
-    analyze.add_argument("--swap-multiplier", type=float, default=10.0)
+    analyze.add_argument(
+        "--swap-multiplier", type=float, default=10.0,
+        help="DEGSEQ swap proposals per edge",
+    )
 
     synth = sub.add_parser("synth", help="generate synthetic records from a planner config")
     synth.add_argument("config", type=Path)

@@ -48,8 +48,8 @@ class SeedStream:
 class NullModelSpec:
     """Parameters of one randomized-graph family.
 
-    kind: "ER" (n, m), "DEGSEQ" (source graph, swap multiplier) or
-    "GRG" (n, radius).
+    kind: "ER" (n, m), "DEGSEQ" (source graph, swap proposals per edge)
+    or "GRG" (n, radius).
     """
 
     kind: str
@@ -83,19 +83,21 @@ def er_gnm(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 def switch_randomize(graph: Graph, swap_multiplier: float, rng: np.random.Generator) -> np.ndarray:
     """Degree-preserving double-edge-swap randomization.
 
-    Performs ceil(swap_multiplier * m) successful swaps: two edges with four
-    distinct endpoints are rewired iff neither replacement edge exists.
-    Gives up after max(10 000, 200 * target) attempts. Graphs with no
-    swappable edge pair come back unchanged. Returns the n x n bool adjacency
-    in `graph.nodes()` order.
+    Runs exactly ceil(swap_multiplier * m) swap proposals. A proposal picks
+    two edges (a, b) and (c, d), each with a uniform orientation, and
+    rewires them to (a, d) and (c, b) iff the four endpoints are distinct and
+    neither replacement edge exists; a rejected proposal is a step that keeps
+    the graph, so the chain's stationary law is uniform over the simple
+    graphs with the source's degree sequence. Returns the n x n bool
+    adjacency in `graph.nodes()` order.
     """
-    if swap_multiplier <= 0:
-        raise InvalidArgumentError("swap multiplier must be positive")
+    if not 0 < swap_multiplier < math.inf:
+        raise InvalidArgumentError("swap multiplier must be positive and finite")
     labels = graph.nodes()
     index = {v: i for i, v in enumerate(labels)}
     n = len(labels)
-    # edge k is (ends[2k], ends[2k + 1]) with the smaller index first;
-    # slot 2k + flip is the endpoint a flip selects as "first"
+    # edge k is (ends[2k], ends[2k + 1]); slot 2k + flip is the endpoint a
+    # flip selects as "first"
     ends = [index[v] for edge in graph.edges() for v in edge]
     adj = bytearray(n * n)
     for u, v in zip(ends[::2], ends[1::2]):
@@ -106,26 +108,19 @@ def switch_randomize(graph: Graph, swap_multiplier: float, rng: np.random.Genera
     return np.frombuffer(adj, dtype=bool).reshape(n, n)
 
 
-def _swap(ends: list, adj: bytearray, n: int, target: int, rng: np.random.Generator) -> None:
+def _swap(ends: list, adj: bytearray, n: int, proposals: int, rng: np.random.Generator) -> None:
     """Run the swap chain in place on the edge endpoints and flat adjacency."""
     m = len(ends) // 2
-    successes = 0
-    attempts = 0
-    max_attempts = max(10_000, 200 * target)
     block = 4096
-    while successes < target and attempts < max_attempts:
-        idx = rng.integers(0, m, size=(block, 2))
-        flips = rng.integers(0, 2, size=(block, 2))
-        budget = max_attempts - attempts
-        attempts += block
-        first = 2 * idx[:budget, 0] + flips[:budget, 0]
-        second = 2 * idx[:budget, 1] + flips[:budget, 1]
-        distinct = idx[:budget, 0] != idx[:budget, 1]
-        for p, q in zip(first[distinct].tolist(), second[distinct].tolist()):
+    for start in range(0, proposals, block):
+        size = min(block, proposals - start)
+        slots = 2 * rng.integers(0, m, size=(size, 2)) + rng.integers(0, 2, size=(size, 2))
+        for p, q in slots.tolist():
             a = ends[p]
             b = ends[p ^ 1]
             c = ends[q]
             d = ends[q ^ 1]
+            # a repeated edge (p >> 1 == q >> 1) shares endpoints too
             if a == c or a == d or b == c or b == d:
                 continue
             ad = a * n + d
@@ -134,23 +129,8 @@ def _swap(ends: list, adj: bytearray, n: int, target: int, rng: np.random.Genera
                 continue
             adj[a * n + b] = adj[b * n + a] = adj[c * n + d] = adj[d * n + c] = 0
             adj[ad] = adj[d * n + a] = adj[cb] = adj[b * n + c] = 1
-            p &= -2
-            q &= -2
-            if a < d:
-                ends[p] = a
-                ends[p + 1] = d
-            else:
-                ends[p] = d
-                ends[p + 1] = a
-            if c < b:
-                ends[q] = c
-                ends[q + 1] = b
-            else:
-                ends[q] = b
-                ends[q + 1] = c
-            successes += 1
-            if successes == target:
-                return
+            ends[p ^ 1] = d
+            ends[q ^ 1] = b
 
 
 def random_geometric(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:

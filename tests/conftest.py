@@ -371,56 +371,38 @@ def graph_switch_randomize(
 ) -> Graph:
     """Degree-preserving double-edge-swap randomization.
 
-    Performs ceil(swap_multiplier * m) successful swaps: two edges with four
-    distinct endpoints are rewired iff neither replacement edge exists.
-    Graphs with no swappable edge pair come back as a plain copy.
+    Runs exactly ceil(swap_multiplier * m) proposals, drawn in blocks of at
+    most 4096: edges i and j, read as (a, b) and (c, d) after their flips,
+    become (a, d) and (c, b) iff a, b, c, d are distinct and neither
+    replacement edge exists. A rejected proposal keeps the graph.
     """
-    if swap_multiplier <= 0:
-        raise InvalidArgumentError("swap multiplier must be positive")
+    if not 0 < swap_multiplier < math.inf:
+        raise InvalidArgumentError("swap multiplier must be positive and finite")
     rng = rng if rng is not None else np.random.default_rng()
     result = copy_graph(graph)
-    edges = result.edges()
+    edges = [list(e) for e in result.edges()]
     m = len(edges)
     if m < 2:
         return result
-    target = math.ceil(swap_multiplier * m)
-    edge_set = set(edges)
-    successes = 0
-    attempts = 0
-    max_attempts = max(10_000, 200 * target)
+    proposals = math.ceil(swap_multiplier * m)
     block = 4096
-    while successes < target and attempts < max_attempts:
-        idx = rng.integers(0, m, size=(block, 2))
-        flips = rng.integers(0, 2, size=(block, 2))
+    for start in range(0, proposals, block):
+        size = min(block, proposals - start)
+        idx = rng.integers(0, m, size=(size, 2))
+        flips = rng.integers(0, 2, size=(size, 2))
         for (i, j), (fi, fj) in zip(idx.tolist(), flips.tolist()):
-            attempts += 1
-            if successes >= target or attempts > max_attempts:
-                break
-            if i == j:
+            a, b = edges[i][fi], edges[i][1 - fi]
+            c, d = edges[j][fj], edges[j][1 - fj]
+            if len({a, b, c, d}) < 4:
                 continue
-            a, b = edges[i]
-            c, d = edges[j]
-            if fi:
-                a, b = b, a
-            if fj:
-                c, d = d, c
-            if a == c or a == d or b == c or b == d:
+            if has_edge(result, a, d) or has_edge(result, c, b):
                 continue
-            new1 = (a, d) if a <= d else (d, a)
-            new2 = (c, b) if c <= b else (b, c)
-            if new1 in edge_set or new2 in edge_set:
-                continue
-            edge_set.discard(edges[i])
-            edge_set.discard(edges[j])
-            edge_set.add(new1)
-            edge_set.add(new2)
-            remove_edge(result, *edges[i])
-            remove_edge(result, *edges[j])
-            result.add_edge(*new1)
-            result.add_edge(*new2)
-            edges[i] = new1
-            edges[j] = new2
-            successes += 1
+            remove_edge(result, a, b)
+            remove_edge(result, c, d)
+            result.add_edge(a, d)
+            result.add_edge(c, b)
+            edges[i][1 - fi] = d
+            edges[j][1 - fj] = b
     return result
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -91,8 +92,9 @@ def test_switch_randomize_small_inputs():
     rng = np.random.default_rng(3)
     single = Graph(edges=[(0, 1)])
     assert graph_from_adjacency([0, 1], switch_randomize(single, 10.0, rng)).edges() == [(0, 1)]
-    with pytest.raises(InvalidArgumentError):
-        switch_randomize(single, 0.0, rng)
+    for multiplier in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError):
+            switch_randomize(single, multiplier, rng)
 
 
 def test_switch_randomize_mixing():
@@ -324,27 +326,58 @@ def test_switch_randomize_single_edge_matches_graph_oracle(graph):
     )
 
 
-@pytest.mark.parametrize("k", [5, 6])
-def test_switch_randomize_complete_graph_matches_graph_oracle(k):
-    # no swap is possible, so the chain spends its whole attempt budget;
-    # K5's budget of 20 000 attempts ends in a partial block of 3616
-    complete = Graph(edges=[(u, v) for u in range(k) for v in range(u + 1, k)])
+def _complete_minus(k: int, missing=()) -> Graph:
+    pairs = itertools.combinations(range(k), 2)
+    return Graph(edges=[(u, v) for u, v in pairs if (u, v) not in missing])
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [_complete_minus(5), _complete_minus(6), _complete_minus(8, {(0, 1), (2, 3)})],
+    ids=["5", "6", "8-minus-01-23"],
+)
+def test_switch_randomize_complete_graph_matches_graph_oracle(graph):
+    # K5 and K6 admit no swap at all; in K8 without two disjoint edges about
+    # 0.3 % of proposals are accepted
     assert_same_draws(
-        lambda r: switch_randomize(complete, 10.0, r),
-        lambda r: graph_switch_randomize(complete, 10.0, r),
+        lambda r: switch_randomize(graph, 10.0, r),
+        lambda r: graph_switch_randomize(graph, 10.0, r),
         14,
     )
 
 
-@pytest.mark.parametrize("seed", [182, 216])
-def test_switch_randomize_budget_boundary_matches_graph_oracle(seed):
-    # K8 without two disjoint edges: about 0.3 % of attempts succeed, so the
-    # 52 000-attempt budget runs out before the 260 target swaps. With seed
-    # 216 attempt 52 000 succeeds; with seed 182 attempt 52 001 would.
-    missing = {(0, 1), (2, 3)}
-    g = Graph(edges=[(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) not in missing])
-    assert_same_draws(
-        lambda r: switch_randomize(g, 10.0, r),
-        lambda r: graph_switch_randomize(g, 10.0, r),
-        seed,
-    )
+def _realizations(degrees) -> list:
+    """Every simple graph on range(len(degrees)) with this degree sequence, as an adjacency."""
+    n = len(degrees)
+    out = []
+    for edges in itertools.combinations(itertools.combinations(range(n), 2), sum(degrees) // 2):
+        a = np.zeros((n, n), dtype=bool)
+        a[tuple(np.array(edges).T)] = True
+        a |= a.T
+        if a.sum(axis=1).tolist() == list(degrees):
+            out.append(a)
+    return out
+
+
+# critical values are chi-square quantiles at p = 1e-3 for (realizations - 1)
+# degrees of freedom, fixed before the test was run; two triangles offer 72
+# valid proposals and a hexagon 48, so a chain that counts only accepted
+# swaps over-weights the triangles by half
+@pytest.mark.parametrize(
+    "degrees, count, critical",
+    [((3, 3, 2, 2, 2, 2), 54, 90.57), ((2, 2, 2, 2, 2, 2), 70, 111.06)],
+    ids=["332222", "222222"],
+)
+def test_switch_randomize_uniform_over_realizations(degrees, count, critical):
+    realizations = _realizations(degrees)
+    assert len(realizations) == count
+    index = {a.tobytes(): k for k, a in enumerate(realizations)}
+    source = graph_from_adjacency(range(len(degrees)), realizations[0])
+    rng = np.random.default_rng(15)
+    chains = 20_000
+    observed = np.zeros(count)
+    for _ in range(chains):
+        observed[index[switch_randomize(source, 20.0, rng).tobytes()]] += 1
+    expected = chains / count
+    chi_square = ((observed - expected) ** 2 / expected).sum()
+    assert chi_square < critical
