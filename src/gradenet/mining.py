@@ -50,6 +50,8 @@ def cumulative_graphs(records, ends, min_support: float, min_lift: float) -> lis
     rank[order] = np.arange(len(labels))
     campaign, items = records.campaign_items()
     counts = np.zeros((len(labels), len(labels)), np.int64)
+    # rows from suffix_min.searchsorted(end) on all belong to campaigns >= end
+    suffix_min = np.minimum.accumulate(records.campaign[::-1])[::-1]
     graphs = []
     total = 0
     for end in ends:
@@ -71,9 +73,10 @@ def cumulative_graphs(records, ends, min_support: float, min_lift: float) -> lis
         edge_lift = {(names[a], names[b]): value for a, b, value in pairs}
         occurs = np.flatnonzero(single)
         nodes = [names[k] for k in occurs[single[occurs] / total >= min_support].tolist()]
-        # records of later campaigns fall in the extra bin len(labels)
-        bins = np.where(records.campaign < end, records.item, len(labels))
-        means = dict(zip(labels, records.bin_means(bins, len(labels) + 1)[1]))
+        # fold the rows up to the stage's last; later campaigns among them go to bin len(labels)
+        head = records.take(slice(suffix_min.searchsorted(end)))
+        bins = np.where(head.campaign < end, head.item, len(labels))
+        means = dict(zip(labels, head.bin_means(bins, len(labels) + 1)[1]))
         node_attributes = {item: means[item] for item in nodes if means.get(item)}
         g = Graph(nodes=nodes, edges=edge_lift)
         graphs.append(CoSelectionGraph(g, edge_lift, node_attributes))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from array import array
 from dataclasses import dataclass, replace
 
@@ -33,6 +34,9 @@ ATTRIBUTE_COLUMNS = (
 # sign constraints enforced at parse time, keyed by column name
 _POSITIVE = {"width_mm", "thickness_mm"}
 _NONNEGATIVE = {"carbon", "manganese", "silicon", "titanium"}
+_NONBLANK = re.compile(r"\S")
+# np.loadtxt arguments that read the rows after the header line as csv.reader does
+_BODY = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2, encoding="utf-8")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,12 +100,20 @@ def parse_records(
     attribute columns present in the header are used. One leading UTF-8
     byte-order mark is dropped. Rows are checked one at a time, so the
     first bad cell in file order is the one reported.
+
+    The body is read by numpy's C reader when it can be; any input that
+    reader rejects or that fails a check goes to the row loop, which is
+    the only code that reports a bad row.
     """
-    reader = csv.reader(io.StringIO(csv_text.removeprefix("\ufeff")))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("input has no header row") from None
+        table = _read_columns(csv_text, item_column, attribute_columns)
+    except (ValueError, csv.Error):  # ValueError includes UnicodeError
+        table = None
+    return _read_rows(csv_text, item_column, attribute_columns) if table is None else table
+
+
+def _columns(header: list, item_column: str, attribute_columns) -> tuple:
+    """The attribute columns to read and each header name's column, after the schema checks."""
     header = [h.strip() for h in header]
     if attribute_columns is None:
         attribute_columns = [c for c in ATTRIBUTE_COLUMNS if c in header]
@@ -110,12 +122,63 @@ def parse_records(
             raise SchemaError(f"missing required column: {required}")
         if header.count(required) > 1:
             raise SchemaError(f"duplicate column: {required}")
-    col = {name: header.index(name) for name in header}
-    width = max(col[c] for c in (CAMPAIGN_COLUMN, item_column, *attribute_columns))
+    return list(dict.fromkeys(attribute_columns)), {name: header.index(name) for name in header}
+
+
+def _read_columns(csv_text: str, item_column: str, attribute_columns):
+    """The table from np.loadtxt, or None where only the row loop can decide.
+
+    The C reader splits, unquotes and skips blank lines as csv does, and
+    reads a number only where float() reads the same value, so a table
+    that passes every check of the row loop is the row loop's table. The
+    first line is the header only when it holds no quote, which could carry
+    a field over a line end. Text with a NUL is left to the row loop, as csv
+    before Python 3.11 rejects it.
+    """
+    end = csv_text.find("\n") + 1
+    first = csv_text[csv_text.startswith("\ufeff") : end]
+    if not end or '"' in first or "\x00" in csv_text or not _NONBLANK.search(csv_text, end):
+        return None
+    names, col = _columns(next(csv.reader([first])), item_column, attribute_columns)
+    data = csv_text.encode("utf-8")  # one UTF-8 copy: never a UCS-4 StringIO of the text
+    usecols = [col[name] for name in names]
+    values = np.loadtxt(io.BytesIO(data), np.float64, usecols=usecols, **_BODY).T.copy()
+    campaign_at, item_at = col[CAMPAIGN_COLUMN], col[item_column]
+    # stripped label -> code in order of first appearance, one dict per label column
+    labels = {campaign_at: {}, item_at: {}}
+    converters = {
+        at: lambda cell, seen=seen: seen.setdefault(cell.strip(), len(seen))
+        for at, seen in labels.items()
+    }
+    codes = np.loadtxt(
+        io.BytesIO(data), np.intp, usecols=list(labels), converters=converters, **_BODY
+    )
+    codes = dict(zip(labels, codes.T.copy()))
+    campaigns, items = labels[campaign_at], labels[item_at]
+    if "" in campaigns or "" in items or not np.isfinite(values).all():
+        return None
+    for name, column in zip(names, values):
+        low = column.min()
+        if (name in _POSITIVE and low <= 0) or (name in _NONNEGATIVE and low < 0):
+            return None
+    return RecordTable(
+        tuple(campaigns), tuple(items), codes[campaign_at], codes[item_at], dict(zip(names, values))
+    )
+
+
+def _read_rows(csv_text: str, item_column: str, attribute_columns) -> RecordTable:
+    """The row loop: csv.reader over the text, every cell checked in file order."""
+    reader = csv.reader(io.StringIO(csv_text.removeprefix("\ufeff")))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("input has no header row") from None
+    names, col = _columns(header, item_column, attribute_columns)
+    width = max(col[c] for c in (CAMPAIGN_COLUMN, item_column, *names))
 
     campaign_codes, item_codes = {}, {}
     campaigns, items = array("q"), array("q")
-    columns = {name: array("d") for name in attribute_columns}
+    columns = {name: array("d") for name in names}
     checks = [(n, col[n], columns[n].append, n in _POSITIVE, n in _NONNEGATIVE) for n in columns]
     for line_no, row in enumerate(reader, start=2):
         if not row:
