@@ -108,23 +108,20 @@ def group_summary(groups, records: RecordTable) -> list:
 
 def prune_minor_groups(
     graph: Graph,
-    partition,
-    records: RecordTable,
+    groups,
+    summaries,
     slab_frequency_floor: float,
 ) -> Graph:
-    """Subgraph induced by groups whose slab frequency reaches the floor."""
+    """Subgraph induced by the groups whose slab frequency reaches the floor.
+
+    `summaries` is `group_summary(groups, records)`, one GroupSummary per group.
+    """
     if not (0.0 <= slab_frequency_floor <= 1.0):
         raise InvalidArgumentError("slab frequency floor must be in [0, 1]")
-    nodes = set(graph.nodes())
-    if set().union(*partition) != nodes:
+    if set().union(*groups) != set(graph.nodes()):
         raise InvalidArgumentError("partition does not cover the graph's nodes")
-    total_records = len(records)
-    item_counts = records.item_counts()
     keep = set()
-    for group in partition:
-        group = set(group)
-        count = sum(item_counts.get(v, 0) for v in group)
-        frequency = count / total_records if total_records else 0.0
-        if frequency >= slab_frequency_floor:
-            keep |= group
+    for group, summary in zip(groups, summaries, strict=True):
+        if summary.slab_frequency >= slab_frequency_floor:
+            keep.update(group)
     return graph.subgraph(keep)

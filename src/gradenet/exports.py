@@ -66,10 +66,10 @@ def graphml_dumps(cograph: CoSelectionGraph, node_annotations: dict | None = Non
         for name in sorted(node_data[node]):
             data_el = ET.SubElement(node_el, "data", attrib={"key": name})
             data_el.text = str(node_data[node][name])
-    for u, v in cograph.graph.edges():
+    for (u, v), lift in cograph.edge_lift.items():
         edge_el = ET.SubElement(graph_el, "edge", attrib={"source": str(u), "target": str(v)})
         data_el = ET.SubElement(edge_el, "data", attrib={"key": "lift"})
-        data_el.text = repr(cograph.edge_lift.get((u, v), 0.0))
+        data_el.text = repr(lift)
     ET.indent(root)
     return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
 
@@ -87,8 +87,7 @@ def dot_dumps(cograph: CoSelectionGraph, node_annotations: dict | None = None) -
         )
         suffix = f" [{attrs}]" if attrs else ""
         lines.append(f"  {_dot_quote(node)}{suffix};")
-    for u, v in cograph.graph.edges():
-        lift = cograph.edge_lift.get((u, v), 0.0)
+    for (u, v), lift in cograph.edge_lift.items():
         lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)} [lift={lift!r}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -98,8 +97,8 @@ def edges_csv_dumps(cograph: CoSelectionGraph) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["item_a", "item_b", "lift"])
-    for u, v in cograph.graph.edges():
-        writer.writerow([u, v, repr(cograph.edge_lift.get((u, v), 0.0))])
+    for (u, v), lift in cograph.edge_lift.items():
+        writer.writerow([u, v, repr(lift)])
     return out.getvalue()
 
 

@@ -24,7 +24,7 @@ class CoSelectionGraph:
     """Co-selection network plus per-edge lift and per-node attribute means."""
 
     graph: Graph
-    edge_lift: dict  # (a, b) with a < b -> lift
+    edge_lift: dict  # (a, b) with a < b -> lift, one key per graph edge, in sorted order
     node_attributes: dict  # item -> {attribute -> mean over its records}
 
 

@@ -84,52 +84,27 @@ def _select_component(components, cograph, selector: str):
     return min(components, key=lambda c: (mean_attribute(c), -len(c), min(c)))
 
 
-def _correlation_entry(graph, kind):
+def _score(graph, config: AnalysisConfig, stream: SeedStream) -> tuple:
+    """(correlation entry, {model: {statistic: cell}}) of one scope graph.
+
+    Below 3 non-isolated nodes every cell gives that reason and no replicate is drawn.
+    """
     try:
-        results = node_metric_correlations(graph, kind)
+        empirical = node_metric_correlations(graph, config.correlation)
     except InsufficientDataError as exc:
-        return {name: {"undefined": str(exc)} for name in STATISTICS}
-    entry = {}
-    for name, result in zip(STATISTICS, results):
-        if result is None:
-            entry[name] = {"undefined": "constant metric vector"}
-        else:
-            entry[name] = {
-                "value": result.value,
-                "p_value": result.p_value,
-                "n": result.sample_size,
-            }
-    return entry
-
-
-def _ensemble_cells(graph, models, config: AnalysisConfig, stream: SeedStream):
-    """One {model: {statistic: cell}} block; an undefined cell says why."""
-    cells = {}
-    for model in models:
-        model_stream = stream.child(_MODEL_INDEX[model])
-        try:
-            spec = spec_for(model, graph, swap_multiplier=config.swap_multiplier)
-            summaries = ensemble_zscores(
-                graph, spec, config.ensemble, kind=config.correlation, stream=model_stream
-            )
-        except InsufficientDataError as exc:
-            cells[model] = {name: {"undefined": str(exc)} for name in STATISTICS}
-            continue
-        block = {}
-        for summary in summaries:
-            if summary.z is None:
-                block[summary.statistic] = {"undefined": summary.undefined_reason}
-            else:
-                block[summary.statistic] = {
-                    "empirical": summary.empirical,
-                    "mean": summary.mean,
-                    "std": summary.std,
-                    "z": summary.z,
-                    "dropped": summary.dropped,
-                    "replicates": config.ensemble,
-                }
-        cells[model] = block
-    return cells
+        undefined = {name: {"undefined": str(exc)} for name in STATISTICS}
+        return undefined, dict.fromkeys(config.models, undefined)
+    ensembles = {}
+    for model in config.models:
+        spec = spec_for(model, graph, swap_multiplier=config.swap_multiplier)
+        ensembles[model] = ensemble_zscores(
+            empirical,
+            spec,
+            config.ensemble,
+            config.correlation,
+            stream=stream.child(_MODEL_INDEX[model]),
+        )
+    return empirical, ensembles
 
 
 def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
@@ -180,7 +155,7 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         stage_records = series.stage_records(s)
         summaries = group_summary(communities, stage_records)
         pruned_graph = prune_minor_groups(
-            component_graph, communities, stage_records, config.prune_floor
+            component_graph, communities, summaries, config.prune_floor
         )
         entry["selected_component"] = sorted(selected)
         entry["communities"] = {
@@ -202,23 +177,15 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
             "nodes": pruned_graph.nodes(),
             "removed_items": len(selected) - pruned_graph.number_of_nodes(),
         }
-        scope_graphs = {"full": component_graph, "pruned": pruned_graph}
-        entry["correlations"] = {
-            scope: _correlation_entry(g, config.correlation)
-            for scope, g in scope_graphs.items()
-        }
-        full_cells = _ensemble_cells(
-            component_graph, config.models, config, base_stream.child(s, 0)
-        )
-        if set(pruned_graph.nodes()) == set(component_graph.nodes()):
-            # pruning removed nothing; the pruned-scope grid is the same
-            # computation and is shared rather than re-simulated
-            pruned_cells = full_cells
+        full = _score(component_graph, config, base_stream.child(s, 0))
+        if pruned_graph.number_of_nodes() == len(selected):
+            # pruning removed nothing; the pruned scope is the same computation
+            # and shares the full scope's result rather than re-simulating it
+            pruned = full
         else:
-            pruned_cells = _ensemble_cells(
-                pruned_graph, config.models, config, base_stream.child(s, 1)
-            )
-        entry["ensembles"] = {"full": full_cells, "pruned": pruned_cells}
+            pruned = _score(pruned_graph, config, base_stream.child(s, 1))
+        entry["correlations"] = {"full": full[0], "pruned": pruned[0]}
+        entry["ensembles"] = {"full": full[1], "pruned": pruned[1]}
         stages.append(entry)
 
     report = {
@@ -252,23 +219,10 @@ def zscore_rows(report: dict):
                     cell = block.get(model, {}).get(statistic)
                     if cell is None:
                         continue
+                    key = [entry["stage"], scope, model, statistic]
                     if "undefined" in cell:
-                        rows.append(
-                            [entry["stage"], scope, model, statistic, "", "", "", "", "", "false"]
-                        )
+                        rows.append(key + ["", "", "", "", "", "false"])
                     else:
-                        rows.append(
-                            [
-                                entry["stage"],
-                                scope,
-                                model,
-                                statistic,
-                                repr(cell["empirical"]),
-                                repr(cell["mean"]),
-                                repr(cell["std"]),
-                                repr(cell["z"]),
-                                cell["dropped"],
-                                "true",
-                            ]
-                        )
+                        values = [repr(cell[field]) for field in ("empirical", "mean", "std", "z")]
+                        rows.append(key + values + [cell["dropped"], "true"])
     return rows

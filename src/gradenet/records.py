@@ -166,9 +166,17 @@ def _read_columns(csv_text: str, item_column: str, attribute_columns):
     )
 
 
+def _csv_rows(csv_text: str):
+    """csv.reader's rows of the text; a row it cannot split raises ParseError."""
+    try:
+        yield from csv.reader(io.StringIO(csv_text))
+    except csv.Error as exc:  # e.g. a lone "\r" line end outside quotes
+        raise ParseError(f"malformed CSV: {exc}") from exc
+
+
 def _read_rows(csv_text: str, item_column: str, attribute_columns) -> RecordTable:
     """The row loop: csv.reader over the text, every cell checked in file order."""
-    reader = csv.reader(io.StringIO(csv_text.removeprefix("\ufeff")))
+    reader = _csv_rows(csv_text.removeprefix("\ufeff"))
     try:
         header = next(reader)
     except StopIteration:

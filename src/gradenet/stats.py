@@ -3,7 +3,9 @@
 Pearson, Spearman (midranks) and Kendall tau-b, each with the usual
 approximate two-sided p-value; the degree-vs-betweenness and
 clustering-vs-betweenness correlations that serve as randomness probes;
-and z = (X - mu) / sigma against null-model ensembles.
+and z = (X - mu) / sigma against null-model ensembles. Both probes come
+back as the report's {statistic: cell} dicts, so the pipeline writes them
+as they are.
 
 The p-values come from the special functions imported below: twice the
 Student t tail `stdtr(n - 2, -|t|)` for Pearson and Spearman, twice the
@@ -33,19 +35,6 @@ class CorrelationResult:
     value: float
     p_value: float
     sample_size: int
-
-
-@dataclass(frozen=True)
-class EnsembleSummary:
-    """Empirical value of one statistic against a null-model ensemble."""
-
-    statistic: str
-    empirical: float
-    mean: float
-    std: float
-    z: float | None
-    dropped: int
-    undefined_reason: str | None = None
 
 
 def midranks(values) -> np.ndarray:
@@ -181,20 +170,25 @@ def metric_vectors(a: np.ndarray):
     return deg[keep], _dense_clustering(a)[keep], bc[keep]
 
 
-def node_metric_correlations(graph: Graph, kind: str = "spearman"):
-    """(COR_D_BC, COR_CC_BC) over the graph's non-isolated nodes.
+def node_metric_correlations(graph: Graph, kind: str = "spearman") -> dict:
+    """{statistic: cell} of COR_D_BC and COR_CC_BC over the graph's non-isolated nodes.
 
-    A statistic whose metric vector is constant comes back as None.
+    A cell is {"value", "p_value", "n"}, or {"undefined": "constant metric
+    vector"} for a statistic whose metric vector is constant. Raises
+    InsufficientDataError below 3 non-isolated nodes.
     """
     _, a = _adjacency_matrix(graph)
     deg, cvec, bvec = metric_vectors(a)
-    results = []
-    for x in (deg, cvec):
+    cells = {}
+    for name, x in zip(STATISTICS, (deg, cvec)):
         try:
-            results.append(correlation(x, bvec, kind))
+            result = correlation(x, bvec, kind)
         except UndefinedCorrelationError:
-            results.append(None)
-    return tuple(results)
+            cells[name] = {"undefined": "constant metric vector"}
+        else:
+            n = result.sample_size
+            cells[name] = {"value": result.value, "p_value": result.p_value, "n": n}
+    return cells
 
 
 def _correlation_value(x: np.ndarray, y: np.ndarray, kind: str) -> float:
@@ -207,29 +201,25 @@ def _correlation_value(x: np.ndarray, y: np.ndarray, kind: str) -> float:
 
 
 def ensemble_zscores(
-    graph: Graph,
+    empirical: dict,
     spec: NullModelSpec,
     replicates: int,
     kind: str = "spearman",
     *,
     stream: SeedStream,
-) -> list:
-    """Z-scores of the graph's metric correlations against a null ensemble.
+) -> dict:
+    """{statistic: cell} z-scores of the empirical cells against a null ensemble.
 
-    One replicate adjacency is generated per index from the seed stream and
-    both statistics are evaluated on it; undefined replicate values are
-    dropped and counted. A statistic that loses more than half its
-    replicates or has zero ensemble spread comes back with z=None and a
-    reason.
+    `empirical` is `node_metric_correlations` of the graph that `spec`
+    describes. One replicate adjacency is generated per index from the seed
+    stream and both statistics are evaluated on it; undefined replicate
+    values are dropped and counted. A defined cell is {"empirical", "mean",
+    "std", "z", "dropped", "replicates"}. A statistic whose empirical cell is
+    undefined, that loses more than half its replicates or whose ensemble
+    has zero spread gets {"undefined": reason}.
     """
     if replicates < 2:
         raise InvalidArgumentError("at least 2 replicates required")
-    emp_d, emp_c = node_metric_correlations(graph, kind)
-    empirical = {
-        "COR_D_BC": emp_d.value if emp_d is not None else None,
-        "COR_CC_BC": emp_c.value if emp_c is not None else None,
-    }
-
     values = {name: [] for name in STATISTICS}
     dropped = {name: 0 for name in STATISTICS}
     for i in range(replicates):
@@ -240,37 +230,30 @@ def ensemble_zscores(
             for name in STATISTICS:
                 dropped[name] += 1
             continue
-        for name, pair in (("COR_D_BC", (deg, bvec)), ("COR_CC_BC", (cvec, bvec))):
+        for name, x in zip(STATISTICS, (deg, cvec)):
             try:
-                values[name].append(_correlation_value(pair[0], pair[1], kind))
+                values[name].append(_correlation_value(x, bvec, kind))
             except UndefinedCorrelationError:
                 dropped[name] += 1
 
-    summaries = []
+    cells = {}
     for name in STATISTICS:
         vals = np.asarray(values[name])
-        reason = None
-        z = mean = std = None
-        if empirical[name] is None:
-            reason = "empirical correlation undefined"
+        if "undefined" in empirical[name]:
+            cells[name] = {"undefined": "empirical correlation undefined"}
         elif dropped[name] * 2 > replicates:
             reason = f"degenerate: {dropped[name]} of {replicates} replicates undefined"
+            cells[name] = {"undefined": reason}
+        elif vals.std() == 0.0:
+            cells[name] = {"undefined": "zero ensemble standard deviation"}
         else:
-            mean = float(vals.mean())
-            std = float(vals.std())
-            if std == 0.0:
-                reason = "zero ensemble standard deviation"
-            else:
-                z = (empirical[name] - mean) / std
-        summaries.append(
-            EnsembleSummary(
-                statistic=name,
-                empirical=empirical[name] if empirical[name] is not None else math.nan,
-                mean=mean if mean is not None else math.nan,
-                std=std if std is not None else math.nan,
-                z=z,
-                dropped=dropped[name],
-                undefined_reason=reason,
-            )
-        )
-    return summaries
+            value, mean, std = empirical[name]["value"], float(vals.mean()), float(vals.std())
+            cells[name] = {
+                "empirical": value,
+                "mean": mean,
+                "std": std,
+                "z": (value - mean) / std,
+                "dropped": dropped[name],
+                "replicates": replicates,
+            }
+    return cells

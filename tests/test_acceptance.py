@@ -28,7 +28,14 @@ from gradenet.nullmodels import (
 )
 from gradenet.pipeline import AnalysisConfig, run_analysis
 from gradenet.records import parse_records
-from gradenet.stats import ensemble_zscores, kendall, midranks, pearson, spearman
+from gradenet.stats import (
+    ensemble_zscores,
+    kendall,
+    midranks,
+    node_metric_correlations,
+    pearson,
+    spearman,
+)
 from gradenet.synth import generate, planted_two_band_config
 
 from conftest import (
@@ -162,10 +169,11 @@ def test_acceptance_5_zscore_self_consistency():
     z_values = {"COR_D_BC": [], "COR_CC_BC": []}
     for trial in range(200):
         g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.generator(trial, 0)))
-        summaries = ensemble_zscores(g, spec, 200, stream=stream.child(trial, 1))
-        for summary in summaries:
-            if summary.z is not None:
-                z_values[summary.statistic].append(summary.z)
+        empirical = node_metric_correlations(g)
+        cells = ensemble_zscores(empirical, spec, 200, stream=stream.child(trial, 1))
+        for name, cell in cells.items():
+            if "z" in cell:
+                z_values[name].append(cell["z"])
     for name, values in z_values.items():
         assert len(values) >= 190, name
         assert abs(float(np.mean(values))) < 0.15, name

@@ -15,9 +15,12 @@ import gradenet
 from gradenet.cli import main
 from gradenet.errors import InvalidArgumentError
 from gradenet.exports import dot_dumps, graphml_dumps, records_csv_dumps
-from gradenet.pipeline import AnalysisConfig, run_analysis, zscore_rows
+from gradenet.graph import _adjacency_matrix
+from gradenet.nullmodels import SeedStream
+from gradenet.pipeline import MODELS, AnalysisConfig, run_analysis, zscore_rows
 from gradenet.records import parse_records
 from gradenet.stats import STATISTICS
+from gradenet.synth import generate, planted_two_band_config
 
 from conftest import (
     SNAPSHOT_CSV,
@@ -177,6 +180,12 @@ def test_exit_codes(tmp_path, input_csv, capsys):
     duplicate_column.write_text("campaign,grade,grade\nA,1,2\nA,3,4\n", encoding="utf-8")
     assert main(["mine", str(duplicate_column), "--out", str(tmp_path / "o6")]) == 2
     assert main(["mine", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o3")]) == 2
+    invalid_utf8 = tmp_path / "utf8.csv"
+    invalid_utf8.write_bytes(b"campaign,grade\nA,\xff\n")
+    for command in ("mine", "analyze"):
+        capsys.readouterr()
+        assert main([command, str(invalid_utf8), "--out", str(tmp_path / command)]) == 2
+        assert "data error" in capsys.readouterr().err
     negative_windows = ["mine", str(input_csv), "--out", str(tmp_path / "o7"), "--windows", "-3"]
     assert main(negative_windows) == 1
     assert not (tmp_path / "o7").exists()
@@ -264,6 +273,70 @@ def test_report_cell_completeness(snapshot_csv):
                     assert "z" in cell or "undefined" in cell
     rows = zscore_rows(report)
     assert len(rows) == 2 * 2 * 3 * 2  # stages x scopes x models x statistics
+
+
+# three stages: pruning removes 3 of 8 items in the first two, none in the last
+SCOPE_CONFIG = AnalysisConfig(windows=3, ensemble=5, min_lift=1.5, prune_floor=0.2)
+
+
+def scope_csv() -> str:
+    config = planted_two_band_config(
+        grades_per_band=8,
+        campaign_count=200,
+        campaign_size=(2, 4),
+        cross_band_rate=0.1,
+        uniform_popularity=False,
+    )
+    return records_csv_dumps(generate(config, SeedStream.from_seed(0).generator()))
+
+
+def test_each_scope_graph_is_scored_once(monkeypatch):
+    scored = []
+
+    def counting(graph):
+        scored.append(graph.nodes())
+        return _adjacency_matrix(graph)
+
+    # node_metric_correlations builds one adjacency matrix per empirical evaluation
+    monkeypatch.setattr("gradenet.stats._adjacency_matrix", counting)
+    report = run_analysis(scope_csv(), SCOPE_CONFIG)
+    removed = [entry["pruned_core"]["removed_items"] for entry in report["stages"]]
+    assert removed == [3, 3, 0]
+    expected = []
+    for entry in report["stages"]:
+        expected.append(entry["selected_component"])
+        if entry["pruned_core"]["removed_items"]:
+            expected.append(entry["pruned_core"]["nodes"])
+    assert scored == expected
+
+
+def test_ensemble_cells_carry_the_scope_correlation():
+    report = run_analysis(scope_csv(), SCOPE_CONFIG)
+    checked = 0
+    for entry in report["stages"]:
+        for scope in ("full", "pruned"):
+            correlations = entry["correlations"][scope]
+            for block in entry["ensembles"][scope].values():
+                for name, cell in block.items():
+                    if "z" in cell:
+                        assert cell["empirical"] == correlations[name]["value"]
+                        checked += 1
+    assert checked > 0
+
+
+def test_two_node_component_draws_no_replicate(snapshot_csv, monkeypatch):
+    def no_replicate(*args):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr("gradenet.stats.generate_null", no_replicate)
+    config = AnalysisConfig(windows=1, ensemble=20, component="min-mean:carbon")
+    entry = run_analysis(snapshot_csv, config)["stages"][0]
+    assert entry["selected_component"] == ["1", "2"]
+    reason = "need at least 3 non-isolated nodes, got 2"
+    undefined = dict.fromkeys(STATISTICS, {"undefined": reason})
+    for scope in ("full", "pruned"):
+        assert entry["correlations"][scope] == undefined
+        assert entry["ensembles"][scope] == dict.fromkeys(MODELS, undefined)
 
 
 def test_analyze_component_selector(snapshot_csv):

@@ -80,16 +80,17 @@ def test_prune_minor_groups(snapshot_csv):
     records = parse_records(snapshot_csv)
     graph = Graph(edges=[("1", "2"), ("3", "4")])
     partition = [{"1", "2"}, {"3", "4"}]
-    assert set(prune_minor_groups(graph, partition, records, 0.0).nodes()) == {
+    summaries = group_summary(partition, records)
+    assert set(prune_minor_groups(graph, partition, summaries, 0.0).nodes()) == {
         "1", "2", "3", "4",
     }
     skewed = records.take([0, 1, 2, 3] * 3 + [0] * 8)
-    pruned = prune_minor_groups(graph, partition, skewed, 0.4)
+    pruned = prune_minor_groups(graph, partition, group_summary(partition, skewed), 0.4)
     assert set(pruned.nodes()) == {"1", "2"}
     with pytest.raises(InvalidArgumentError):
-        prune_minor_groups(graph, [{"1", "2"}], records, 0.1)
+        prune_minor_groups(graph, [{"1", "2"}], summaries[:1], 0.1)
     with pytest.raises(InvalidArgumentError):
-        prune_minor_groups(graph, partition, records, 1.5)
+        prune_minor_groups(graph, partition, summaries, 1.5)
 
 
 @st.composite
@@ -218,11 +219,10 @@ def test_group_summary_and_prune_match_rescan_oracles(records, data):
     labels = data.draw(st.lists(st.integers(0, 4), min_size=len(items), max_size=len(items)))
     groups = [[v for v, g in zip(items, labels) if g == k] for k in range(4)]
     groups = [group for group in groups if group]
-    assert repr(group_summary(groups, table)) == repr(
-        rescan_group_summary(groups, records, transactions)
-    )
+    summaries = group_summary(groups, table)
+    assert repr(summaries) == repr(rescan_group_summary(groups, records, transactions))
     graph = Graph(nodes=[v for group in groups for v in group])
     floor = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
-    assert prune_minor_groups(graph, groups, table, floor) == rescan_prune_minor_groups(
+    assert prune_minor_groups(graph, groups, summaries, floor) == rescan_prune_minor_groups(
         graph, groups, records, floor
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import gc
 import os
 import string
@@ -297,9 +298,17 @@ def test_parse_matches_row_parser_oracle(case):
     table, error = outcome(parse_records, text, kwargs)
     # parse_records drops one leading byte-order mark, the oracle reads what follows
     records, oracle_error = outcome(row_parse_records, text.removeprefix("\ufeff"), kwargs)
+    if oracle_error is not None and oracle_error[0] is csv.Error:
+        # text csv.reader cannot split (a lone "\r" line end) is a ParseError of the row loop
+        oracle_error = (ParseError, f"malformed CSV: {oracle_error[1]}")
     assert error == oracle_error
     if error is None:
         assert_table_matches(table, records)
+
+
+def test_lone_carriage_returns_raise_parse_error():
+    with pytest.raises(ParseError, match="^malformed CSV: new-line character seen"):
+        parse_records("campaign,grade,carbon\rc1,g,0.1\r")
 
 
 def planted_csv() -> str:

@@ -250,19 +250,23 @@ def test_metric_vectors_match_graph_metrics(seed, isolated):
 
 def test_node_metric_correlations_star():
     star = Graph(edges=[("h", f"l{i}") for i in range(3)])
-    cor_d_bc, cor_cc_bc = node_metric_correlations(star)  # clustering is constant at 0
-    assert cor_cc_bc is None
-    assert cor_d_bc.value == pytest.approx(1.0)
+    cells = node_metric_correlations(star)  # clustering is constant at 0
+    assert cells["COR_CC_BC"] == {"undefined": "constant metric vector"}
+    assert cells["COR_D_BC"]["value"] == pytest.approx(1.0)
+    assert cells["COR_D_BC"]["n"] == 4
+    with pytest.raises(InsufficientDataError, match="got 2"):
+        node_metric_correlations(Graph(edges=[("a", "b")]))
 
 
 def test_ensemble_zscores_deterministic():
     stream = SeedStream.from_seed(3)
     g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.generator(99)))
     spec = spec_for("er", g)
-    first = ensemble_zscores(g, spec, 50, stream=stream)
-    second = ensemble_zscores(g, spec, 50, stream=stream)
+    empirical = node_metric_correlations(g)
+    first = ensemble_zscores(empirical, spec, 50, stream=stream)
+    second = ensemble_zscores(empirical, spec, 50, stream=stream)
     assert first == second
-    assert [s.statistic for s in first] == list(STATISTICS)
+    assert list(first) == list(STATISTICS)
     # the replicate values, regenerated from the same stream
     values = {name: [] for name in STATISTICS}
     for i in range(50):
@@ -272,23 +276,28 @@ def test_ensemble_zscores_deterministic():
                 values[name].append(correlation(x, bc, "spearman").value)
             except UndefinedCorrelationError:
                 pass
-    for summary in first:
-        assert summary.z == pytest.approx(zscore(summary.empirical, values[summary.statistic]))
-        assert summary.dropped + len(values[summary.statistic]) == 50
+    for name, cell in first.items():
+        assert cell["empirical"] == empirical[name]["value"]
+        assert cell["z"] == pytest.approx(zscore(cell["empirical"], values[name]))
+        assert cell["dropped"] + len(values[name]) == 50
+        assert cell["replicates"] == 50
 
 
 def test_ensemble_zscores_degenerate():
     # 4-cycles have constant clustering 0, so COR_CC_BC drops all replicates
     g = Graph(edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
     spec = NullModelSpec(kind="DEGSEQ", n=4, m=4, source=g)
-    summaries = ensemble_zscores(g, spec, 20, stream=SeedStream.from_seed(0))
-    by_name = {s.statistic: s for s in summaries}
-    assert by_name["COR_CC_BC"].z is None
-    assert by_name["COR_CC_BC"].undefined_reason is not None
+    stream = SeedStream.from_seed(0)
+    cells = ensemble_zscores(node_metric_correlations(g), spec, 20, stream=stream)
+    assert cells["COR_CC_BC"] == {"undefined": "empirical correlation undefined"}
+    # a defined empirical value still meets a degenerate ensemble
+    defined = dict.fromkeys(STATISTICS, {"value": 0.5, "p_value": 0.5, "n": 4})
+    cells = ensemble_zscores(defined, spec, 20, stream=stream)
+    assert cells["COR_CC_BC"] == {"undefined": "degenerate: 20 of 20 replicates undefined"}
 
 
 def test_ensemble_zscores_validates_replicates():
     g = graph_from_adjacency(range(10), er_gnm(10, 20, np.random.default_rng(0)))
     spec = NullModelSpec(kind="ER", n=10, m=20)
     with pytest.raises(InvalidArgumentError):
-        ensemble_zscores(g, spec, 1, stream=SeedStream.from_seed(0))
+        ensemble_zscores(node_metric_correlations(g), spec, 1, stream=SeedStream.from_seed(0))
