@@ -4,9 +4,10 @@ Degree, clustering coefficient, Freeman betweenness, connected components,
 edge-betweenness community detection and modularity. All metrics treat the
 graph as unweighted and are deterministic. Node and edge betweenness both
 come from one Brandes kernel, `_dense_betweenness`, a sweep over all
-sources at once on the dense adjacency matrix. Girvan-Newman calls that
-kernel directly on one adjacency array, and after each edge removal it
-rescores only the component that held the edge.
+sources at once on the dense adjacency matrix that also returns which
+nodes each source reaches. Girvan-Newman calls that kernel directly on one
+adjacency array: each edge removal makes one call on the component that
+held the edge, which rescores it and shows whether it split.
 """
 
 from __future__ import annotations
@@ -108,45 +109,49 @@ def _dense_clustering(a: np.ndarray) -> np.ndarray:
         return np.where(denom > 0, closed / np.where(denom > 0, denom, 1.0), 0.0)
 
 
-def _dense_betweenness(a: np.ndarray, *, edges: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _dense_betweenness(
+    a: np.ndarray, *, edges: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """All-sources Brandes accumulation, vectorized over sources.
 
-    Returns node betweenness and, when `edges` is true, the symmetric matrix
-    of edge betweenness (zero off the edges), both over unordered pairs;
-    otherwise None in place of the matrix.
+    Returns node betweenness; when `edges` is true, the symmetric matrix of
+    edge betweenness (zero off the edges), otherwise None; both over
+    unordered pairs. Last comes the bool reachability matrix `seen`, with
+    `seen[s, v]` true when v is reachable from s, so on a block that has
+    fallen apart each part's scores and members come from one call.
+
+    The forward sweep keeps each level's frontier and its path counts for
+    the backward sweep, so memory grows with the number of BFS levels.
     """
     n = a.shape[0]
     if n == 0:
-        return np.zeros(0), (np.zeros((0, 0)) if edges else None)
-    dist = np.full((n, n), -1, dtype=np.int32)
-    np.fill_diagonal(dist, 0)
-    sigma = np.eye(n)
-    frontier = np.eye(n, dtype=bool)
-    level = 0
+        return np.zeros(0), (np.zeros((0, 0)) if edges else None), np.zeros((0, 0), dtype=bool)
+    seen = np.eye(n, dtype=bool)
+    frontiers = [seen.copy()]
+    # sigma masked to each level's frontier: the shortest-path counts from
+    # every source to the nodes at that distance, zero elsewhere
+    layers = [seen.astype(float)]
     while True:
-        paths = np.where(frontier, sigma, 0.0) @ a
-        new = (paths > 0) & (dist < 0)
+        paths = layers[-1] @ a
+        new = (paths > 0) & ~seen
         if not new.any():
             break
-        level += 1
-        dist[new] = level
-        sigma[new] = paths[new]
-        frontier = new
+        seen |= new
+        frontiers.append(new)
+        layers.append(np.where(new, paths, 0.0))
     delta = np.zeros((n, n))
     edge = np.zeros((n, n)) if edges else None
-    safe_sigma = np.where(sigma > 0, sigma, 1.0)
-    for lev in range(level, 0, -1):
-        at_level = dist == lev
-        coeff = np.where(at_level, (1.0 + delta) / safe_sigma, 0.0)
+    for lev in range(len(layers) - 1, 0, -1):
+        coeff = np.divide(1.0 + delta, layers[lev], out=np.zeros((n, n)), where=frontiers[lev])
         spread = coeff @ a
-        parent = np.where(dist == lev - 1, sigma, 0.0)
+        parent = layers[lev - 1]
         # edge[v, w] += sum over s with dist_sv = lev - 1, dist_sw = lev
         # of sigma_sv * (1 + delta_sw) / sigma_sw
         if edges:
             edge += parent.T @ coeff
         delta += parent * spread
     totals = delta.sum(axis=0) - np.diagonal(delta)
-    return totals / 2.0, ((edge + edge.T) * a / 2.0 if edges else None)
+    return totals / 2.0, ((edge + edge.T) * a / 2.0 if edges else None), seen
 
 
 def connected_components(graph: Graph) -> list:
@@ -212,8 +217,10 @@ def girvan_newman(graph: Graph) -> CommunityPartition:
 
     The loop works on one adjacency array with a per-node component id and
     a cached edge-betweenness matrix. A removal changes scores only inside
-    the component that held the edge, so only that component, or the two
-    it splits into, is rescored.
+    the component that held the edge, so each removal makes one kernel call
+    on that component's block. The call's reachability matrix tells whether
+    the block split and which nodes left; Brandes on a block that fell apart
+    already scores each part on its own.
     """
     labels, a = _adjacency_matrix(graph)
     base = _freeze_partition(connected_components(graph))
@@ -225,25 +232,24 @@ def girvan_newman(graph: Graph) -> CommunityPartition:
     for k, community in enumerate(base):
         members = np.sort([index[v] for v in community])
         comp[members] = k
-        _rescore(a, eb, members)
+        if len(members) > 1:
+            block = np.ix_(members, members)
+            eb[block] = _dense_betweenness(a[block], edges=True)[1]
     dendrogram = []
     remaining = graph.number_of_edges()
     while remaining:
-        # eb is zero off the edges and at least 1 on them; labels are sorted,
-        # so the first (i, j) in row-major order is the smallest tied edge
-        tied = np.triu(eb >= eb.max() - _TIE_EPS, 1)
-        i, j = np.argwhere(tied)[0].tolist()
+        # eb is symmetric, zero off the edges and at least 1 on them, and
+        # labels are sorted, so the first tied entry in row-major order is
+        # the smallest tied edge, with i < j
+        i, j = divmod(int(np.argmax(eb >= eb.max() - _TIE_EPS)), len(labels))
         a[i, j] = a[j, i] = 0.0
-        eb[i, j] = eb[j, i] = 0.0
         remaining -= 1
         members = np.flatnonzero(comp == comp[i])
-        reached = _reachable(a[np.ix_(members, members)], np.searchsorted(members, i))
-        if reached[np.searchsorted(members, j)]:
-            _rescore(a, eb, members)
-        else:
+        block = np.ix_(members, members)
+        _, eb[block], seen = _dense_betweenness(a[block], edges=True)
+        reached = seen[np.searchsorted(members, i)]
+        if not reached[np.searchsorted(members, j)]:
             comp[members[~reached]] = len(parts)
-            _rescore(a, eb, members[reached])
-            _rescore(a, eb, members[~reached])
             groups = [np.flatnonzero(comp == k) for k in range(len(parts) + 1)]
             groups.sort(key=lambda g: (-len(g), g[0]))
             parts = tuple(frozenset(labels[t] for t in g.tolist()) for g in groups)
@@ -255,20 +261,3 @@ def girvan_newman(graph: Graph) -> CommunityPartition:
     return CommunityPartition(
         communities=best, modularity_q=best_q, dendrogram=tuple(dendrogram)
     )
-
-
-def _rescore(a: np.ndarray, eb: np.ndarray, members: np.ndarray) -> None:
-    """Overwrite the edge betweenness of one component's block of `eb`."""
-    block = np.ix_(members, members)
-    eb[block] = _dense_betweenness(a[block], edges=True)[1]
-
-
-def _reachable(a: np.ndarray, start: int) -> np.ndarray:
-    """Nodes of adjacency array `a` reachable from row `start`, by BFS."""
-    seen = np.zeros(a.shape[0], dtype=bool)
-    seen[start] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = a[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return seen

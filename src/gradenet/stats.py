@@ -166,7 +166,7 @@ def metric_vectors(a: np.ndarray):
     count = int(keep.sum())
     if count < 3:
         raise InsufficientDataError(f"need at least 3 non-isolated nodes, got {count}")
-    bc, _ = _dense_betweenness(a, edges=False)
+    bc = _dense_betweenness(a, edges=False)[0]
     return deg[keep], _dense_clustering(a)[keep], bc[keep]
 
 
@@ -192,12 +192,11 @@ def node_metric_correlations(graph: Graph, kind: str = "spearman") -> dict:
 
 
 def _correlation_value(x: np.ndarray, y: np.ndarray, kind: str) -> float:
-    # fast path for ensemble replicates: value only, no p-value
-    if kind == "pearson":
-        return _pearson_value(x, y)
-    if kind == "spearman":
-        return _pearson_value(midranks(x), midranks(y))
-    return _kendall_tau(x, y)[0]
+    # fast path for ensemble replicates: value only, no p-value; Spearman's
+    # arguments arrive already ranked, so Pearson on them is Spearman
+    if kind == "kendall":
+        return _kendall_tau(x, y)[0]
+    return _pearson_value(x, y)
 
 
 def ensemble_zscores(
@@ -230,6 +229,9 @@ def ensemble_zscores(
             for name in STATISTICS:
                 dropped[name] += 1
             continue
+        if kind == "spearman":
+            # betweenness is ranked once for both statistics
+            deg, cvec, bvec = midranks(deg), midranks(cvec), midranks(bvec)
         for name, x in zip(STATISTICS, (deg, cvec)):
             try:
                 values[name].append(_correlation_value(x, bvec, kind))

@@ -129,7 +129,7 @@ def clustering_all(graph: Graph) -> dict:
 def betweenness_all(graph: Graph) -> dict:
     """Raw Freeman betweenness over unordered node pairs, endpoints excluded."""
     labels, a = _adjacency_matrix(graph)
-    values, _ = _dense_betweenness(a, edges=False)
+    values = _dense_betweenness(a, edges=False)[0]
     return dict(zip(labels, values.tolist()))
 
 
@@ -137,8 +137,55 @@ def edge_betweenness(graph: Graph) -> dict:
     """Brandes edge-betweenness over unordered pairs."""
     labels, a = _adjacency_matrix(graph)
     index = {v: i for i, v in enumerate(labels)}
-    _, eb = _dense_betweenness(a, edges=True)
+    eb = _dense_betweenness(a, edges=True)[1]
     return {(u, v): float(eb[index[u], index[v]]) for u, v in graph.edges()}
+
+
+def dense_betweenness_oracle(
+    a: np.ndarray, *, edges: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """All-sources Brandes accumulation, vectorized over sources.
+
+    The kernel that `graph._dense_betweenness` replaced, kept as it was: it
+    tracks integer BFS distances and recomputes each level's masks and
+    masked path counts in the backward sweep.
+
+    Returns node betweenness and, when `edges` is true, the symmetric matrix
+    of edge betweenness (zero off the edges), both over unordered pairs;
+    otherwise None in place of the matrix.
+    """
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros(0), (np.zeros((0, 0)) if edges else None)
+    dist = np.full((n, n), -1, dtype=np.int32)
+    np.fill_diagonal(dist, 0)
+    sigma = np.eye(n)
+    frontier = np.eye(n, dtype=bool)
+    level = 0
+    while True:
+        paths = np.where(frontier, sigma, 0.0) @ a
+        new = (paths > 0) & (dist < 0)
+        if not new.any():
+            break
+        level += 1
+        dist[new] = level
+        sigma[new] = paths[new]
+        frontier = new
+    delta = np.zeros((n, n))
+    edge = np.zeros((n, n)) if edges else None
+    safe_sigma = np.where(sigma > 0, sigma, 1.0)
+    for lev in range(level, 0, -1):
+        at_level = dist == lev
+        coeff = np.where(at_level, (1.0 + delta) / safe_sigma, 0.0)
+        spread = coeff @ a
+        parent = np.where(dist == lev - 1, sigma, 0.0)
+        # edge[v, w] += sum over s with dist_sv = lev - 1, dist_sw = lev
+        # of sigma_sv * (1 + delta_sw) / sigma_sw
+        if edges:
+            edge += parent.T @ coeff
+        delta += parent * spread
+    totals = delta.sum(axis=0) - np.diagonal(delta)
+    return totals / 2.0, ((edge + edge.T) * a / 2.0 if edges else None)
 
 
 def all_shortest_paths(graph: Graph, s, t):

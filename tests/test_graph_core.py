@@ -6,11 +6,17 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradenet.errors import InvalidArgumentError
-from gradenet.graph import Graph, connected_components, girvan_newman, modularity
+from gradenet.graph import (
+    Graph,
+    _dense_betweenness,
+    connected_components,
+    girvan_newman,
+    modularity,
+)
 from conftest import (
     betweenness_all,
     brute_betweenness,
@@ -19,8 +25,10 @@ from conftest import (
     clustering_coefficient,
     copy_graph,
     degree,
+    dense_betweenness_oracle,
     dict_edge_betweenness,
     edge_betweenness,
+    graph_from_adjacency,
     has_edge,
     random_graph,
     remove_edge,
@@ -121,6 +129,81 @@ def test_edge_betweenness_matches_dict_oracle(seed, max_nodes):
     assert actual.keys() == expected.keys()
     for e, value in expected.items():
         assert actual[e] == pytest.approx(value, abs=1e-9)
+
+
+def adjacency(n, edges):
+    a = np.zeros((n, n))
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def grid(rows, cols):
+    right = [(k, k + 1) for k in range(rows * cols) if (k + 1) % cols]
+    down = [(k, k + cols) for k in range(rows * cols - cols)]
+    return adjacency(rows * cols, right + down)
+
+
+def hypercube(dim):
+    n = 2**dim
+    return adjacency(n, [(u, u | 1 << k) for u in range(n) for k in range(dim) if not u >> k & 1])
+
+
+def cycle(n):
+    return adjacency(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_bipartite(p, q):
+    return adjacency(p + q, [(u, v) for u in range(p) for v in range(p, p + q)])
+
+
+@st.composite
+def betweenness_inputs(draw):
+    """Adjacency arrays: random graphs of 0..16 nodes (isolated nodes and
+    disconnected ones included) and tie-heavy symmetric graphs (grids, the
+    hypercubes up to Q4, cycles, K_{p,q}), as 1..3 disjoint copies under a
+    random node order."""
+    kind = draw(st.sampled_from(["random", "grid", "hypercube", "cycle", "bipartite"]))
+    if kind == "random":
+        n = draw(st.integers(min_value=0, max_value=16))
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+        a = np.triu(rng.random((n, n)) < density, 1).astype(float)
+        a = a + a.T
+    elif kind == "grid":
+        a = grid(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    elif kind == "hypercube":
+        a = hypercube(draw(st.integers(0, 4)))
+    elif kind == "cycle":
+        a = cycle(draw(st.integers(3, 12)))
+    else:
+        a = complete_bipartite(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    a = np.kron(np.eye(draw(st.integers(1, 3))), a)
+    order = draw(st.permutations(range(len(a))))
+    return a[np.ix_(order, order)]
+
+
+@given(betweenness_inputs())
+@example(np.zeros((0, 0)))
+@example(np.zeros((1, 1)))
+@example(np.zeros((2, 2)))
+@example(adjacency(2, [(0, 1)]))
+@settings(max_examples=300, deadline=None)
+def test_dense_betweenness_matches_predecessor_oracle(a):
+    expected_nodes, expected_edges = dense_betweenness_oracle(a, edges=True)
+    nodes, edges, seen = _dense_betweenness(a, edges=True)
+    assert np.array_equal(nodes, expected_nodes)
+    assert np.array_equal(edges, expected_edges)
+    node_only = _dense_betweenness(a, edges=False)
+    assert np.array_equal(node_only[0], expected_nodes)
+    assert node_only[1] is None
+    assert np.array_equal(node_only[2], seen)
+    # seen is the reachability matrix: true exactly within a component
+    component = np.empty(len(a), dtype=int)
+    for k, members in enumerate(connected_components(graph_from_adjacency(range(len(a)), a))):
+        component[list(members)] = k
+    assert seen.dtype == bool
+    assert np.array_equal(seen, component[:, None] == component[None, :])
 
 
 def test_modularity_fixtures():
@@ -246,3 +329,20 @@ def test_girvan_newman_dendrogram_refinement(seed):
         for community in parts:
             assert any(community <= old for old in previous)
         previous = parts
+
+
+def test_girvan_newman_one_kernel_call_per_removal(monkeypatch):
+    calls = []
+
+    def counting(a, *, edges):
+        calls.append(a.shape[0])
+        return _dense_betweenness(a, edges=edges)
+
+    monkeypatch.setattr("gradenet.graph._dense_betweenness", counting)
+    bridged, _, _ = two_cliques_with_bridge(4)
+    bridged.add_node("z")  # an isolated node: a starting component without an edge
+    for g in [bridged, *TIE_HEAVY.values()]:
+        calls.clear()
+        girvan_newman(g)
+        started = sum(1 for c in connected_components(g) if len(c) > 1)
+        assert len(calls) == g.number_of_edges() + started

@@ -78,7 +78,7 @@ MEMBERS_READ_ELSEWHERE = {
 def test_every_class_member_is_read():
     # a member counts as read when any attribute of its name is loaded in
     # src/, so a name shared with another read escapes: Graph.copy is never
-    # called, but graph._reachable reads `seen.copy()`
+    # called, but graph._dense_betweenness reads `seen.copy()`
     modules = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in modules}
     read = {
