@@ -1,8 +1,8 @@
 """Simple undirected graphs and the topological toolkit used throughout.
 
-Degree, clustering coefficient, Freeman betweenness, connected components,
-edge-betweenness community detection and modularity. All metrics treat the
-graph as unweighted and are deterministic. Node and edge betweenness both
+Degree, clustering coefficient, Freeman betweenness, connected components
+and edge-betweenness community detection. All metrics treat the graph as
+unweighted and are deterministic. Node and edge betweenness both
 come from one Brandes kernel, `_dense_betweenness`, a sweep over all
 sources at once on the dense adjacency matrix that also returns which
 nodes each source reaches. Girvan-Newman calls that kernel directly on one
@@ -175,32 +175,22 @@ def connected_components(graph: Graph) -> list:
     return components
 
 
-def modularity(graph: Graph, partition) -> float:
-    """Newman-Girvan Q = sum_c (e_cc - a_c^2); 0 for edgeless graphs."""
-    nodes = set(graph._adj)
-    covered = set()
-    for community in partition:
-        community = set(community)
-        if community & covered:
-            raise InvalidArgumentError("partition communities are not disjoint")
-        if not community <= nodes:
-            raise InvalidArgumentError("partition contains unknown nodes")
-        covered |= community
-    if covered != nodes:
-        raise InvalidArgumentError("partition does not cover the node set")
-    m = graph.number_of_edges()
+def _partition_q(comp: np.ndarray, order, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Newman-Girvan Q = sum_c (e_cc - a_c^2) of the parts that `comp` numbers.
+
+    Edge k joins rows[k] and cols[k]; the parts are summed in `order`, from
+    0.0. An edgeless graph has Q = 0.
+    """
+    m = len(rows)
     if m == 0:
         return 0.0
+    # per part: the degree sum counts edge ends, the internal degree twice its edges
+    ends = np.bincount(np.concatenate((comp[rows], comp[cols])), minlength=len(order))
+    inside = comp[rows] == comp[cols]
+    internal = 2 * np.bincount(comp[rows[inside]], minlength=len(order))
     q = 0.0
-    for community in partition:
-        community = set(community)
-        internal = 0
-        degree_sum = 0
-        for v in community:
-            nbrs = graph.neighbors(v)
-            degree_sum += len(nbrs)
-            internal += len(nbrs & community)
-        q += internal / (2.0 * m) - (degree_sum / (2.0 * m)) ** 2
+    for internal_k, degree_sum in zip(internal[order].tolist(), ends[order].tolist()):
+        q += internal_k / (2.0 * m) - (degree_sum / (2.0 * m)) ** 2
     return q
 
 
@@ -223,8 +213,8 @@ def girvan_newman(graph: Graph) -> CommunityPartition:
     already scores each part on its own.
     """
     labels, a = _adjacency_matrix(graph)
+    rows, cols = np.nonzero(np.triu(a, 1))  # the edges before any removal
     base = _freeze_partition(connected_components(graph))
-    best_q = modularity(graph, base)
     best = parts = base
     index = {v: i for i, v in enumerate(labels)}
     comp = np.empty(len(labels), dtype=np.intp)
@@ -235,8 +225,9 @@ def girvan_newman(graph: Graph) -> CommunityPartition:
         if len(members) > 1:
             block = np.ix_(members, members)
             eb[block] = _dense_betweenness(a[block], edges=True)[1]
+    best_q = _partition_q(comp, range(len(base)), rows, cols)
     dendrogram = []
-    remaining = graph.number_of_edges()
+    remaining = len(rows)
     while remaining:
         # eb is symmetric, zero off the edges and at least 1 on them, and
         # labels are sorted, so the first tied entry in row-major order is
@@ -251,9 +242,9 @@ def girvan_newman(graph: Graph) -> CommunityPartition:
         if not reached[np.searchsorted(members, j)]:
             comp[members[~reached]] = len(parts)
             groups = [np.flatnonzero(comp == k) for k in range(len(parts) + 1)]
-            groups.sort(key=lambda g: (-len(g), g[0]))
-            parts = tuple(frozenset(labels[t] for t in g.tolist()) for g in groups)
-            q = modularity(graph, parts)
+            order = sorted(range(len(groups)), key=lambda k: (-len(groups[k]), groups[k][0]))
+            parts = tuple(frozenset(labels[t] for t in groups[k].tolist()) for k in order)
+            q = _partition_q(comp, order, rows, cols)
             if q > best_q + _TIE_EPS:
                 best_q = q
                 best = parts

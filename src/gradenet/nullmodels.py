@@ -4,8 +4,10 @@ Three families: Erdos-Renyi G(n, m), degree-preserving switch
 randomization, and random geometric graphs in the unit square with the
 radius solved in closed form to hit a target edge count in expectation. All
 generators are pure functions of (parameters, seeded generator), so
-ensemble replicates can be produced independently and reproducibly. Each
-replicate is an n x n bool adjacency array; no Graph is built for it.
+ensemble replicates can be produced independently and reproducibly. The
+module works on dense adjacency arrays only: a spec is matched to the
+empirical graph's symmetric 0/1 adjacency, which DEGSEQ also keeps as its
+source, and each replicate is an n x n bool adjacency in the same row order.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -48,14 +49,14 @@ class SeedStream:
 class NullModelSpec:
     """Parameters of one randomized-graph family.
 
-    kind: "ER" (n, m), "DEGSEQ" (source graph, swap proposals per edge)
+    kind: "ER" (n, m), "DEGSEQ" (source adjacency, swap proposals per edge)
     or "GRG" (n, radius).
     """
 
     kind: str
     n: int = 0
     m: int = 0
-    source: Graph | None = field(default=None, compare=False)
+    source: np.ndarray | None = field(default=None, compare=False)
     swap_multiplier: float = 10.0
     radius: float = 0.0
 
@@ -80,28 +81,26 @@ def er_gnm(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return a | a.T
 
 
-def switch_randomize(graph: Graph, swap_multiplier: float, rng: np.random.Generator) -> np.ndarray:
-    """Degree-preserving double-edge-swap randomization.
+def switch_randomize(a: np.ndarray, swap_multiplier: float, rng: np.random.Generator) -> np.ndarray:
+    """Degree-preserving double-edge-swap randomization of a symmetric 0/1 adjacency.
 
     Runs exactly ceil(swap_multiplier * m) swap proposals. A proposal picks
     two edges (a, b) and (c, d), each with a uniform orientation, and
     rewires them to (a, d) and (c, b) iff the four endpoints are distinct and
     neither replacement edge exists; a rejected proposal is a step that keeps
     the graph, so the chain's stationary law is uniform over the simple
-    graphs with the source's degree sequence. Returns the n x n bool
-    adjacency in `graph.nodes()` order.
+    graphs with the source's degree sequence. Edges are numbered (i, j),
+    i < j, in row-major order. Returns a new n x n bool adjacency with the
+    rows of `a`; `a` itself is left as it is.
     """
     if not 0 < swap_multiplier < math.inf:
         raise InvalidArgumentError("swap multiplier must be positive and finite")
-    labels = graph.nodes()
-    index = {v: i for i, v in enumerate(labels)}
-    n = len(labels)
+    a = np.asarray(a, dtype=bool)
+    n = len(a)
     # edge k is (ends[2k], ends[2k + 1]); slot 2k + flip is the endpoint a
     # flip selects as "first"
-    ends = [index[v] for edge in graph.edges() for v in edge]
-    adj = bytearray(n * n)
-    for u, v in zip(ends[::2], ends[1::2]):
-        adj[u * n + v] = adj[v * n + u] = 1
+    ends = np.column_stack(np.nonzero(np.triu(a, 1))).ravel().tolist()
+    adj = bytearray(a.tobytes())
     m = len(ends) // 2
     if m >= 2:
         _swap(ends, adj, n, math.ceil(swap_multiplier * m), rng)
@@ -191,17 +190,15 @@ def calibrate_radius(n: int, target_m: int) -> float:
             lo = mid
 
 
-def spec_for(model: str, graph: Graph, swap_multiplier: float = 10.0) -> NullModelSpec:
-    """Build the null-model spec matched to an empirical graph."""
-    n = graph.number_of_nodes()
-    m = graph.number_of_edges()
+def spec_for(model: str, a: np.ndarray, swap_multiplier: float = 10.0) -> NullModelSpec:
+    """Build the null-model spec matched to an empirical graph's symmetric 0/1 adjacency."""
+    n = len(a)
+    m = int(np.count_nonzero(a)) // 2
     kind = model.upper()
     if kind == "ER":
         return NullModelSpec(kind="ER", n=n, m=m)
     if kind == "DEGSEQ":
-        return NullModelSpec(
-            kind="DEGSEQ", n=n, m=m, source=graph, swap_multiplier=swap_multiplier
-        )
+        return NullModelSpec(kind="DEGSEQ", n=n, m=m, source=a, swap_multiplier=swap_multiplier)
     if kind == "GRG":
         return NullModelSpec(kind="GRG", n=n, m=m, radius=calibrate_radius(n, m))
     raise InvalidArgumentError(f"unknown null model {model!r}")
@@ -213,7 +210,7 @@ def generate_null(spec: NullModelSpec, rng: np.random.Generator) -> np.ndarray:
         return er_gnm(spec.n, spec.m, rng)
     if spec.kind == "DEGSEQ":
         if spec.source is None:
-            raise InvalidArgumentError("DEGSEQ spec requires a source graph")
+            raise InvalidArgumentError("DEGSEQ spec requires a source adjacency")
         return switch_randomize(spec.source, spec.swap_multiplier, rng)
     if spec.kind == "GRG":
         return random_geometric(spec.n, spec.radius, rng)

@@ -15,7 +15,7 @@ import math
 
 from .errors import InsufficientDataError, InvalidArgumentError
 from .evolution import group_summary, node_age, prune_minor_groups, stage_networks
-from .graph import connected_components, girvan_newman
+from .graph import _adjacency_matrix, connected_components, girvan_newman
 from .nullmodels import SeedStream, spec_for
 from .records import (
     ITEM_COLUMN,
@@ -87,16 +87,19 @@ def _select_component(components, cograph, selector: str):
 def _score(graph, config: AnalysisConfig, stream: SeedStream) -> tuple:
     """(correlation entry, {model: {statistic: cell}}) of one scope graph.
 
-    Below 3 non-isolated nodes every cell gives that reason and no replicate is drawn.
+    The graph's adjacency, built here once, is what the stats and null-model
+    layers read. Below 3 non-isolated nodes every cell gives that reason and
+    no replicate is drawn.
     """
+    _, a = _adjacency_matrix(graph)
     try:
-        empirical = node_metric_correlations(graph, config.correlation)
+        empirical = node_metric_correlations(a, config.correlation)
     except InsufficientDataError as exc:
         undefined = {name: {"undefined": str(exc)} for name in STATISTICS}
         return undefined, dict.fromkeys(config.models, undefined)
     ensembles = {}
     for model in config.models:
-        spec = spec_for(model, graph, swap_multiplier=config.swap_multiplier)
+        spec = spec_for(model, a, swap_multiplier=config.swap_multiplier)
         ensembles[model] = ensemble_zscores(
             empirical,
             spec,

@@ -76,11 +76,18 @@ class RecordTable:
         """Row count and {attribute: mean} per bin, for rows binned by `bins` (codes < size).
 
         `np.bincount` adds each bin's values in row order from 0.0, as a
-        running Python sum would. An empty bin has no means.
+        running Python sum would. An empty bin has no means. A sum that
+        overflows to infinity raises ParseError naming the attribute, so no
+        mean is ever infinite.
         """
         counts = np.bincount(bins, minlength=size).tolist()
         names = sorted(self.attributes)
-        sums = [np.bincount(bins, self.attributes[name], size).tolist() for name in names]
+        sums = []
+        for name in names:
+            column = np.bincount(bins, self.attributes[name], size)
+            if not np.isfinite(column).all():
+                raise ParseError(f"column {name}: values too large to average")
+            sums.append(column.tolist())
         means = [
             {name: column[b] / n for name, column in zip(names, sums)} if n else {}
             for b, n in enumerate(counts)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr, stdtr
 
 from .errors import InsufficientDataError, InvalidArgumentError, UndefinedCorrelationError
-from .graph import Graph, _adjacency_matrix, _dense_betweenness, _dense_clustering
+from .graph import _dense_betweenness, _dense_clustering
 from .nullmodels import NullModelSpec, SeedStream, generate_null
 
 STATISTICS = ("COR_D_BC", "COR_CC_BC")
@@ -170,14 +170,14 @@ def metric_vectors(a: np.ndarray):
     return deg[keep], _dense_clustering(a)[keep], bc[keep]
 
 
-def node_metric_correlations(graph: Graph, kind: str = "spearman") -> dict:
-    """{statistic: cell} of COR_D_BC and COR_CC_BC over the graph's non-isolated nodes.
+def node_metric_correlations(a: np.ndarray, kind: str = "spearman") -> dict:
+    """{statistic: cell} of COR_D_BC and COR_CC_BC over the non-isolated rows.
 
-    A cell is {"value", "p_value", "n"}, or {"undefined": "constant metric
-    vector"} for a statistic whose metric vector is constant. Raises
-    InsufficientDataError below 3 non-isolated nodes.
+    `a` is a graph's symmetric 0/1 adjacency matrix. A cell is {"value",
+    "p_value", "n"}, or {"undefined": "constant metric vector"} for a
+    statistic whose metric vector is constant. Raises InsufficientDataError
+    below 3 non-isolated nodes.
     """
-    _, a = _adjacency_matrix(graph)
     deg, cvec, bvec = metric_vectors(a)
     cells = {}
     for name, x in zip(STATISTICS, (deg, cvec)):
@@ -209,7 +209,7 @@ def ensemble_zscores(
 ) -> dict:
     """{statistic: cell} z-scores of the empirical cells against a null ensemble.
 
-    `empirical` is `node_metric_correlations` of the graph that `spec`
+    `empirical` is `node_metric_correlations` of the adjacency that `spec`
     describes. One replicate adjacency is generated per index from the seed
     stream and both statistics are evaluated on it; undefined replicate
     values are dropped and counted. A defined cell is {"empirical", "mean",

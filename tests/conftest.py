@@ -29,7 +29,6 @@ from gradenet.graph import (
     _dense_clustering,
     _freeze_partition,
     connected_components,
-    modularity,
 )
 from gradenet.mining import CoSelectionGraph, cumulative_graphs
 from gradenet.nullmodels import max_edges
@@ -266,6 +265,40 @@ def dict_edge_betweenness(graph: Graph) -> dict:
                 eb[edge_key(v, w)] += c
                 delta[v] += c
     return {e: val / 2.0 for e, val in eb.items()}
+
+
+def modularity(graph: Graph, partition) -> float:
+    """Newman-Girvan Q = sum_c (e_cc - a_c^2); 0 for edgeless graphs.
+
+    The set walk that `girvan_newman` used before it read Q from its
+    component ids; it also checks that `partition` is a partition of the
+    graph's nodes.
+    """
+    nodes = set(graph._adj)
+    covered = set()
+    for community in partition:
+        community = set(community)
+        if community & covered:
+            raise InvalidArgumentError("partition communities are not disjoint")
+        if not community <= nodes:
+            raise InvalidArgumentError("partition contains unknown nodes")
+        covered |= community
+    if covered != nodes:
+        raise InvalidArgumentError("partition does not cover the node set")
+    m = graph.number_of_edges()
+    if m == 0:
+        return 0.0
+    q = 0.0
+    for community in partition:
+        community = set(community)
+        internal = 0
+        degree_sum = 0
+        for v in community:
+            nbrs = graph.neighbors(v)
+            degree_sum += len(nbrs)
+            internal += len(nbrs & community)
+        q += internal / (2.0 * m) - (degree_sum / (2.0 * m)) ** 2
+    return q
 
 
 def whole_graph_girvan_newman(graph: Graph, edge_betweenness=edge_betweenness):

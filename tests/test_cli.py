@@ -186,6 +186,15 @@ def test_exit_codes(tmp_path, input_csv, capsys):
         capsys.readouterr()
         assert main([command, str(invalid_utf8), "--out", str(tmp_path / command)]) == 2
         assert "data error" in capsys.readouterr().err
+    # finite cells whose per-item sum overflows: no mean may come out infinite
+    huge = tmp_path / "huge.csv"
+    huge.write_text("campaign,grade,carbon\nc1,A,1e308\nc1,B,1e308\nc2,A,1e308\n", encoding="utf-8")
+    for command in ("mine", "analyze"):
+        capsys.readouterr()
+        out = tmp_path / f"huge_{command}"
+        assert main([command, str(huge), "--windows", "1", "--out", str(out)]) == 2
+        assert "data error: column carbon" in capsys.readouterr().err
+        assert not out.exists()
     negative_windows = ["mine", str(input_csv), "--out", str(tmp_path / "o7"), "--windows", "-3"]
     assert main(negative_windows) == 1
     assert not (tmp_path / "o7").exists()
@@ -297,8 +306,8 @@ def test_each_scope_graph_is_scored_once(monkeypatch):
         scored.append(graph.nodes())
         return _adjacency_matrix(graph)
 
-    # node_metric_correlations builds one adjacency matrix per empirical evaluation
-    monkeypatch.setattr("gradenet.stats._adjacency_matrix", counting)
+    # the pipeline builds one adjacency matrix per scope it scores
+    monkeypatch.setattr("gradenet.pipeline._adjacency_matrix", counting)
     report = run_analysis(scope_csv(), SCOPE_CONFIG)
     removed = [entry["pruned_core"]["removed_items"] for entry in report["stages"]]
     assert removed == [3, 3, 0]

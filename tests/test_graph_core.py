@@ -15,7 +15,6 @@ from gradenet.graph import (
     _dense_betweenness,
     connected_components,
     girvan_newman,
-    modularity,
 )
 from conftest import (
     betweenness_all,
@@ -30,6 +29,7 @@ from conftest import (
     edge_betweenness,
     graph_from_adjacency,
     has_edge,
+    modularity,
     random_graph,
     remove_edge,
     whole_graph_girvan_newman,

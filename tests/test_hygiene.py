@@ -68,6 +68,28 @@ def test_every_public_name_has_a_caller():
     assert uncalled == []
 
 
+def test_numeric_layers_take_adjacency_arrays():
+    # stats and nullmodels read the dense adjacency that the pipeline builds
+    # from a scope Graph; modularity is a test oracle in conftest.py
+    for name in ("nullmodels.py", "stats.py"):
+        tree = ast.parse((SOURCE / name).read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        referenced = imported | names_used(SOURCE / name)
+        assert not referenced & {"Graph", "_adjacency_matrix"}, name
+    defined = {
+        node.name
+        for path in SOURCE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert "modularity" not in defined
+
+
 # Class members that nothing in src/ reads as an attribute, with the reason each stays.
 MEMBERS_READ_ELSEWHERE = {
     "_Parser.error": "argparse calls it on a usage error",

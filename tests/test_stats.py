@@ -250,19 +250,19 @@ def test_metric_vectors_match_graph_metrics(seed, isolated):
 
 def test_node_metric_correlations_star():
     star = Graph(edges=[("h", f"l{i}") for i in range(3)])
-    cells = node_metric_correlations(star)  # clustering is constant at 0
+    cells = node_metric_correlations(_adjacency_matrix(star)[1])  # clustering is constant at 0
     assert cells["COR_CC_BC"] == {"undefined": "constant metric vector"}
     assert cells["COR_D_BC"]["value"] == pytest.approx(1.0)
     assert cells["COR_D_BC"]["n"] == 4
     with pytest.raises(InsufficientDataError, match="got 2"):
-        node_metric_correlations(Graph(edges=[("a", "b")]))
+        node_metric_correlations(_adjacency_matrix(Graph(edges=[("a", "b")]))[1])
 
 
 def test_ensemble_zscores_deterministic():
     stream = SeedStream.from_seed(3)
     g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.generator(99)))
-    spec = spec_for("er", g)
-    empirical = node_metric_correlations(g)
+    spec = spec_for("er", _adjacency_matrix(g)[1])
+    empirical = node_metric_correlations(_adjacency_matrix(g)[1])
     first = ensemble_zscores(empirical, spec, 50, stream=stream)
     second = ensemble_zscores(empirical, spec, 50, stream=stream)
     assert first == second
@@ -286,9 +286,11 @@ def test_ensemble_zscores_deterministic():
 def test_ensemble_zscores_degenerate():
     # 4-cycles have constant clustering 0, so COR_CC_BC drops all replicates
     g = Graph(edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
-    spec = NullModelSpec(kind="DEGSEQ", n=4, m=4, source=g)
+    spec = NullModelSpec(kind="DEGSEQ", n=4, m=4, source=_adjacency_matrix(g)[1])
     stream = SeedStream.from_seed(0)
-    cells = ensemble_zscores(node_metric_correlations(g), spec, 20, stream=stream)
+    cells = ensemble_zscores(
+        node_metric_correlations(_adjacency_matrix(g)[1]), spec, 20, stream=stream
+    )
     assert cells["COR_CC_BC"] == {"undefined": "empirical correlation undefined"}
     # a defined empirical value still meets a degenerate ensemble
     defined = dict.fromkeys(STATISTICS, {"value": 0.5, "p_value": 0.5, "n": 4})
@@ -300,4 +302,9 @@ def test_ensemble_zscores_validates_replicates():
     g = graph_from_adjacency(range(10), er_gnm(10, 20, np.random.default_rng(0)))
     spec = NullModelSpec(kind="ER", n=10, m=20)
     with pytest.raises(InvalidArgumentError):
-        ensemble_zscores(node_metric_correlations(g), spec, 1, stream=SeedStream.from_seed(0))
+        ensemble_zscores(
+            node_metric_correlations(_adjacency_matrix(g)[1]),
+            spec,
+            1,
+            stream=SeedStream.from_seed(0),
+        )
