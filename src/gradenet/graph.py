@@ -138,11 +138,15 @@ def _dense_betweenness(
             break
         seen |= new
         frontiers.append(new)
-        layers.append(np.where(new, paths, 0.0))
+        # the counts are finite and non-negative, so masking by product is exact
+        paths *= new
+        layers.append(paths)
     delta = np.zeros((n, n))
     edge = np.zeros((n, n)) if edges else None
+    coeff = np.empty((n, n))
     for lev in range(len(layers) - 1, 0, -1):
-        coeff = np.divide(1.0 + delta, layers[lev], out=np.zeros((n, n)), where=frontiers[lev])
+        coeff.fill(0.0)
+        np.divide(1.0 + delta, layers[lev], out=coeff, where=frontiers[lev])
         spread = coeff @ a
         parent = layers[lev - 1]
         # edge[v, w] += sum over s with dist_sv = lev - 1, dist_sw = lev
@@ -175,29 +179,6 @@ def connected_components(graph: Graph) -> list:
     return components
 
 
-def _partition_q(comp: np.ndarray, order, rows: np.ndarray, cols: np.ndarray) -> float:
-    """Newman-Girvan Q = sum_c (e_cc - a_c^2) of the parts that `comp` numbers.
-
-    Edge k joins rows[k] and cols[k]; the parts are summed in `order`, from
-    0.0. An edgeless graph has Q = 0.
-    """
-    m = len(rows)
-    if m == 0:
-        return 0.0
-    # per part: the degree sum counts edge ends, the internal degree twice its edges
-    ends = np.bincount(np.concatenate((comp[rows], comp[cols])), minlength=len(order))
-    inside = comp[rows] == comp[cols]
-    internal = 2 * np.bincount(comp[rows[inside]], minlength=len(order))
-    q = 0.0
-    for internal_k, degree_sum in zip(internal[order].tolist(), ends[order].tolist()):
-        q += internal_k / (2.0 * m) - (degree_sum / (2.0 * m)) ** 2
-    return q
-
-
-def _freeze_partition(components) -> tuple:
-    return tuple(frozenset(c) for c in components)
-
-
 def girvan_newman(graph: Graph) -> CommunityPartition:
     """Divisive community detection by iterated max-edge-betweenness removal.
 
@@ -205,29 +186,52 @@ def girvan_newman(graph: Graph) -> CommunityPartition:
     modularity; on ties the level with fewer communities wins. A
     disconnected graph starts from its component partition.
 
-    The loop works on one adjacency array with a per-node component id and
-    a cached edge-betweenness matrix. A removal changes scores only inside
-    the component that held the edge, so each removal makes one kernel call
-    on that component's block. The call's reachability matrix tells whether
-    the block split and which nodes left; Brandes on a block that fell apart
-    already scores each part on its own.
+    The loop works on one adjacency array with a per-node part id and a
+    cached edge-betweenness matrix. A removal changes scores only inside
+    the part that held the edge, so each removal makes one kernel call on
+    that part's block. The call's reachability matrix tells whether the
+    block split and which nodes left; Brandes on a block that fell apart
+    already scores each part on its own. Each part keeps its sorted member
+    indices, its block, its frozen labels and its modularity term, so a
+    split recomputes only the two parts it makes.
     """
     labels, a = _adjacency_matrix(graph)
-    rows, cols = np.nonzero(np.triu(a, 1))  # the edges before any removal
-    base = _freeze_partition(connected_components(graph))
-    best = parts = base
-    index = {v: i for i, v in enumerate(labels)}
+    original = a > 0
+    degree = a.sum(axis=1)
+    remaining = int(np.count_nonzero(a)) // 2
+    # Newman-Girvan Q = sum_c (e_cc - a_c^2), counted on the graph before
+    # any removal; an edgeless graph has Q = 0, as then every count is 0
+    two_m = 2.0 * remaining or 1.0
     comp = np.empty(len(labels), dtype=np.intp)
-    eb = np.zeros_like(a)
-    for k, community in enumerate(base):
-        members = np.sort([index[v] for v in community])
+    parts = {}  # part id -> (members, block, labels, Q term)
+
+    def set_part(k: int, members: np.ndarray) -> None:
+        block = np.ix_(members, members)
         comp[members] = k
-        if len(members) > 1:
-            block = np.ix_(members, members)
+        # twice the internal edges and the degree sum, as exact integers
+        internal = int(np.count_nonzero(original[block]))
+        degree_sum = int(degree[members].sum())
+        term = internal / two_m - (degree_sum / two_m) ** 2
+        parts[k] = (members, block, frozenset(labels[t] for t in members.tolist()), term)
+
+    def level() -> tuple:
+        # largest first, then smallest label; Q summed in that order from 0.0
+        order = sorted(parts, key=lambda k: (-len(parts[k][0]), parts[k][0][0]))
+        q = 0.0
+        for k in order:
+            q += parts[k][3]
+        return tuple(parts[k][2] for k in order), q
+
+    index = {v: i for i, v in enumerate(labels)}
+    eb = np.zeros_like(a)
+    for k, community in enumerate(connected_components(graph)):
+        set_part(k, np.sort([index[v] for v in community]))
+        if len(community) > 1:
+            block = parts[k][1]
             eb[block] = _dense_betweenness(a[block], edges=True)[1]
-    best_q = _partition_q(comp, range(len(base)), rows, cols)
+    partition, best_q = level()
+    best = partition
     dendrogram = []
-    remaining = len(rows)
     while remaining:
         # eb is symmetric, zero off the edges and at least 1 on them, and
         # labels are sorted, so the first tied entry in row-major order is
@@ -235,20 +239,18 @@ def girvan_newman(graph: Graph) -> CommunityPartition:
         i, j = divmod(int(np.argmax(eb >= eb.max() - _TIE_EPS)), len(labels))
         a[i, j] = a[j, i] = 0.0
         remaining -= 1
-        members = np.flatnonzero(comp == comp[i])
-        block = np.ix_(members, members)
+        k = int(comp[i])
+        members, block = parts[k][:2]
         _, eb[block], seen = _dense_betweenness(a[block], edges=True)
         reached = seen[np.searchsorted(members, i)]
         if not reached[np.searchsorted(members, j)]:
-            comp[members[~reached]] = len(parts)
-            groups = [np.flatnonzero(comp == k) for k in range(len(parts) + 1)]
-            order = sorted(range(len(groups)), key=lambda k: (-len(groups[k]), groups[k][0]))
-            parts = tuple(frozenset(labels[t] for t in groups[k].tolist()) for k in order)
-            q = _partition_q(comp, order, rows, cols)
+            set_part(len(parts), members[~reached])
+            set_part(k, members[reached])
+            partition, q = level()
             if q > best_q + _TIE_EPS:
                 best_q = q
-                best = parts
-        dendrogram.append(((labels[i], labels[j]), parts))
+                best = partition
+        dendrogram.append(((labels[i], labels[j]), partition))
     return CommunityPartition(
         communities=best, modularity_q=best_q, dendrogram=tuple(dendrogram)
     )

@@ -100,36 +100,43 @@ def switch_randomize(a: np.ndarray, swap_multiplier: float, rng: np.random.Gener
     # edge k is (ends[2k], ends[2k + 1]); slot 2k + flip is the endpoint a
     # flip selects as "first"
     ends = np.column_stack(np.nonzero(np.triu(a, 1))).ravel().tolist()
-    adj = bytearray(a.tobytes())
+    rows = [bytearray(row.tobytes()) for row in a]
     m = len(ends) // 2
     if m >= 2:
-        _swap(ends, adj, n, math.ceil(swap_multiplier * m), rng)
-    return np.frombuffer(adj, dtype=bool).reshape(n, n)
+        _swap(ends, rows, math.ceil(swap_multiplier * m), rng)
+    return np.frombuffer(bytearray().join(rows), dtype=bool).reshape(n, n)
 
 
-def _swap(ends: list, adj: bytearray, n: int, proposals: int, rng: np.random.Generator) -> None:
-    """Run the swap chain in place on the edge endpoints and flat adjacency."""
+def _swap(ends: list, rows: list, proposals: int, rng: np.random.Generator) -> None:
+    """Run the swap chain in place on the edge endpoints and adjacency rows."""
     m = len(ends) // 2
     block = 4096
     for start in range(0, proposals, block):
         size = min(block, proposals - start)
         slots = 2 * rng.integers(0, m, size=(size, 2)) + rng.integers(0, 2, size=(size, 2))
-        for p, q in slots.tolist():
+        # slot s ^ 1 is the other end of the edge whose end slot s holds
+        first, second = slots.T
+        columns = first.tolist(), (first ^ 1).tolist(), second.tolist(), (second ^ 1).tolist()
+        for p, pp, q, qq in zip(*columns):
             a = ends[p]
-            b = ends[p ^ 1]
+            b = ends[pp]
             c = ends[q]
-            d = ends[q ^ 1]
-            # a repeated edge (p >> 1 == q >> 1) shares endpoints too
-            if a == c or a == d or b == c or b == d:
+            d = ends[qq]
+            # the four ends must be distinct; a == c makes (a, d) the edge
+            # (c, d) and b == d makes (c, b) that edge, so the adjacency test
+            # rejects those two, and a repeated edge meets one of the four
+            if a == d or b == c:
                 continue
-            ad = a * n + d
-            cb = c * n + b
-            if adj[ad] or adj[cb]:
+            row_a = rows[a]
+            row_c = rows[c]
+            if row_a[d] or row_c[b]:
                 continue
-            adj[a * n + b] = adj[b * n + a] = adj[c * n + d] = adj[d * n + c] = 0
-            adj[ad] = adj[d * n + a] = adj[cb] = adj[b * n + c] = 1
-            ends[p ^ 1] = d
-            ends[q ^ 1] = b
+            row_b = rows[b]
+            row_d = rows[d]
+            row_a[b] = row_b[a] = row_c[d] = row_d[c] = 0
+            row_a[d] = row_d[a] = row_c[b] = row_b[c] = 1
+            ends[pp] = d
+            ends[qq] = b
 
 
 def random_geometric(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:

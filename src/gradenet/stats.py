@@ -41,15 +41,18 @@ def midranks(values) -> np.ndarray:
     """Ranks starting at 1, ties receiving the average of their positions."""
     arr = np.asarray(values, dtype=float)
     order = np.argsort(arr, kind="stable")
-    ranks = np.empty(len(arr))
+    ordered = arr[order].tolist()
+    n = len(ordered)
+    sorted_ranks = []
     i = 0
-    n = len(arr)
     while i < n:
         j = i
-        while j + 1 < n and arr[order[j + 1]] == arr[order[i]]:
+        while j + 1 < n and ordered[j + 1] == ordered[i]:
             j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        sorted_ranks += [(i + j) / 2.0 + 1.0] * (j + 1 - i)
         i = j + 1
+    ranks = np.empty(n)
+    ranks[order] = sorted_ranks
     return ranks
 
 
@@ -72,7 +75,11 @@ def _pearson_value(x: np.ndarray, y: np.ndarray) -> float:
     vy = float(yc @ yc)
     if vx == 0.0 or vy == 0.0:
         raise UndefinedCorrelationError("zero variance in a correlation argument")
-    r = float(xc @ yc) / math.sqrt(vx * vy)
+    scale = math.sqrt(vx * vy)
+    if scale == 0.0:
+        # the product underflowed, as with spreads near 1e-80
+        scale = math.sqrt(vx) * math.sqrt(vy)
+    r = float(xc @ yc) / scale
     return min(1.0, max(-1.0, r))
 
 
@@ -246,7 +253,8 @@ def ensemble_zscores(
         elif dropped[name] * 2 > replicates:
             reason = f"degenerate: {dropped[name]} of {replicates} replicates undefined"
             cells[name] = {"undefined": reason}
-        elif vals.std() == 0.0:
+        elif vals.min() == vals.max():
+            # np.std of equal values can come out as 1e-16, not 0
             cells[name] = {"undefined": "zero ensemble standard deviation"}
         else:
             value, mean, std = empirical[name]["value"], float(vals.mean()), float(vals.std())

@@ -27,7 +27,6 @@ from gradenet.graph import (
     _adjacency_matrix,
     _dense_betweenness,
     _dense_clustering,
-    _freeze_partition,
     connected_components,
 )
 from gradenet.mining import CoSelectionGraph, cumulative_graphs
@@ -301,6 +300,10 @@ def modularity(graph: Graph, partition) -> float:
     return q
 
 
+def _freeze_partition(components) -> tuple:
+    return tuple(frozenset(c) for c in components)
+
+
 def whole_graph_girvan_newman(graph: Graph, edge_betweenness=edge_betweenness):
     """Girvan-Newman rescoring the whole graph after every removal.
 
@@ -352,6 +355,26 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 7) -> Graph:
             if k:
                 g.add_edge(u, v)
     return g
+
+
+def loop_midranks(values) -> np.ndarray:
+    """Ranks starting at 1, ties receiving the average of their positions.
+
+    The loop that `stats.midranks` replaced, kept as it was: it indexes the
+    numpy array once per comparison and writes each tie group separately.
+    """
+    arr = np.asarray(values, dtype=float)
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(len(arr))
+    i = 0
+    n = len(arr)
+    while i < n:
+        j = i
+        while j + 1 < n and arr[order[j + 1]] == arr[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def kendall_exhaustive(x, y):

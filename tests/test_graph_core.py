@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gradenet.errors import InvalidArgumentError
 from gradenet.graph import (
+    _TIE_EPS,
     Graph,
     _dense_betweenness,
     connected_components,
@@ -307,6 +308,19 @@ def test_girvan_newman_tie_heavy_matches_whole_graph_oracle(name):
 @settings(max_examples=300, deadline=None)
 def test_girvan_newman_matches_whole_graph_oracle(g):
     assert_matches_whole_graph_oracle(g)
+
+
+@given(gn_graphs())
+@example(TIE_HEAVY["C8"])
+@example(TIE_HEAVY["K5"])
+@example(TIE_HEAVY["K3,3"])
+@example(TIE_HEAVY["2K4"])
+@settings(max_examples=300, deadline=None)
+def test_girvan_newman_q_is_modularity_of_best_level(g):
+    partition = girvan_newman(g)
+    assert partition.modularity_q == modularity(g, partition.communities)
+    for _, parts in partition.dendrogram:
+        assert modularity(g, parts) <= partition.modularity_q + _TIE_EPS
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -358,6 +358,22 @@ def test_switch_randomize_complete_graph_matches_graph_oracle(graph):
     )
 
 
+@pytest.mark.parametrize(
+    "m, multiplier",
+    [(256, 16.0), (256, 4097 / 256), (300, 20.0)],
+    ids=["one-full-block", "one-past-block", "two-blocks"],
+)
+def test_switch_randomize_across_block_boundary_matches_graph_oracle(m, multiplier):
+    # the chain draws its proposals in blocks of 4096: 4096, 4097 and 6000
+    # proposals here, on (40, m)
+    g = graph_from_adjacency(range(40), er_gnm(40, m, np.random.default_rng(m)))
+    assert_same_draws(
+        lambda r: switch_randomize(_adjacency_matrix(g)[1], multiplier, r),
+        lambda r: graph_switch_randomize(g, multiplier, r),
+        16,
+    )
+
+
 def _realizations(degrees) -> list:
     """Every simple graph on range(len(degrees)) with this degree sequence, as an adjacency."""
     n = len(degrees)

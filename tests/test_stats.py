@@ -30,6 +30,7 @@ from conftest import (
     graph_from_adjacency,
     kendall_exhaustive,
     kendall_z_oracle,
+    loop_midranks,
     normal_p_value_oracle,
     random_graph,
     t_p_value_oracle,
@@ -51,6 +52,24 @@ def sequences(min_size=3, max_size=12):
 def test_midranks():
     assert midranks([10.0, 20.0, 30.0]).tolist() == [1.0, 2.0, 3.0]
     assert midranks([5.0, 1.0, 5.0, 2.0]).tolist() == [3.5, 1.0, 3.5, 2.0]
+
+
+# small integers give long tie runs; signed zeros are equal and tie
+tie_heavy_values = st.lists(
+    st.one_of(st.integers(min_value=-3, max_value=3).map(float), st.sampled_from([0.0, -0.0])),
+    max_size=40,
+)
+
+
+@given(st.one_of(tie_heavy_values, st.lists(finite_floats, max_size=40)))
+@example([])
+@example([7.0])
+@example([2.0, 2.0])
+@example([1.0, -1.0])
+@example([0.0, -0.0, 0.0, -0.0, 1.0])
+@settings(max_examples=300)
+def test_midranks_matches_loop_oracle(values):
+    assert np.array_equal(midranks(values), loop_midranks(values))
 
 
 def test_pearson_fixture():
@@ -134,6 +153,7 @@ def tied_sequences(min_size=3, max_size=12):
 @example(([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]))  # r = 1: p = 0 without a t statistic
 @example(([1.0, 2.0, 3.0, 4.0], [8.0, 6.0, 4.0, 2.0]))  # r = -1
 @example(([0.0] * 11 + [1.0], [0.0] * 11 + [1.0]))  # both samples tied all but once
+@example(([0.0, 0.0, 3.4e-82], [0.0, 0.0, 3.4e-82]))  # the variance product underflows
 @settings(max_examples=300)
 def test_p_values_match_scipy_stats_oracles(xy):
     # exact equality: the special-function tails are what scipy.stats evaluates
@@ -296,6 +316,24 @@ def test_ensemble_zscores_degenerate():
     defined = dict.fromkeys(STATISTICS, {"value": 0.5, "p_value": 0.5, "n": 4})
     cells = ensemble_zscores(defined, spec, 20, stream=stream)
     assert cells["COR_CC_BC"] == {"undefined": "degenerate: 20 of 20 replicates undefined"}
+
+
+def test_ensemble_zscores_constant_ensemble_is_undefined():
+    # a threshold graph (node v joins every earlier node on "d") is the only
+    # graph with its degree sequence, so every DEGSEQ replicate equals it
+    a = np.zeros((10, 10))
+    for v, step in enumerate("idddddddid"):
+        if step == "d":
+            a[v, :v] = a[:v, v] = 1.0
+    spec = spec_for("degseq", a)
+    stream = SeedStream.from_seed(1)
+    for i in range(3):
+        assert np.array_equal(generate_null(spec, stream.generator(i)), a > 0)
+    empirical = node_metric_correlations(a)
+    assert all("value" in cell for cell in empirical.values())
+    # np.std of the 25 equal COR_D_BC values is 1.1e-16, which read z = -1.0
+    cells = ensemble_zscores(empirical, spec, 25, stream=stream)
+    assert cells == dict.fromkeys(STATISTICS, {"undefined": "zero ensemble standard deviation"})
 
 
 def test_ensemble_zscores_validates_replicates():
