@@ -108,17 +108,17 @@ def _write(directory: Path, name: str, text: str) -> None:
     (directory / name).write_text(text, encoding="utf-8")
 
 
-def _annotations(cograph, ages=None):
-    components = connected_components(cograph.graph)
-    annotations = {}
-    for i, component in enumerate(components):
+def _annotations(cograph, table, ages=None):
+    """Node data per item: its attribute means over `table`, component, community and age."""
+    annotations = table.item_means()
+    for i, component in enumerate(connected_components(cograph.graph)):
         subgraph = cograph.graph.subgraph(component)
         for j, community in enumerate(girvan_newman(subgraph).ordered()):
             for node in community:
-                annotations[node] = {"component": i, "community": f"{i}.{j}"}
+                annotations[node].update(component=i, community=f"{i}.{j}")
     if ages is not None:
         for node, age in ages.items():
-            annotations.setdefault(node, {})["age"] = age
+            annotations[node]["age"] = age
     return annotations
 
 
@@ -131,7 +131,7 @@ def cmd_mine(args) -> int:
     series = stage_networks(table, ends, min_support=args.min_support, min_lift=args.min_lift)
     cograph = series.stages[-1]
     ages = node_age(series) if args.windows else None
-    annotations = _annotations(cograph, ages)
+    annotations = _annotations(cograph, table, ages)
     out = args.out
     _write(out, "network.graphml", graphml_dumps(cograph, annotations))
     _write(out, "network.dot", dot_dumps(cograph, annotations))

@@ -32,16 +32,6 @@ class StageSeries:
         return self.records.take(self.records.campaign < self.ends[s])
 
 
-@dataclass(frozen=True)
-class GroupSummary:
-    """Production contribution of one node group (component or community)."""
-
-    items: int
-    slab_frequency: float
-    campaign_frequency: float
-    attribute_means: dict
-
-
 def stage_networks(
     records: RecordTable,
     ends: tuple,
@@ -70,11 +60,12 @@ def node_age(series: StageSeries) -> dict:
 
 
 def group_summary(groups, records: RecordTable) -> list:
-    """Per group: item count, slab/campaign frequency, attribute means.
+    """One report cell per group: item count, slab/campaign frequency, attribute means.
 
-    Slab counts and attribute means come from one `RecordTable.bin_means`
-    over the records. A group's campaigns are the distinct campaigns of its
-    rows, out of the distinct campaigns of all rows.
+    A cell holds the keys `items`, `slab_frequency`, `campaign_frequency`
+    and `attribute_means`. Slab counts and attribute means come from one
+    `RecordTable.bin_means` over the records. A group's campaigns are the
+    distinct campaigns of its rows, out of the distinct campaigns of all rows.
     """
     groups = [set(group) for group in groups]
     known_items = records.item_counts().keys()
@@ -96,12 +87,12 @@ def group_summary(groups, records: RecordTable) -> list:
     total_records = len(records)
     total_campaigns = int(seen.any(axis=1).sum())
     return [
-        GroupSummary(
-            items=len(group),
-            slab_frequency=slabs[g] / total_records if total_records else 0.0,
-            campaign_frequency=campaigns[g] / total_campaigns if total_campaigns else 0.0,
-            attribute_means=means[g],
-        )
+        {
+            "items": len(group),
+            "slab_frequency": slabs[g] / total_records if total_records else 0.0,
+            "campaign_frequency": campaigns[g] / total_campaigns if total_campaigns else 0.0,
+            "attribute_means": means[g],
+        }
         for g, group in enumerate(groups)
     ]
 
@@ -114,7 +105,7 @@ def prune_minor_groups(
 ) -> Graph:
     """Subgraph induced by the groups whose slab frequency reaches the floor.
 
-    `summaries` is `group_summary(groups, records)`, one GroupSummary per group.
+    `summaries` is `group_summary(groups, records)`, one cell per group.
     """
     if not (0.0 <= slab_frequency_floor <= 1.0):
         raise InvalidArgumentError("slab frequency floor must be in [0, 1]")
@@ -122,6 +113,6 @@ def prune_minor_groups(
         raise InvalidArgumentError("partition does not cover the graph's nodes")
     keep = set()
     for group, summary in zip(groups, summaries, strict=True):
-        if summary.slab_frequency >= slab_frequency_floor:
+        if summary["slab_frequency"] >= slab_frequency_floor:
             keep.update(group)
     return graph.subgraph(keep)

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import xml.etree.ElementTree as ET
 
 from .mining import CoSelectionGraph
 from .records import ATTRIBUTE_COLUMNS, CAMPAIGN_COLUMN, ITEM_COLUMN
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+# a DOT numeral has no exponent
+_DOT_NUMERAL = re.compile(r"-?(\.[0-9]+|[0-9]+(\.[0-9]*)?)")
 
 
 def records_csv_dumps(records) -> str:
@@ -35,13 +38,8 @@ def records_csv_dumps(records) -> str:
 
 
 def _node_data(cograph: CoSelectionGraph, node_annotations: dict | None) -> dict:
-    data: dict = {}
-    for node in cograph.graph.nodes():
-        row = dict(cograph.node_attributes.get(node, {}))
-        if node_annotations:
-            row.update(node_annotations.get(node, {}))
-        data[node] = row
-    return data
+    node_annotations = node_annotations or {}
+    return {node: node_annotations.get(node, {}) for node in cograph.graph.nodes()}
 
 
 def graphml_dumps(cograph: CoSelectionGraph, node_annotations: dict | None = None) -> str:
@@ -78,17 +76,22 @@ def _dot_quote(label) -> str:
     return '"' + str(label).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _dot_id(text: str) -> str:
+    """`text` as a DOT ID: a DOT numeral as it is, anything else (say 5e-05) quoted."""
+    return text if _DOT_NUMERAL.fullmatch(text) else _dot_quote(text)
+
+
 def dot_dumps(cograph: CoSelectionGraph, node_annotations: dict | None = None) -> str:
     node_data = _node_data(cograph, node_annotations)
     lines = ["graph coselection {"]
     for node in cograph.graph.nodes():
         attrs = ", ".join(
-            f"{name}={node_data[node][name]}" for name in sorted(node_data[node])
+            f"{name}={_dot_id(str(node_data[node][name]))}" for name in sorted(node_data[node])
         )
         suffix = f" [{attrs}]" if attrs else ""
         lines.append(f"  {_dot_quote(node)}{suffix};")
     for (u, v), lift in cograph.edge_lift.items():
-        lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)} [lift={lift!r}];")
+        lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)} [lift={_dot_id(repr(lift))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

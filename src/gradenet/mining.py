@@ -21,11 +21,10 @@ _BLOCK_CAMPAIGNS = 2048
 
 @dataclass(frozen=True)
 class CoSelectionGraph:
-    """Co-selection network plus per-edge lift and per-node attribute means."""
+    """Co-selection network plus per-edge lift."""
 
     graph: Graph
     edge_lift: dict  # (a, b) with a < b -> lift, one key per graph edge, in sorted order
-    node_attributes: dict  # item -> {attribute -> mean over its records}
 
 
 def cumulative_graphs(records, ends, min_support: float, min_lift: float) -> list:
@@ -35,8 +34,7 @@ def cumulative_graphs(records, ends, min_support: float, min_lift: float) -> lis
     a pair that co-occurs, reaches min_support and has lift >= min_lift.
     Supports count campaigns, from a running item x item count that each
     stage extends by B.T @ B over the 0/1 campaign x item incidence B of
-    its new campaigns, so each campaign is counted once. Graph s averages
-    the attributes of the records with campaign code < ends[s].
+    its new campaigns, so each campaign is counted once.
     """
     if not (0.0 <= min_support <= 1.0):
         raise InvalidArgumentError("min_support must be in [0, 1]")
@@ -50,8 +48,6 @@ def cumulative_graphs(records, ends, min_support: float, min_lift: float) -> lis
     rank[order] = np.arange(len(labels))
     campaign, items = records.campaign_items()
     counts = np.zeros((len(labels), len(labels)), np.int64)
-    # rows from suffix_min.searchsorted(end) on all belong to campaigns >= end
-    suffix_min = np.minimum.accumulate(records.campaign[::-1])[::-1]
     graphs = []
     total = 0
     for end in ends:
@@ -73,11 +69,5 @@ def cumulative_graphs(records, ends, min_support: float, min_lift: float) -> lis
         edge_lift = {(names[a], names[b]): value for a, b, value in pairs}
         occurs = np.flatnonzero(single)
         nodes = [names[k] for k in occurs[single[occurs] / total >= min_support].tolist()]
-        # fold the rows up to the stage's last; later campaigns among them go to bin len(labels)
-        head = records.take(slice(suffix_min.searchsorted(end)))
-        bins = np.where(head.campaign < end, head.item, len(labels))
-        means = dict(zip(labels, head.bin_means(bins, len(labels) + 1)[1]))
-        node_attributes = {item: means[item] for item in nodes if means.get(item)}
-        g = Graph(nodes=nodes, edges=edge_lift)
-        graphs.append(CoSelectionGraph(g, edge_lift, node_attributes))
+        graphs.append(CoSelectionGraph(Graph(nodes=nodes, edges=edge_lift), edge_lift))
     return graphs

@@ -75,9 +75,9 @@ def er_gnm(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     a = np.zeros((n, n), dtype=bool)
     if m == 0:
         return a
-    rows, cols = np.triu_indices(n, k=1)
-    chosen = rng.choice(limit, size=m, replace=False)
-    a[rows[chosen], cols[chosen]] = True
+    upper = np.zeros(limit, dtype=bool)
+    upper[rng.choice(limit, size=m, replace=False)] = True
+    a[~np.tri(n, dtype=bool)] = upper  # the strict upper triangle, filled in row-major order
     return a | a.T
 
 

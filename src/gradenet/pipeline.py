@@ -71,15 +71,21 @@ class AnalysisConfig:
             )
 
 
-def _select_component(components, cograph, selector: str):
+def _select_component(components, records, selector: str):
+    """The largest component, or the one whose items' means of the attribute average lowest.
+
+    `math.fsum` makes that average independent of the set's order, so of the
+    hash seed. Ties go to the larger component, then to the least label.
+    """
     if not components:
         return None
     if selector == "largest":
         return components[0]
     attribute = selector.split(":", 1)[1]
+    means = records.item_means()
 
     def mean_attribute(component):
-        return sum(cograph.node_attributes[v][attribute] for v in component) / len(component)
+        return math.fsum(means[v][attribute] for v in component) / len(component)
 
     return min(components, key=lambda c: (mean_attribute(c), -len(c), min(c)))
 
@@ -138,7 +144,8 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
             "edges": cograph.graph.number_of_edges(),
             "components": [sorted(c) for c in components],
         }
-        selected = _select_component(components, cograph, config.component)
+        stage_records = series.stage_records(s)
+        selected = _select_component(components, stage_records, config.component)
         if selected is None:
             entry.update(
                 {
@@ -155,7 +162,6 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         component_graph = cograph.graph.subgraph(selected)
         partition = girvan_newman(component_graph)
         communities = partition.ordered()
-        stage_records = series.stage_records(s)
         summaries = group_summary(communities, stage_records)
         pruned_graph = prune_minor_groups(
             component_graph, communities, summaries, config.prune_floor
@@ -166,16 +172,7 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
             "modularity": partition.modularity_q,
             "members": communities,
         }
-        entry["group_summaries"] = [
-            {
-                "community": i,
-                "items": summary.items,
-                "slab_frequency": summary.slab_frequency,
-                "campaign_frequency": summary.campaign_frequency,
-                "attribute_means": summary.attribute_means,
-            }
-            for i, summary in enumerate(summaries)
-        ]
+        entry["group_summaries"] = [{"community": i, **cell} for i, cell in enumerate(summaries)]
         entry["pruned_core"] = {
             "nodes": pruned_graph.nodes(),
             "removed_items": len(selected) - pruned_graph.number_of_nodes(),

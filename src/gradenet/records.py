@@ -94,6 +94,10 @@ class RecordTable:
         ]
         return counts, means
 
+    def item_means(self) -> dict:
+        """{item label: {attribute: mean}} over each item's rows in file order; {} for no rows."""
+        return dict(zip(self.item_labels, self.bin_means(self.item, len(self.item_labels))[1]))
+
 
 def parse_records(
     csv_text: str,

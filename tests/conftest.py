@@ -8,7 +8,7 @@ import itertools
 import math
 import re
 import xml.etree.ElementTree as ET
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict, deque, namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -18,7 +18,6 @@ from scipy import stats as sps
 from scipy.spatial.distance import pdist
 
 from gradenet.errors import GradenetError, InvalidArgumentError, ParseError, SchemaError
-from gradenet.evolution import GroupSummary
 from gradenet.exports import _GRAPHML_NS
 from gradenet.graph import (
     _TIE_EPS,
@@ -755,18 +754,21 @@ def dot_loads(text: str):
 # attribute sum from scratch; group summaries and pruning rescan the
 # records once per group.
 
+Rebuilt = namedtuple("Rebuilt", "graph edge_lift node_attributes")
+
 
 def rebuild_graph(
     transactions: TransactionSet,
     records=(),
     min_support: float = 0.0,
     min_lift: float = 1.0,
-) -> CoSelectionGraph:
+) -> Rebuilt:
     """Build the co-selection network from transactions.
 
     Nodes are items that occur at least once and reach min_support. An edge
     (a, b) exists iff the pair co-occurs, its support reaches min_support
     and its lift reaches min_lift. Empty transactions give an empty graph.
+    `node_attributes` maps each node with records to its attribute means.
     """
     if not (0.0 <= min_support <= 1.0):
         raise InvalidArgumentError("min_support must be in [0, 1]")
@@ -774,7 +776,7 @@ def rebuild_graph(
         raise InvalidArgumentError("min_lift must be finite")
     total = len(transactions)
     if total == 0:
-        return CoSelectionGraph(Graph(), {}, {})
+        return Rebuilt(Graph(), {}, {})
 
     single = Counter()
     pairs = Counter()
@@ -809,7 +811,7 @@ def rebuild_graph(
         item: {name: sums[item][name] / counts[item][name] for name in sorted(sums[item])}
         for item in sorted(sums)
     }
-    return CoSelectionGraph(g, edge_lift, node_attributes)
+    return Rebuilt(g, edge_lift, node_attributes)
 
 
 def rebuild_stage_networks(
@@ -872,12 +874,12 @@ def rescan_group_summary(groups, records, transactions: TransactionSet) -> list:
                 sums[name] = sums.get(name, 0.0) + value
                 counts[name] = counts.get(name, 0) + 1
         summaries.append(
-            GroupSummary(
-                items=len(group),
-                slab_frequency=len(group_records) / total_records if total_records else 0.0,
-                campaign_frequency=campaigns / total_campaigns if total_campaigns else 0.0,
-                attribute_means={name: sums[name] / counts[name] for name in sorted(sums)},
-            )
+            {
+                "items": len(group),
+                "slab_frequency": len(group_records) / total_records if total_records else 0.0,
+                "campaign_frequency": campaigns / total_campaigns if total_campaigns else 0.0,
+                "attribute_means": {name: sums[name] / counts[name] for name in sorted(sums)},
+            }
         )
     return summaries
 

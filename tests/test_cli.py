@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +103,41 @@ def test_export_round_trip_preserves_graph():
         nodes, edges = loads(dumps(cograph))
         assert nodes == cograph.graph.nodes()
         assert edges == cograph.graph.edges()
+
+
+# a DOT ID: an alphabetic name, a numeral (which has no exponent) or a quoted string
+_DOT_ID = re.compile(r'[A-Za-z_][A-Za-z_0-9]*|-?(\.[0-9]+|[0-9]+(\.[0-9]*)?)|"(?:[^"\\]|\\.)*"')
+_DOT_ATTRIBUTE = re.compile(r'([^\s=,\[\]]+)=("(?:[^"\\]|\\.)*"|[^,\]]*)')
+
+
+def dot_attributes(text: str) -> list:
+    """Every name=value pair inside the brackets of DOT text."""
+    return [
+        pair
+        for line in text.splitlines()
+        if "[" in line
+        for pair in _DOT_ATTRIBUTE.findall(line[line.index("[") :])
+    ]
+
+
+def test_dot_attribute_values_are_dot_ids(tmp_path):
+    # a titanium mean of 5e-05 and a lift of 1e-05 print with an exponent
+    path = tmp_path / "titanium.csv"
+    path.write_text(
+        "campaign,grade,carbon,titanium\nc1,A,0.1,0.00005\nc1,B,0.2,0.00005\nc2,A,0.1,0.0\n",
+        encoding="utf-8",
+    )
+    assert main(["mine", str(path), "--windows", "2", "--out", str(tmp_path / "out")]) == 0
+    mined = (tmp_path / "out" / "network.dot").read_text(encoding="utf-8")
+    cograph = build_graph(parse_records(path.read_text(encoding="utf-8")))
+    tiny = dataclasses.replace(cograph, edge_lift={("A", "B"): 1e-05})
+    text = mined + dot_dumps(tiny, {"A": {"carbon": -0.5, "community": "0.1"}})
+    pairs = dot_attributes(text)
+    assert {name for name, _ in pairs} >= {"age", "carbon", "community", "component", "lift"}
+    for name, value in pairs:
+        assert _DOT_ID.fullmatch(name), name
+        assert _DOT_ID.fullmatch(value), (name, value)
+    assert ("titanium", '"5e-05"') in pairs and ("lift", '"1e-05"') in pairs
 
 
 def test_records_csv_round_trip():
@@ -239,20 +276,50 @@ def test_mine_header_only_csv(tmp_path):
     assert (tmp_path / "o" / "network.dot").read_text(encoding="utf-8") == "graph coselection {\n}\n"
 
 
-def test_analyze_identical_across_hash_seeds(tmp_path, input_csv):
+def analyze_under_hash_seed(hash_seed: str, out: Path, *args: str) -> list:
+    """The report and z-score bytes of `gradenet analyze *args` in a child with PYTHONHASHSEED."""
     src = str(Path(gradenet.__file__).resolve().parents[1])
-    outputs = []
-    for hash_seed in ("0", "12345"):
-        out = tmp_path / f"hash{hash_seed}"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        subprocess.run(
-            [sys.executable, "-m", "gradenet.cli", "analyze", str(input_csv), "--windows", "2",
-             "--ensemble", "50", "--seed", "13", "--out", str(out)],
-            env=env,
-            check=True,
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    subprocess.run(
+        [sys.executable, "-m", "gradenet.cli", "analyze", *args, "--out", str(out)],
+        env=env,
+        check=True,
+    )
+    return [(out / name).read_bytes() for name in ("report.json", "zscores.csv")]
+
+
+def test_analyze_identical_across_hash_seeds(tmp_path, input_csv):
+    outputs = [
+        analyze_under_hash_seed(
+            hash_seed, tmp_path / f"hash{hash_seed}",
+            str(input_csv), "--windows", "2", "--ensemble", "50", "--seed", "13",
         )
-        outputs.append([(out / name).read_bytes() for name in ("report.json", "zscores.csv")])
+        for hash_seed in ("0", "12345")
+    ]
+    assert outputs[0] == outputs[1]
+
+
+def test_min_mean_selector_identical_across_hash_seeds(tmp_path):
+    # two triangles with the same carbon means, 0.1 + 0.2 + 0.3 summed in
+    # set order: a tie that the larger-first, least-label rule gives to a
+    tie_csv = tmp_path / "tie.csv"
+    tie_csv.write_text(
+        "campaign,grade,carbon\n"
+        + "".join(f"c{g},{g}{i},0.{i}\n" for g in "ab" for i in (1, 2, 3)),
+        encoding="utf-8",
+    )
+    outputs = []
+    for hash_seed in ("0", "6"):
+        out = tmp_path / f"hash{hash_seed}"
+        outputs.append(
+            analyze_under_hash_seed(
+                hash_seed, out, str(tie_csv), "--windows", "1", "--ensemble", "5",
+                "--component", "min-mean:carbon",
+            )
+        )
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["stages"][0]["selected_component"] == ["a1", "a2", "a3"]
     assert outputs[0] == outputs[1]
 
 

@@ -60,12 +60,12 @@ def test_group_summary_snapshot(snapshot_csv):
     records = parse_records(snapshot_csv)
     summaries = group_summary([{"1", "2"}, {"3", "4"}], records)
     low, high = summaries
-    assert low.items == 2 and high.items == 2
-    assert low.slab_frequency == pytest.approx(0.5)
-    assert low.campaign_frequency == pytest.approx(0.5)
-    assert low.attribute_means["carbon"] == pytest.approx(0.010)
-    assert high.attribute_means["carbon"] == pytest.approx(0.020)
-    assert low.slab_frequency + high.slab_frequency == pytest.approx(1.0, abs=1e-12)
+    assert low["items"] == 2 and high["items"] == 2
+    assert low["slab_frequency"] == pytest.approx(0.5)
+    assert low["campaign_frequency"] == pytest.approx(0.5)
+    assert low["attribute_means"]["carbon"] == pytest.approx(0.010)
+    assert high["attribute_means"]["carbon"] == pytest.approx(0.020)
+    assert low["slab_frequency"] + high["slab_frequency"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_group_summary_validation(snapshot_csv):
@@ -149,12 +149,14 @@ def interleaved_records(draw):
     ]
 
 
-def assert_same_graph(new, old):
+def assert_same_graph(new, old, means):
+    """`new` matches the rebuilt `old`, and `means` (the stage's `item_means()`) its node means."""
     assert new.graph.nodes() == old.graph.nodes()
     assert new.graph.edges() == old.graph.edges()
-    # reprs, so a numpy scalar among the lifts fails
+    # reprs, so a numpy scalar among the lifts or means fails
     assert repr(new.edge_lift) == repr(old.edge_lift)
-    assert repr(new.node_attributes) == repr(old.node_attributes)
+    node_means = {v: means[v] for v in new.graph.nodes() if means[v]}
+    assert repr(node_means) == repr(old.node_attributes)
 
 
 @given(
@@ -179,7 +181,7 @@ def test_stage_networks_match_rebuild_oracle(records, windows, min_support, min_
     assert series.ends == ends
     assert len(series.stages) == len(oracle) == windows
     for s, (new, old) in enumerate(zip(series.stages, oracle)):
-        assert_same_graph(new, old)
+        assert_same_graph(new, old, series.stage_records(s).item_means())
         included = {cid for cid, w in window_of.items() if w <= s}
         assert table_records(series.stage_records(s)) == [
             rec for rec in records if rec.campaign_id in included
@@ -202,6 +204,7 @@ def test_build_graph_matches_rebuild_oracle(records, min_support, min_lift):
             min_support,
             min_lift,
         ),
+        prefix.item_means(),
     )
 
 

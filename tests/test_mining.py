@@ -66,7 +66,7 @@ def test_build_graph_snapshot(snapshot_csv):
     cograph = build_graph(records)
     assert cograph.graph.edges() == [("1", "2"), ("3", "4")]
     assert cograph.edge_lift[("1", "2")] == pytest.approx(2.0)
-    assert cograph.node_attributes["1"]["carbon"] == pytest.approx(0.010)
+    assert records.item_means()["1"]["carbon"] == pytest.approx(0.010)
 
 
 def test_build_graph_empty():

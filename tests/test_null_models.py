@@ -290,6 +290,12 @@ def test_random_geometric_matches_graph_oracle(seed, n, radius):
     )
 
 
+def test_er_gnm_matches_graph_oracle_at_ladder_size():
+    # the triangle mask fills edges in the order of graph_er_gnm's np.triu_indices
+    for seed in range(200):
+        assert_same_draws(lambda r: er_gnm(30, 147, r), lambda r: graph_er_gnm(30, 147, r), seed)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_tiny_er_and_grg_match_graph_oracles(n):
     for m in range(n * (n - 1) // 2 + 1):

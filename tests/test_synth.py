@@ -37,11 +37,12 @@ def test_band_purity_and_components():
     for _, items in transactions.transactions:
         assert len({band_of[item] for item in items}) == 1
     cograph = build_graph(table)
+    means = table.item_means()
     components = connected_components(cograph.graph)
     assert len(components) == 2
     for component in components:
         assert len({band_of[item] for item in component}) == 1
-        carbons = [cograph.node_attributes[v]["carbon"] for v in component]
+        carbons = [means[v]["carbon"] for v in component]
         band = next(b for b in config.bands if band_of[min(component)] == b.name)
         low, high = band.interval
         assert low <= sum(carbons) / len(carbons) <= high
