@@ -15,6 +15,8 @@ from .mining import CoSelectionGraph
 from .records import ATTRIBUTE_COLUMNS, CAMPAIGN_COLUMN, ITEM_COLUMN
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+# the GraphML attr.type of a node value's Python type; any other is a string
+_GRAPHML_TYPES = {int: "int", float: "double"}
 # a DOT numeral has no exponent
 _DOT_NUMERAL = re.compile(r"-?(\.[0-9]+|[0-9]+(\.[0-9]*)?)")
 
@@ -43,15 +45,28 @@ def _node_data(cograph: CoSelectionGraph, node_annotations: dict | None) -> dict
 
 
 def graphml_dumps(cograph: CoSelectionGraph, node_annotations: dict | None = None) -> str:
-    """GraphML with node attribute data and lift as an edge attribute."""
+    """GraphML with node attribute data and lift as an edge attribute.
+
+    A node key is declared `int` when all its values are ints (component,
+    age), `double` when all are floats (attribute means), else `string`.
+    """
     node_data = _node_data(cograph, node_annotations)
-    keys = sorted({name for row in node_data.values() for name in row})
+    types = {}
+    for row in node_data.values():
+        for name, value in row.items():
+            types.setdefault(name, set()).add(type(value))
     root = ET.Element("graphml", xmlns=_GRAPHML_NS)
-    for name in keys:
+    for name in sorted(types):
+        (kind,) = types[name] if len(types[name]) == 1 else (str,)
         ET.SubElement(
             root,
             "key",
-            attrib={"id": name, "for": "node", "attr.name": name, "attr.type": "string"},
+            attrib={
+                "id": name,
+                "for": "node",
+                "attr.name": name,
+                "attr.type": _GRAPHML_TYPES.get(kind, "string"),
+            },
         )
     ET.SubElement(
         root,

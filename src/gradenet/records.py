@@ -39,6 +39,14 @@ _NONBLANK = re.compile(r"\S")
 _BODY = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2, encoding="utf-8")
 
 
+class _Codes(dict):
+    """Label -> code in order of first appearance; a new label takes the next code."""
+
+    def __missing__(self, label):
+        self[label] = code = len(self)
+        return code
+
+
 @dataclass(frozen=True, eq=False)
 class RecordTable:
     """Parsed rows as columns, in file order.
@@ -155,16 +163,21 @@ def _read_columns(csv_text: str, item_column: str, attribute_columns):
     usecols = [col[name] for name in names]
     values = np.loadtxt(io.BytesIO(data), np.float64, usecols=usecols, **_BODY).T.copy()
     campaign_at, item_at = col[CAMPAIGN_COLUMN], col[item_column]
-    # stripped label -> code in order of first appearance, one dict per label column
-    labels = {campaign_at: {}, item_at: {}}
-    converters = {
-        at: lambda cell, seen=seen: seen.setdefault(cell.strip(), len(seen))
-        for at, seen in labels.items()
-    }
+    # raw label -> code in order of first appearance, one dict per label column
+    labels = {campaign_at: _Codes(), item_at: _Codes()}
+    converters = {at: seen.__getitem__ for at, seen in labels.items()}
     codes = np.loadtxt(
         io.BytesIO(data), np.intp, usecols=list(labels), converters=converters, **_BODY
     )
     codes = dict(zip(labels, codes.T.copy()))
+    for at, raw in labels.items():
+        if any(label != label.strip() for label in raw):
+            # merge the labels that strip to the same text: the stripped labels
+            # in order of first appearance, and each raw code mapped to its own
+            stripped = {}
+            merged = [stripped.setdefault(label.strip(), len(stripped)) for label in raw]
+            codes[at] = np.array(merged, np.intp)[codes[at]]
+            labels[at] = stripped
     campaigns, items = labels[campaign_at], labels[item_at]
     if "" in campaigns or "" in items or not np.isfinite(values).all():
         return None

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,32 @@ def test_dot_attribute_values_are_dot_ids(tmp_path):
         assert _DOT_ID.fullmatch(name), name
         assert _DOT_ID.fullmatch(value), (name, value)
     assert ("titanium", '"5e-05"') in pairs and ("lift", '"1e-05"') in pairs
+
+
+def test_graphml_keys_declare_the_type_of_their_values(tmp_path):
+    path = tmp_path / "typed.csv"
+    path.write_text(
+        "campaign,grade,carbon,titanium\nc1,A,0.1,0.00005\nc1,B,0.2,0.00005\n"
+        "c2,A,0.1,0.0\nc3,C,0.3,0.0\nc3,D,0.4,0.0\n",
+        encoding="utf-8",
+    )
+    assert main(["mine", str(path), "--windows", "2", "--out", str(tmp_path / "out")]) == 0
+    root = ET.parse(tmp_path / "out" / "network.graphml").getroot()
+    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+    declared = {key.get("id"): key.get("attr.type") for key in root.findall("g:key", ns)}
+    assert declared == {
+        "age": "int",
+        "carbon": "double",
+        "community": "string",
+        "component": "int",
+        "lift": "double",
+        "titanium": "double",
+    }
+    read = {"int": int, "double": float, "string": str}
+    data = root.findall(".//g:data", ns)
+    assert {d.get("key") for d in data} == declared.keys()
+    for d in data:
+        read[declared[d.get("key")]](d.text)  # raises unless the text is of its type
 
 
 def test_records_csv_round_trip():

@@ -158,13 +158,24 @@ def complete_bipartite(p, q):
     return adjacency(p + q, [(u, v) for u in range(p) for v in range(p, p + q)])
 
 
+def path(n):
+    return adjacency(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def random_tree(n, rng):
+    return adjacency(n, [(int(rng.integers(v)), v) for v in range(1, n)])
+
+
 @st.composite
 def betweenness_inputs(draw):
     """Adjacency arrays: random graphs of 0..16 nodes (isolated nodes and
-    disconnected ones included) and tie-heavy symmetric graphs (grids, the
-    hypercubes up to Q4, cycles, K_{p,q}), as 1..3 disjoint copies under a
-    random node order."""
-    kind = draw(st.sampled_from(["random", "grid", "hypercube", "cycle", "bipartite"]))
+    disconnected ones included), tie-heavy symmetric graphs (grids, the
+    hypercubes up to Q4, cycles, K_{p,q}) and deep ones (paths, cycles and
+    random trees of up to 40 nodes, whose sweeps run 10 or more levels), as
+    1..3 disjoint copies under a random node order."""
+    kind = draw(
+        st.sampled_from(["random", "grid", "hypercube", "cycle", "bipartite", "path", "tree"])
+    )
     if kind == "random":
         n = draw(st.integers(min_value=0, max_value=16))
         rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -176,9 +187,14 @@ def betweenness_inputs(draw):
     elif kind == "hypercube":
         a = hypercube(draw(st.integers(0, 4)))
     elif kind == "cycle":
-        a = cycle(draw(st.integers(3, 12)))
-    else:
+        a = cycle(draw(st.integers(3, 40)))
+    elif kind == "bipartite":
         a = complete_bipartite(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    elif kind == "path":
+        a = path(draw(st.integers(1, 40)))
+    else:
+        n = draw(st.integers(1, 40))
+        a = random_tree(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     a = np.kron(np.eye(draw(st.integers(1, 3))), a)
     order = draw(st.permutations(range(len(a))))
     return a[np.ix_(order, order)]
@@ -189,16 +205,19 @@ def betweenness_inputs(draw):
 @example(np.zeros((1, 1)))
 @example(np.zeros((2, 2)))
 @example(adjacency(2, [(0, 1)]))
+@example(path(40))
+@example(cycle(40))
 @settings(max_examples=300, deadline=None)
 def test_dense_betweenness_matches_predecessor_oracle(a):
     expected_nodes, expected_edges = dense_betweenness_oracle(a, edges=True)
-    nodes, edges, seen = _dense_betweenness(a, edges=True)
-    assert np.array_equal(nodes, expected_nodes)
+    # the edge call leaves node totals out, so they come from the node call
+    no_nodes, edges, seen = _dense_betweenness(a, edges=True)
+    assert no_nodes is None
     assert np.array_equal(edges, expected_edges)
-    node_only = _dense_betweenness(a, edges=False)
-    assert np.array_equal(node_only[0], expected_nodes)
-    assert node_only[1] is None
-    assert np.array_equal(node_only[2], seen)
+    nodes, no_edges, node_seen = _dense_betweenness(a, edges=False)
+    assert np.array_equal(nodes, expected_nodes)
+    assert no_edges is None
+    assert np.array_equal(node_seen, seen)
     # seen is the reachability matrix: true exactly within a component
     component = np.empty(len(a), dtype=int)
     for k, members in enumerate(connected_components(graph_from_adjacency(range(len(a)), a))):
@@ -274,16 +293,24 @@ def assert_matches_whole_graph_oracle(g):
 @st.composite
 def gn_graphs(draw):
     """Graphs of 0..14 nodes, int or str labels, including isolated nodes,
-    edgeless graphs and disconnected starts."""
-    n = draw(st.integers(min_value=0, max_value=14))
+    edgeless graphs and disconnected starts; or two disjoint copies of one
+    random graph of 0..8 nodes under one random relabelling of all their
+    nodes, whose equal edge-betweenness maxima in two parts test the tie
+    rule across parts."""
+    copies = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(min_value=0, max_value=14 if copies == 1 else 8))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
     # str(v) sorts 10 before 2, so label order differs from insertion order
     label = draw(st.sampled_from([int, str]))
-    g = Graph(nodes=map(label, range(n)))
-    for u, v in itertools.combinations(range(n), 2):
-        if rng.random() < density:
-            g.add_edge(label(u), label(v))
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
+    # copy c names node v label(names[c * n + v]), so the copies interleave in
+    # label order and either may hold the smallest tied edge
+    names = draw(st.permutations(range(copies * n)))
+    g = Graph(nodes=map(label, range(copies * n)))
+    for c in range(copies):
+        for u, v in pairs:
+            g.add_edge(label(names[c * n + u]), label(names[c * n + v]))
     return g
 
 

@@ -331,6 +331,30 @@ def test_generated_input_takes_the_column_reader(monkeypatch, eol, quote):
     assert_table_matches(parse_records(text), expected)
 
 
+def test_labels_that_strip_alike_share_a_code(monkeypatch):
+    # "c2 " comes first, then " c1"; "c2", "c1 " and "c1" first appear later
+    text = "campaign,grade,carbon\nc2 ,A,0.1\n c1,B ,0.2\nc2,A,0.3\nc1 , B,0.4\nc1,B,0.5\n"
+    expected = records_module._read_rows(text, "grade", None)
+    assert expected.campaign_labels == ("c2", "c1") and expected.item_labels == ("A", "B")
+    assert expected.campaign.tolist() == [0, 1, 0, 1, 1]
+    assert expected.item.tolist() == [0, 1, 0, 1, 1]
+
+    def row_loop(*args):
+        raise AssertionError("the row loop ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(records_module, "_read_rows", row_loop)
+        table = parse_records(text)
+    assert_table_matches(table, table_records(expected))
+    # a label that is blank after strip leaves the column reader for the row loop's error
+    blank = text + "  ,A,0.6\n"
+    with pytest.raises(ParseError) as caught:
+        records_module._read_rows(blank, "grade", None)
+    with pytest.raises(ParseError) as parsed:
+        parse_records(blank)
+    assert str(parsed.value) == str(caught.value) == "row 7: empty campaign cell"
+
+
 def test_parse_and_mine_warn_nothing(tmp_path, snapshot_csv):
     blank_lines = snapshot_csv.replace("\n", "\n\n")
     header_only = snapshot_csv.split("\n", 1)[0] + "\n\n"
