@@ -41,7 +41,7 @@ def stage_networks(
     """One cumulative co-selection graph per stage end of `assign_windows`, in one pass.
 
     Stage s is the campaigns with code < ends[s]; pair counts run on from
-    stage to stage over `records.campaign_items()`.
+    stage to stage over `records.campaign_items`.
     """
     stages = cumulative_graphs(records, ends, min_support, min_lift)
     return StageSeries(tuple(stages), ends, records)
@@ -59,33 +59,41 @@ def node_age(series: StageSeries) -> dict:
     return {v: age for v, age in sorted(ages.items()) if v in final_nodes}
 
 
-def group_summary(groups, records: RecordTable) -> list:
-    """One report cell per group: item count, slab/campaign frequency, attribute means.
+def group_summary(groups, records: RecordTable, rows) -> list:
+    """One report cell per group of a stage: item count, slab/campaign frequency, attribute means.
 
-    A cell holds the keys `items`, `slab_frequency`, `campaign_frequency`
-    and `attribute_means`. Slab counts and attribute means come from one
-    `RecordTable.bin_means` over the records. A group's campaigns are the
-    distinct campaigns of its rows, out of the distinct campaigns of all rows.
+    `rows` is the stage's boolean row mask over `records` (in the pipeline,
+    `records.campaign < end`). Only the selected rows of the groups' items
+    are gathered: their slab counts and attribute means come from one
+    `RecordTable.bin_means`, and a group's campaigns are the distinct
+    campaigns of its rows. The frequencies are out of the selected rows and
+    the distinct campaigns among them. A cell holds the keys `items`,
+    `slab_frequency`, `campaign_frequency` and `attribute_means`.
     """
     groups = [set(group) for group in groups]
-    known_items = records.item_counts().keys()
-    group_of: dict = {}
+    code = {label: c for c, label in enumerate(records.item_labels)}
+    code_group = np.full(len(code), -1, np.intp)  # -1: the item is in no group
     for g, group in enumerate(groups):
-        if group & group_of.keys():
+        code_group[[code[v] for v in group if v in code]] = g
+    picked = np.flatnonzero(rows & (code_group >= 0)[records.item])
+    item = records.item[picked]
+    present = np.bincount(item, minlength=len(code))
+    known_items = {records.item_labels[c] for c in np.flatnonzero(present).tolist()}
+    seen: set = set()
+    for group in groups:
+        if group & seen:
             raise InvalidArgumentError("groups must be disjoint")
         unknown = group - known_items
         if unknown:
             raise InvalidArgumentError(f"group contains unknown item {min(unknown)!r}")
-        group_of.update(dict.fromkeys(group, g))
-    outside = len(groups)  # the bin of rows whose item is in no group
-    code_group = np.array([group_of.get(v, outside) for v in records.item_labels], np.intp)
-    row_group = code_group[records.item]
-    slabs, means = records.bin_means(row_group, outside + 1)
-    seen = np.zeros((len(records.campaign_labels), outside + 1), dtype=bool)
-    seen[records.campaign, row_group] = True
-    campaigns = seen[:, :outside].sum(axis=0).tolist()
-    total_records = len(records)
-    total_campaigns = int(seen.any(axis=1).sum())
+        seen |= group
+    row_group = code_group[item]
+    slabs, means = records.bin_means(row_group, len(groups), picked)
+    width = max(len(groups), 1)
+    pairs = np.unique(records.campaign[picked] * width + row_group)
+    campaigns = np.bincount(pairs % width, minlength=len(groups)).tolist()
+    total_records = int(np.count_nonzero(rows))
+    total_campaigns = int(np.count_nonzero(np.bincount(records.campaign[rows])))
     return [
         {
             "items": len(group),
@@ -105,7 +113,7 @@ def prune_minor_groups(
 ) -> Graph:
     """Subgraph induced by the groups whose slab frequency reaches the floor.
 
-    `summaries` is `group_summary(groups, records)`, one cell per group.
+    `summaries` is `group_summary(groups, records, rows)`, one cell per group.
     """
     if not (0.0 <= slab_frequency_floor <= 1.0):
         raise InvalidArgumentError("slab frequency floor must be in [0, 1]")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import io
 import re
-import xml.etree.ElementTree as ET
 
 from .mining import CoSelectionGraph
 from .records import ATTRIBUTE_COLUMNS, CAMPAIGN_COLUMN, ITEM_COLUMN
@@ -17,6 +16,12 @@ from .records import ATTRIBUTE_COLUMNS, CAMPAIGN_COLUMN, ITEM_COLUMN
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 # the GraphML attr.type of a node value's Python type; any other is a string
 _GRAPHML_TYPES = {int: "int", float: "double"}
+# XML escapes of character data and of attribute values, as ElementTree writes them
+_XML_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
+_XML_TEXT = str.maketrans(_XML_ESCAPES)
+_XML_ATTRIBUTE = str.maketrans(
+    _XML_ESCAPES | {'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
 # a DOT numeral has no exponent
 _DOT_NUMERAL = re.compile(r"-?(\.[0-9]+|[0-9]+(\.[0-9]*)?)")
 
@@ -49,42 +54,45 @@ def graphml_dumps(cograph: CoSelectionGraph, node_annotations: dict | None = Non
 
     A node key is declared `int` when all its values are ints (component,
     age), `double` when all are floats (attribute means), else `string`.
+    The text is what ElementTree writes after `ET.indent`: a 2-space indent
+    and an empty element closed as `<tag ... />`.
     """
     node_data = _node_data(cograph, node_annotations)
     types = {}
     for row in node_data.values():
         for name, value in row.items():
             types.setdefault(name, set()).add(type(value))
-    root = ET.Element("graphml", xmlns=_GRAPHML_NS)
+    lines = ["<?xml version='1.0' encoding='utf-8'?>", f'<graphml xmlns="{_GRAPHML_NS}">']
     for name in sorted(types):
         (kind,) = types[name] if len(types[name]) == 1 else (str,)
-        ET.SubElement(
-            root,
-            "key",
-            attrib={
-                "id": name,
-                "for": "node",
-                "attr.name": name,
-                "attr.type": _GRAPHML_TYPES.get(kind, "string"),
-            },
-        )
-    ET.SubElement(
-        root,
-        "key",
-        attrib={"id": "lift", "for": "edge", "attr.name": "lift", "attr.type": "double"},
-    )
-    graph_el = ET.SubElement(root, "graph", attrib={"id": "G", "edgedefault": "undirected"})
-    for node in cograph.graph.nodes():
-        node_el = ET.SubElement(graph_el, "node", attrib={"id": str(node)})
-        for name in sorted(node_data[node]):
-            data_el = ET.SubElement(node_el, "data", attrib={"key": name})
-            data_el.text = str(node_data[node][name])
-    for (u, v), lift in cograph.edge_lift.items():
-        edge_el = ET.SubElement(graph_el, "edge", attrib={"source": str(u), "target": str(v)})
-        data_el = ET.SubElement(edge_el, "data", attrib={"key": "lift"})
-        data_el.text = repr(lift)
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+        key = name.translate(_XML_ATTRIBUTE)
+        attr_type = _GRAPHML_TYPES.get(kind, "string")
+        lines.append(f'  <key id="{key}" for="node" attr.name="{key}" attr.type="{attr_type}" />')
+    lines.append('  <key id="lift" for="edge" attr.name="lift" attr.type="double" />')
+    graph = '  <graph id="G" edgedefault="undirected"'
+    if not node_data:  # no node, so no edge either
+        lines.append(graph + " />")
+    else:
+        lines.append(graph + ">")
+        for node, row in node_data.items():
+            node_id = str(node).translate(_XML_ATTRIBUTE)
+            if not row:
+                lines.append(f'    <node id="{node_id}" />')
+                continue
+            lines.append(f'    <node id="{node_id}">')
+            for name in sorted(row):
+                key, text = name.translate(_XML_ATTRIBUTE), str(row[name]).translate(_XML_TEXT)
+                data = f'<data key="{key}">{text}</data>' if text else f'<data key="{key}" />'
+                lines.append("      " + data)
+            lines.append("    </node>")
+        for (u, v), lift in cograph.edge_lift.items():
+            source, target = (str(x).translate(_XML_ATTRIBUTE) for x in (u, v))
+            lines.append(f'    <edge source="{source}" target="{target}">')
+            lines.append(f'      <data key="lift">{lift!r}</data>')
+            lines.append("    </edge>")
+        lines.append("  </graph>")
+    lines.append("</graphml>")
+    return "\n".join(lines) + "\n"
 
 
 def _dot_quote(label) -> str:

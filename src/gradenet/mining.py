@@ -46,7 +46,7 @@ def cumulative_graphs(records, ends, min_support: float, min_lift: float) -> lis
     names = [labels[i] for i in order]
     rank = np.empty(len(labels), np.intp)
     rank[order] = np.arange(len(labels))
-    campaign, items = records.campaign_items()
+    campaign, items = records.campaign_items
     counts = np.zeros((len(labels), len(labels)), np.int64)
     graphs = []
     total = 0

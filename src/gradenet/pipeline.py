@@ -71,18 +71,19 @@ class AnalysisConfig:
             )
 
 
-def _select_component(components, records, selector: str):
+def _select_component(components, series, s: int, selector: str):
     """The largest component, or the one whose items' means of the attribute average lowest.
 
-    `math.fsum` makes that average independent of the set's order, so of the
-    hash seed. Ties go to the larger component, then to the least label.
+    The means are over stage s's records. `math.fsum` makes that average
+    independent of the set's order, so of the hash seed. Ties go to the
+    larger component, then to the least label.
     """
     if not components:
         return None
     if selector == "largest":
         return components[0]
     attribute = selector.split(":", 1)[1]
-    means = records.item_means()
+    means = series.stage_records(s).item_means()
 
     def mean_attribute(component):
         return math.fsum(means[v][attribute] for v in component) / len(component)
@@ -144,8 +145,7 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
             "edges": cograph.graph.number_of_edges(),
             "components": [sorted(c) for c in components],
         }
-        stage_records = series.stage_records(s)
-        selected = _select_component(components, stage_records, config.component)
+        selected = _select_component(components, series, s, config.component)
         if selected is None:
             entry.update(
                 {
@@ -162,7 +162,7 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         component_graph = cograph.graph.subgraph(selected)
         partition = girvan_newman(component_graph)
         communities = partition.ordered()
-        summaries = group_summary(communities, stage_records)
+        summaries = group_summary(communities, table, table.campaign < series.ends[s])
         pruned_graph = prune_minor_groups(
             component_graph, communities, summaries, config.prune_floor
         )

@@ -16,6 +16,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -75,14 +76,19 @@ class RecordTable:
         counts = np.bincount(self.item, minlength=len(self.item_labels)).tolist()
         return {label: n for label, n in zip(self.item_labels, counts) if n}
 
+    @cached_property
     def campaign_items(self) -> tuple:
-        """The distinct (campaign, item) code pairs as two code columns, sorted by campaign."""
+        """The distinct (campaign, item) code pairs as two code columns, sorted by campaign.
+
+        Computed once per table; the stage build and the diversity histogram share it.
+        """
         width = max(len(self.item_labels), 1)
         return np.divmod(np.unique(self.campaign * width + self.item), width)
 
-    def bin_means(self, bins, size: int) -> tuple:
-        """Row count and {attribute: mean} per bin, for rows binned by `bins` (codes < size).
+    def bin_means(self, bins, size: int, rows=slice(None)) -> tuple:
+        """Row count and {attribute: mean} per bin, for the rows `rows` selects binned by `bins`.
 
+        `bins` holds one code below `size` per selected row, in row order.
         `np.bincount` adds each bin's values in row order from 0.0, as a
         running Python sum would. An empty bin has no means. A sum that
         overflows to infinity raises ParseError naming the attribute, so no
@@ -92,7 +98,7 @@ class RecordTable:
         names = sorted(self.attributes)
         sums = []
         for name in names:
-            column = np.bincount(bins, self.attributes[name], size)
+            column = np.bincount(bins, self.attributes[name][rows], size)
             if not np.isfinite(column).all():
                 raise ParseError(f"column {name}: values too large to average")
             sums.append(column.tolist())
@@ -123,12 +129,24 @@ def parse_records(
     The body is read by numpy's C reader when it can be; any input that
     reader rejects or that fails a check goes to the row loop, which is
     the only code that reports a bad row.
+
+    A column whose total, summed in row order, overflows raises ParseError.
+    Every standard column is >= 0 and rounding is monotone, so no row-order
+    sum over a subset of such a column's rows (a stage's, a group's or an
+    item's) can overflow after that check.
     """
     try:
         table = _read_columns(csv_text, item_column, attribute_columns)
     except (ValueError, csv.Error):  # ValueError includes UnicodeError
         table = None
-    return _read_rows(csv_text, item_column, attribute_columns) if table is None else table
+    if table is None:
+        table = _read_rows(csv_text, item_column, attribute_columns)
+    for name, column in table.attributes.items():
+        with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+            total = np.cumsum(column)[-1:]  # the row-order total; np.sum adds pairwise
+        if not np.isfinite(total).all():
+            raise ParseError(f"column {name}: values too large to average")
+    return table
 
 
 def _columns(header: list, item_column: str, attribute_columns) -> tuple:
@@ -264,7 +282,7 @@ def assign_windows(table: RecordTable, window_count: int) -> tuple:
 
 def campaign_diversity_histogram(table: RecordTable) -> dict:
     """Histogram of the number of distinct items per campaign that has rows."""
-    campaign, _ = table.campaign_items()
+    campaign, _ = table.campaign_items
     sizes, campaigns = np.unique(np.bincount(campaign), return_counts=True)
     return {k: n for k, n in zip(sizes.tolist(), campaigns.tolist()) if k}
 

@@ -18,7 +18,7 @@ from scipy import stats as sps
 from scipy.spatial.distance import pdist
 
 from gradenet.errors import GradenetError, InvalidArgumentError, ParseError, SchemaError
-from gradenet.exports import _GRAPHML_NS
+from gradenet.exports import _GRAPHML_NS, _GRAPHML_TYPES, _node_data
 from gradenet.graph import (
     _TIE_EPS,
     CommunityPartition,
@@ -724,6 +724,45 @@ def graphml_loads(text: str):
     return sorted(nodes), sorted(edges)
 
 
+def element_tree_graphml_dumps(cograph: CoSelectionGraph, node_annotations=None) -> str:
+    """The ElementTree writer that `graphml_dumps` replaced; its text must match byte for byte."""
+    node_data = _node_data(cograph, node_annotations)
+    types = {}
+    for row in node_data.values():
+        for name, value in row.items():
+            types.setdefault(name, set()).add(type(value))
+    root = ET.Element("graphml", xmlns=_GRAPHML_NS)
+    for name in sorted(types):
+        (kind,) = types[name] if len(types[name]) == 1 else (str,)
+        ET.SubElement(
+            root,
+            "key",
+            attrib={
+                "id": name,
+                "for": "node",
+                "attr.name": name,
+                "attr.type": _GRAPHML_TYPES.get(kind, "string"),
+            },
+        )
+    ET.SubElement(
+        root,
+        "key",
+        attrib={"id": "lift", "for": "edge", "attr.name": "lift", "attr.type": "double"},
+    )
+    graph_el = ET.SubElement(root, "graph", attrib={"id": "G", "edgedefault": "undirected"})
+    for node in cograph.graph.nodes():
+        node_el = ET.SubElement(graph_el, "node", attrib={"id": str(node)})
+        for name in sorted(node_data[node]):
+            data_el = ET.SubElement(node_el, "data", attrib={"key": name})
+            data_el.text = str(node_data[node][name])
+    for (u, v), lift in cograph.edge_lift.items():
+        edge_el = ET.SubElement(graph_el, "edge", attrib={"source": str(u), "target": str(v)})
+        data_el = ET.SubElement(edge_el, "data", attrib={"key": "lift"})
+        data_el.text = repr(lift)
+    ET.indent(root)
+    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+
+
 _DOT_EDGE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*--\s*"((?:[^"\\]|\\.)*)"')
 _DOT_NODE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*(?:\[[^\]]*\])?\s*;')
 
@@ -844,6 +883,42 @@ def rebuild_stage_networks(
             )
         )
     return tuple(stages)
+
+
+def copied_group_summary(groups, records: RecordTable) -> list:
+    """The group summary that `group_summary` replaced, over a copy of the stage's rows.
+
+    One `bin_means` over every row of `records`, with a bin for the rows of
+    no group, and a campaign x group matrix over every campaign label.
+    """
+    groups = [set(group) for group in groups]
+    known_items = records.item_counts().keys()
+    group_of: dict = {}
+    for g, group in enumerate(groups):
+        if group & group_of.keys():
+            raise InvalidArgumentError("groups must be disjoint")
+        unknown = group - known_items
+        if unknown:
+            raise InvalidArgumentError(f"group contains unknown item {min(unknown)!r}")
+        group_of.update(dict.fromkeys(group, g))
+    outside = len(groups)  # the bin of rows whose item is in no group
+    code_group = np.array([group_of.get(v, outside) for v in records.item_labels], np.intp)
+    row_group = code_group[records.item]
+    slabs, means = records.bin_means(row_group, outside + 1)
+    seen = np.zeros((len(records.campaign_labels), outside + 1), dtype=bool)
+    seen[records.campaign, row_group] = True
+    campaigns = seen[:, :outside].sum(axis=0).tolist()
+    total_records = len(records)
+    total_campaigns = int(seen.any(axis=1).sum())
+    return [
+        {
+            "items": len(group),
+            "slab_frequency": slabs[g] / total_records if total_records else 0.0,
+            "campaign_frequency": campaigns[g] / total_campaigns if total_campaigns else 0.0,
+            "attribute_means": means[g],
+        }
+        for g, group in enumerate(groups)
+    ]
 
 
 def rescan_group_summary(groups, records, transactions: TransactionSet) -> list:

@@ -13,15 +13,18 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradenet
 from gradenet.cli import main
 from gradenet.errors import InvalidArgumentError
 from gradenet.exports import dot_dumps, graphml_dumps, records_csv_dumps
-from gradenet.graph import _adjacency_matrix
+from gradenet.graph import Graph, _adjacency_matrix
+from gradenet.mining import CoSelectionGraph
 from gradenet.nullmodels import SeedStream
 from gradenet.pipeline import MODELS, AnalysisConfig, run_analysis, zscore_rows
-from gradenet.records import parse_records
+from gradenet.records import RecordTable, parse_records
 from gradenet.stats import STATISTICS
 from gradenet.synth import generate, planted_two_band_config
 
@@ -30,6 +33,7 @@ from conftest import (
     assert_table_matches,
     build_graph,
     dot_loads,
+    element_tree_graphml_dumps,
     graphml_loads,
     row_parse_records,
 )
@@ -167,6 +171,35 @@ def test_graphml_keys_declare_the_type_of_their_values(tmp_path):
         read[declared[d.get("key")]](d.text)  # raises unless the text is of its type
 
 
+# text with every character XML escapes, quotes, tab, CR, LF and non-ASCII
+XML_TEXT = st.text(
+    st.sampled_from(list("&<>\"'\t\r\n ") + ["A", "z", "0", "é", "€", "\u2003"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=6,
+)
+NODE_VALUES = st.one_of(st.integers(-3, 10**6), st.floats(), XML_TEXT)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_graphml_matches_element_tree_oracle(data):
+    labels = sorted(data.draw(st.lists(XML_TEXT, max_size=6, unique=True)))
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edge_lift = {pair: data.draw(st.floats(0.0, 1e6)) for pair in sorted(chosen)}
+    cograph = CoSelectionGraph(Graph(nodes=labels, edges=edge_lift), edge_lift)
+    # a node left out of the annotations, or given {}, has no data
+    annotations = data.draw(
+        st.dictionaries(
+            st.sampled_from(labels) if labels else st.nothing(),
+            st.dictionaries(XML_TEXT, NODE_VALUES, max_size=3),
+        )
+    )
+    for node_annotations in (annotations, None):
+        text = graphml_dumps(cograph, node_annotations)
+        assert text == element_tree_graphml_dumps(cograph, node_annotations)
+
+
 def test_records_csv_round_trip():
     records = row_parse_records(SNAPSHOT_CSV)
     assert_table_matches(parse_records(records_csv_dumps(records)), records)
@@ -257,6 +290,17 @@ def test_exit_codes(tmp_path, input_csv, capsys):
         capsys.readouterr()
         out = tmp_path / f"huge_{command}"
         assert main([command, str(huge), "--windows", "1", "--out", str(out)]) == 2
+        assert "data error: column carbon" in capsys.readouterr().err
+        assert not out.exists()
+    # the overflow lies only in the rows of grade C, outside the selected A-B community
+    outside = tmp_path / "outside.csv"
+    outside.write_text(
+        "campaign,grade,carbon\nc1,A,0.1\nc1,B,0.2\nc2,C,1e308\nc3,C,1e308\n", encoding="utf-8"
+    )
+    for command in ("mine", "analyze"):
+        capsys.readouterr()
+        out = tmp_path / f"outside_{command}"
+        assert main([command, str(outside), "--windows", "1", "--out", str(out)]) == 2
         assert "data error: column carbon" in capsys.readouterr().err
         assert not out.exists()
     negative_windows = ["mine", str(input_csv), "--out", str(tmp_path / "o7"), "--windows", "-3"]
@@ -391,6 +435,35 @@ def scope_csv() -> str:
         uniform_popularity=False,
     )
     return records_csv_dumps(generate(config, SeedStream.from_seed(0).generator()))
+
+
+def test_stage_loop_copies_no_records(tmp_path, monkeypatch):
+    takes = []
+    computed = []
+    take, campaign_items = RecordTable.take, RecordTable.campaign_items.func
+
+    def counting_take(table, rows):
+        takes.append(rows)
+        return take(table, rows)
+
+    def counting_campaign_items(table):
+        computed.append(table)
+        return campaign_items(table)
+
+    monkeypatch.setattr(RecordTable, "take", counting_take)
+    monkeypatch.setattr(RecordTable.campaign_items, "func", counting_campaign_items)
+    path = tmp_path / "scope.csv"
+    path.write_text(scope_csv(), encoding="utf-8")
+    analyze = ["analyze", str(path), "--windows", "3", "--ensemble", "5", "--min-lift", "1.5"]
+    assert main(analyze + ["--component", "largest", "--out", str(tmp_path / "largest")]) == 0
+    report = json.loads((tmp_path / "largest" / "report.json").read_text())
+    assert [len(entry["group_summaries"]) for entry in report["stages"]] == [2, 3, 1]
+    # the stage build and the diversity histogram share one campaign_items of one table
+    assert takes == [] and len(computed) == 1
+    # only the min-mean: selector reads a stage's copied records
+    out = tmp_path / "min_mean"
+    assert main(analyze + ["--component", "min-mean:carbon", "--out", str(out)]) == 0
+    assert len(takes) == 3 and len(computed) == 2  # one copy per stage
 
 
 def test_each_scope_graph_is_scored_once(monkeypatch):

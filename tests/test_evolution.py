@@ -16,6 +16,7 @@ from gradenet.records import assign_windows, parse_records
 from gradenet.synth import ProductionRecord
 from conftest import (
     build_graph,
+    copied_group_summary,
     group_campaigns,
     rebuild_graph,
     rebuild_stage_networks,
@@ -56,9 +57,13 @@ def test_node_age():
                 assert ages[v] <= stage
 
 
+def every_row(records):
+    return np.ones(len(records), bool)
+
+
 def test_group_summary_snapshot(snapshot_csv):
     records = parse_records(snapshot_csv)
-    summaries = group_summary([{"1", "2"}, {"3", "4"}], records)
+    summaries = group_summary([{"1", "2"}, {"3", "4"}], records, every_row(records))
     low, high = summaries
     assert low["items"] == 2 and high["items"] == 2
     assert low["slab_frequency"] == pytest.approx(0.5)
@@ -70,22 +75,28 @@ def test_group_summary_snapshot(snapshot_csv):
 
 def test_group_summary_validation(snapshot_csv):
     records = parse_records(snapshot_csv)
-    with pytest.raises(InvalidArgumentError):
-        group_summary([{"1"}, {"1", "2"}], records)
-    with pytest.raises(InvalidArgumentError):
-        group_summary([{"nope"}], records)
+    rows = every_row(records)
+    with pytest.raises(InvalidArgumentError, match="disjoint"):
+        group_summary([{"1"}, {"1", "2"}], records, rows)
+    with pytest.raises(InvalidArgumentError, match="unknown item 'nope'"):
+        group_summary([{"nope"}], records, rows)
+    # items 3 and 4 have rows only in campaign B, which the first stage leaves out
+    with pytest.raises(InvalidArgumentError, match="unknown item '3'"):
+        group_summary([{"1", "2"}, {"3"}], records, records.campaign < 1)
 
 
 def test_prune_minor_groups(snapshot_csv):
     records = parse_records(snapshot_csv)
     graph = Graph(edges=[("1", "2"), ("3", "4")])
     partition = [{"1", "2"}, {"3", "4"}]
-    summaries = group_summary(partition, records)
+    summaries = group_summary(partition, records, every_row(records))
     assert set(prune_minor_groups(graph, partition, summaries, 0.0).nodes()) == {
         "1", "2", "3", "4",
     }
     skewed = records.take([0, 1, 2, 3] * 3 + [0] * 8)
-    pruned = prune_minor_groups(graph, partition, group_summary(partition, skewed), 0.4)
+    pruned = prune_minor_groups(
+        graph, partition, group_summary(partition, skewed, every_row(skewed)), 0.4
+    )
     assert set(pruned.nodes()) == {"1", "2"}
     with pytest.raises(InvalidArgumentError):
         prune_minor_groups(graph, [{"1", "2"}], summaries[:1], 0.1)
@@ -211,10 +222,11 @@ def test_build_graph_matches_rebuild_oracle(records, min_support, min_lift):
 @given(interleaved_records(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_group_summary_and_prune_match_rescan_oracles(records, data):
-    # a stage's records: some of the campaigns, keeping every label of the full table
+    # a stage's rows: some of the campaigns, not a prefix of their codes
     full = record_table(records)
     kept = data.draw(st.sets(st.integers(0, len(full.campaign_labels) - 1), min_size=1))
-    table = full.take(np.isin(full.campaign, sorted(kept)))
+    rows = np.isin(full.campaign, sorted(kept))
+    table = full.take(rows)
     records = table_records(table)
     transactions = group_campaigns(table)
     items = sorted(transactions.item_universe)
@@ -222,8 +234,9 @@ def test_group_summary_and_prune_match_rescan_oracles(records, data):
     labels = data.draw(st.lists(st.integers(0, 4), min_size=len(items), max_size=len(items)))
     groups = [[v for v, g in zip(items, labels) if g == k] for k in range(4)]
     groups = [group for group in groups if group]
-    summaries = group_summary(groups, table)
+    summaries = group_summary(groups, full, rows)
     assert repr(summaries) == repr(rescan_group_summary(groups, records, transactions))
+    assert repr(summaries) == repr(copied_group_summary(groups, table))
     graph = Graph(nodes=[v for group in groups for v in group])
     floor = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
     assert prune_minor_groups(graph, groups, summaries, floor) == rescan_prune_minor_groups(

@@ -128,7 +128,7 @@ def test_group_campaigns_membership(snapshot_csv):
     for rec in table_records(table):
         assert rec.item in by_id[rec.campaign_id]
     assert transactions.item_universe == frozenset("1234")
-    campaign, item = table.campaign_items()
+    campaign, item = table.campaign_items
     assert campaign.tolist() == [0, 0, 1, 1] and item.tolist() == [0, 1, 2, 3]
 
 
@@ -139,7 +139,7 @@ def test_group_campaigns_first_appearance_order():
     assert [cid for cid, _ in transactions.transactions] == ["B", "A"]
     assert dict(transactions.transactions)["B"] == frozenset({"1", "3"})
     # campaign code i is the i-th campaign to appear, so the pairs sort by appearance
-    pairs = zip(*(column.tolist() for column in table.campaign_items()))
+    pairs = zip(*(column.tolist() for column in table.campaign_items))
     labelled = [(table.campaign_labels[c], table.item_labels[i]) for c, i in pairs]
     assert labelled == [("B", "1"), ("B", "3"), ("A", "2")]
 
@@ -203,7 +203,7 @@ def test_histogram_totals_property(rows):
     assert [cid for cid, _ in transactions.transactions] == list(table.campaign_labels)
     assert transactions.item_universe == frozenset(rec.item for rec in records)
     # campaign_items is the same membership as (code, code) pairs, sorted
-    pairs = list(zip(*(column.tolist() for column in table.campaign_items())))
+    pairs = list(zip(*(column.tolist() for column in table.campaign_items)))
     assert pairs == sorted(set(zip(table.campaign.tolist(), table.item.tolist())))
 
 
@@ -309,6 +309,18 @@ def test_parse_matches_row_parser_oracle(case):
 def test_lone_carriage_returns_raise_parse_error():
     with pytest.raises(ParseError, match="^malformed CSV: new-line character seen"):
         parse_records("campaign,grade,carbon\rc1,g,0.1\r")
+
+
+@pytest.mark.parametrize("header", ["campaign,grade,carbon", '"campaign",grade,carbon'])
+def test_column_total_overflow_is_refused_at_parse(header):
+    # each grade's mean is finite; only the column's row-order total overflows.
+    # The quoted header sends the text through the row loop, the plain one through numpy.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="^column carbon: values too large to average$"):
+            parse_records(f"{header}\nc1,A,1e308\nc2,B,1e308\n")
+        table = parse_records(f"{header}\nc1,A,1e308\nc2,B,7e307\n")
+    assert table.attributes["carbon"].tolist() == [1e308, 7e307]
 
 
 def planted_csv() -> str:
