@@ -9,7 +9,7 @@ lift can cross the threshold in either direction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +25,6 @@ class StageSeries:
 
     stages: tuple  # CoSelectionGraph per stage, one per window
     ends: tuple  # campaign count of each stage, ascending
-    records: RecordTable = field(repr=False)  # every record, in file order
-
-    def stage_records(self, s: int) -> RecordTable:
-        """The records of stage s's campaigns, in file order."""
-        return self.records.take(self.records.campaign < self.ends[s])
 
 
 def stage_networks(
@@ -44,7 +39,7 @@ def stage_networks(
     stage to stage over `records.campaign_items`.
     """
     stages = cumulative_graphs(records, ends, min_support, min_lift)
-    return StageSeries(tuple(stages), ends, records)
+    return StageSeries(tuple(stages), ends)
 
 
 def node_age(series: StageSeries) -> dict:

@@ -71,19 +71,21 @@ class AnalysisConfig:
             )
 
 
-def _select_component(components, series, s: int, selector: str):
+def _select_component(components, table, rows, selector: str):
     """The largest component, or the one whose items' means of the attribute average lowest.
 
-    The means are over stage s's records. `math.fsum` makes that average
-    independent of the set's order, so of the hash seed. Ties go to the
-    larger component, then to the least label.
+    The means are over the stage's records, the rows that the boolean mask
+    `rows` selects from `table`. `math.fsum` makes that average independent
+    of the set's order, so of the hash seed. Ties go to the larger
+    component, then to the least label.
     """
     if not components:
         return None
     if selector == "largest":
         return components[0]
     attribute = selector.split(":", 1)[1]
-    means = series.stage_records(s).item_means()
+    _, means = table.bin_means(table.item[rows], len(table.item_labels), rows)
+    means = dict(zip(table.item_labels, means))
 
     def mean_attribute(component):
         return math.fsum(means[v][attribute] for v in component) / len(component)
@@ -145,7 +147,8 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
             "edges": cograph.graph.number_of_edges(),
             "components": [sorted(c) for c in components],
         }
-        selected = _select_component(components, series, s, config.component)
+        rows = table.campaign < series.ends[s]
+        selected = _select_component(components, table, rows, config.component)
         if selected is None:
             entry.update(
                 {
@@ -162,7 +165,7 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         component_graph = cograph.graph.subgraph(selected)
         partition = girvan_newman(component_graph)
         communities = partition.ordered()
-        summaries = group_summary(communities, table, table.campaign < series.ends[s])
+        summaries = group_summary(communities, table, rows)
         pruned_graph = prune_minor_groups(
             component_graph, communities, summaries, config.prune_floor
         )

@@ -15,7 +15,7 @@ import io
 import math
 import re
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,11 +65,6 @@ class RecordTable:
 
     def __len__(self) -> int:
         return len(self.campaign)
-
-    def take(self, rows) -> "RecordTable":
-        """The rows that `rows` (a boolean mask or row indices) selects, same labels."""
-        columns = {name: column[rows] for name, column in self.attributes.items()}
-        return replace(self, campaign=self.campaign[rows], item=self.item[rows], attributes=columns)
 
     def item_counts(self) -> dict:
         """Row count per item label, for the items that have rows."""

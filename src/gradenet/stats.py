@@ -5,7 +5,9 @@ approximate two-sided p-value; the degree-vs-betweenness and
 clustering-vs-betweenness correlations that serve as randomness probes;
 and z = (X - mu) / sigma against null-model ensembles. Both probes come
 back as the report's {statistic: cell} dicts, so the pipeline writes them
-as they are.
+as they are. An ensemble's replicates are drawn and measured first; the
+Spearman values of all its replicates are then ranked and correlated in
+one array pass per vector length.
 
 The p-values come from the special functions imported below: twice the
 Student t tail `stdtr(n - 2, -|t|)` for Pearson and Spearman, twice the
@@ -24,7 +26,7 @@ from scipy.special import ndtr, stdtr
 
 from .errors import InsufficientDataError, InvalidArgumentError, UndefinedCorrelationError
 from .graph import _dense_betweenness, _dense_clustering
-from .nullmodels import NullModelSpec, SeedStream, generate_null
+from .nullmodels import NullModelSpec, SeedStream, SwapChain, generate_null
 
 STATISTICS = ("COR_D_BC", "COR_CC_BC")
 
@@ -53,6 +55,28 @@ def midranks(values) -> np.ndarray:
         i = j + 1
     ranks = np.empty(n)
     ranks[order] = sorted_ranks
+    return ranks
+
+
+def _row_midranks(v: np.ndarray) -> np.ndarray:
+    """`midranks` of each row of a 2-D array, in a fixed number of numpy calls.
+
+    A row's tie group spans sorted positions first..last, found by running
+    max and min over the group bounds; each member gets (first + last) / 2 + 1.
+    On one short vector the loop in `midranks` is faster.
+    """
+    k = v.shape[1]
+    order = np.argsort(v, axis=1, kind="stable")
+    ordered = np.take_along_axis(v, order, axis=1)
+    starts = np.ones(v.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    stops = np.ones(v.shape, dtype=bool)
+    stops[:, :-1] = starts[:, 1:]
+    position = np.arange(k)
+    first = np.maximum.accumulate(np.where(starts, position, 0), axis=1)
+    last = np.minimum.accumulate(np.where(stops, position, k - 1)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty(v.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=1)
     return ranks
 
 
@@ -198,12 +222,68 @@ def node_metric_correlations(a: np.ndarray, kind: str = "spearman") -> dict:
     return cells
 
 
-def _correlation_value(x: np.ndarray, y: np.ndarray, kind: str) -> float:
-    # fast path for ensemble replicates: value only, no p-value; Spearman's
-    # arguments arrive already ranked, so Pearson on them is Spearman
-    if kind == "kendall":
-        return _kendall_tau(x, y)[0]
-    return _pearson_value(x, y)
+def _row_spearman(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`_pearson_value` of each row pair of two midrank arrays; NaN where a row is constant.
+
+    Midranks and their deviations from the mean (k + 1) / 2 are
+    half-integers, so every sum below is exact in any order and each value
+    equals `_pearson_value`'s bit for bit.
+    """
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    vx = np.einsum("ij,ij->i", xc, xc)
+    vy = np.einsum("ij,ij->i", yc, yc)
+    defined = (vx != 0.0) & (vy != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.einsum("ij,ij->i", xc, yc) / np.sqrt(vx * vy)
+    return np.where(defined, np.minimum(1.0, np.maximum(-1.0, r)), np.nan)
+
+
+def _replicate_values(vectors: list, kind: str, names, same_degrees: bool = False) -> dict:
+    """{statistic: one value per replicate, NaN where undefined} for the statistics in `names`.
+
+    `vectors` holds each replicate's `metric_vectors`, or None for a
+    replicate with fewer than 3 non-isolated nodes. Spearman ranks and
+    correlates the replicates of each vector length in one pass; with
+    `same_degrees` (every replicate has the first one's degree vector) the
+    degrees are ranked once. Pearson and Kendall go replicate by replicate.
+    """
+    values = {name: np.full(len(vectors), np.nan) for name in names}
+    if not names:
+        return values
+    column = {name: STATISTICS.index(name) for name in names}
+    if kind != "spearman":
+        for i, triple in enumerate(vectors):
+            if triple is None:
+                continue
+            for name in names:
+                x, y = triple[column[name]], triple[2]
+                try:
+                    value = _kendall_tau(x, y)[0] if kind == "kendall" else _pearson_value(x, y)
+                except UndefinedCorrelationError:
+                    continue
+                values[name][i] = value
+        return values
+    by_length: dict = {}
+    for i, triple in enumerate(vectors):
+        if triple is not None:
+            by_length.setdefault(len(triple[0]), []).append(i)
+    for indices in by_length.values():
+        # betweenness is ranked once for both statistics
+        bvec = _row_midranks(np.array([vectors[i][2] for i in indices]))
+        for name in names:
+            if column[name] == 0 and same_degrees:
+                x = np.broadcast_to(_row_midranks(vectors[indices[0]][0][None]), bvec.shape)
+            else:
+                x = _row_midranks(np.array([vectors[i][column[name]] for i in indices]))
+            values[name][indices] = _row_spearman(x, bvec)
+    return values
+
+
+def _lag1_autocorrelation(values: np.ndarray, mean: float) -> float:
+    """Lag-1 sample autocorrelation of a sequence about its mean, summed with `math.fsum`."""
+    d = values - mean
+    return math.fsum((d[:-1] * d[1:]).tolist()) / math.fsum((d * d).tolist())
 
 
 def ensemble_zscores(
@@ -217,41 +297,43 @@ def ensemble_zscores(
     """{statistic: cell} z-scores of the empirical cells against a null ensemble.
 
     `empirical` is `node_metric_correlations` of the adjacency that `spec`
-    describes. One replicate adjacency is generated per index from the seed
-    stream and both statistics are evaluated on it; undefined replicate
-    values are dropped and counted. A defined cell is {"empirical", "mean",
-    "std", "z", "dropped", "replicates"}. A statistic whose empirical cell is
+    describes. ER and GRG draw replicate i from `stream.generator(i)`.
+    DEGSEQ draws the whole ensemble from one `SwapChain` on
+    `stream.generator()`: a burn-in of ceil(spec.swap_multiplier * m)
+    proposals, then one replicate every ceil(SAMPLE_GAP * m) proposals.
+    Every replicate's metric vectors are collected first, then each
+    statistic whose empirical cell is defined is evaluated on them;
+    undefined replicate values are dropped and counted. A defined cell is {"empirical", "mean", "std", "z",
+    "dropped", "replicates"}; a DEGSEQ cell adds "lag1_autocorrelation", of
+    its defined values in chain order. A statistic whose empirical cell is
     undefined, that loses more than half its replicates or whose ensemble
     has zero spread gets {"undefined": reason}.
     """
     if replicates < 2:
         raise InvalidArgumentError("at least 2 replicates required")
-    values = {name: [] for name in STATISTICS}
-    dropped = {name: 0 for name in STATISTICS}
+    chain = rng = None
+    if spec.kind == "DEGSEQ":
+        chain, rng = SwapChain(spec.source, spec.swap_multiplier), stream.generator()
+    vectors = []
     for i in range(replicates):
-        replica = generate_null(spec, stream.generator(i))
+        replica = generate_null(spec, stream.generator(i) if chain is None else rng, chain)
         try:
-            deg, cvec, bvec = metric_vectors(replica)
+            vectors.append(metric_vectors(replica))
         except InsufficientDataError:
-            for name in STATISTICS:
-                dropped[name] += 1
-            continue
-        if kind == "spearman":
-            # betweenness is ranked once for both statistics
-            deg, cvec, bvec = midranks(deg), midranks(cvec), midranks(bvec)
-        for name, x in zip(STATISTICS, (deg, cvec)):
-            try:
-                values[name].append(_correlation_value(x, bvec, kind))
-            except UndefinedCorrelationError:
-                dropped[name] += 1
+            vectors.append(None)
+    # a statistic whose empirical cell is undefined has no z, so no replicate values
+    names = [name for name in STATISTICS if "undefined" not in empirical[name]]
+    values = _replicate_values(vectors, kind, names, same_degrees=chain is not None)
 
     cells = {}
     for name in STATISTICS:
-        vals = np.asarray(values[name])
-        if "undefined" in empirical[name]:
+        if name not in values:
             cells[name] = {"undefined": "empirical correlation undefined"}
-        elif dropped[name] * 2 > replicates:
-            reason = f"degenerate: {dropped[name]} of {replicates} replicates undefined"
+            continue
+        vals = values[name][~np.isnan(values[name])]
+        dropped = replicates - len(vals)
+        if dropped * 2 > replicates:
+            reason = f"degenerate: {dropped} of {replicates} replicates undefined"
             cells[name] = {"undefined": reason}
         elif vals.min() == vals.max():
             # np.std of equal values can come out as 1e-16, not 0
@@ -263,7 +345,9 @@ def ensemble_zscores(
                 "mean": mean,
                 "std": std,
                 "z": (value - mean) / std,
-                "dropped": dropped[name],
+                "dropped": dropped,
                 "replicates": replicates,
             }
+            if chain is not None:
+                cells[name]["lag1_autocorrelation"] = _lag1_autocorrelation(vals, mean)
     return cells

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -17,7 +18,14 @@ import pytest
 from scipy import stats as sps
 from scipy.spatial.distance import pdist
 
-from gradenet.errors import GradenetError, InvalidArgumentError, ParseError, SchemaError
+from gradenet.errors import (
+    GradenetError,
+    InsufficientDataError,
+    InvalidArgumentError,
+    ParseError,
+    SchemaError,
+    UndefinedCorrelationError,
+)
 from gradenet.exports import _GRAPHML_NS, _GRAPHML_TYPES, _node_data
 from gradenet.graph import (
     _TIE_EPS,
@@ -29,7 +37,7 @@ from gradenet.graph import (
     connected_components,
 )
 from gradenet.mining import CoSelectionGraph, cumulative_graphs
-from gradenet.nullmodels import max_edges
+from gradenet.nullmodels import generate_null, max_edges
 from gradenet.records import (
     _NONNEGATIVE,
     _POSITIVE,
@@ -37,6 +45,12 @@ from gradenet.records import (
     CAMPAIGN_COLUMN,
     ITEM_COLUMN,
     RecordTable,
+)
+from gradenet.stats import (
+    STATISTICS,
+    _kendall_tau,
+    _pearson_value,
+    metric_vectors,
 )
 from gradenet.synth import ProductionRecord
 
@@ -709,6 +723,75 @@ def zscore(x: float, replicates) -> float:
     return (x - float(arr.mean())) / sigma
 
 
+def loop_replicate_values(vectors, kind: str):
+    """({statistic: values}, {statistic: dropped}) replicate by replicate.
+
+    The scoring loop `stats.ensemble_zscores` ran before it batched
+    Spearman: `vectors` holds each replicate's `metric_vectors`, or None for
+    a replicate below 3 non-isolated nodes; each statistic's defined values
+    stay in replicate order.
+    """
+    values = {name: [] for name in STATISTICS}
+    dropped = {name: 0 for name in STATISTICS}
+    for triple in vectors:
+        if triple is None:
+            for name in STATISTICS:
+                dropped[name] += 1
+            continue
+        deg, cvec, bvec = triple
+        if kind == "spearman":
+            deg, cvec, bvec = loop_midranks(deg), loop_midranks(cvec), loop_midranks(bvec)
+        for name, x in zip(STATISTICS, (deg, cvec)):
+            try:
+                if kind == "kendall":
+                    values[name].append(_kendall_tau(x, bvec)[0])
+                else:
+                    values[name].append(_pearson_value(x, bvec))
+            except UndefinedCorrelationError:
+                dropped[name] += 1
+    return values, dropped
+
+
+def loop_ensemble_zscores(empirical, spec, replicates, kind="spearman", *, stream) -> dict:
+    """`stats.ensemble_zscores` as it was before DEGSEQ drew one chain per ensemble.
+
+    Replicate i of every model, DEGSEQ included, is drawn from
+    `stream.generator(i)`, so each DEGSEQ replicate is an independent
+    `switch_randomize` with its own burn-in. No cell has a lag-1
+    autocorrelation.
+    """
+    if replicates < 2:
+        raise InvalidArgumentError("at least 2 replicates required")
+    vectors = []
+    for i in range(replicates):
+        try:
+            vectors.append(metric_vectors(generate_null(spec, stream.generator(i))))
+        except InsufficientDataError:
+            vectors.append(None)
+    values, dropped = loop_replicate_values(vectors, kind)
+    cells = {}
+    for name in STATISTICS:
+        vals = np.asarray(values[name])
+        if "undefined" in empirical[name]:
+            cells[name] = {"undefined": "empirical correlation undefined"}
+        elif dropped[name] * 2 > replicates:
+            reason = f"degenerate: {dropped[name]} of {replicates} replicates undefined"
+            cells[name] = {"undefined": reason}
+        elif vals.min() == vals.max():
+            cells[name] = {"undefined": "zero ensemble standard deviation"}
+        else:
+            value, mean, std = empirical[name]["value"], float(vals.mean()), float(vals.std())
+            cells[name] = {
+                "empirical": value,
+                "mean": mean,
+                "std": std,
+                "z": (value - mean) / std,
+                "dropped": dropped[name],
+                "replicates": replicates,
+            }
+    return cells
+
+
 def graphml_loads(text: str):
     """Node and edge sets from a GraphML document."""
     try:
@@ -1069,6 +1152,14 @@ def record_table(records, names=None) -> RecordTable:
         np.array([campaign_code[rec.campaign_id] for rec in records], np.intp),
         np.array([item_code[rec.item] for rec in records], np.intp),
         {name: np.array([rec.attributes[name] for rec in records], float) for name in names},
+    )
+
+
+def take(table: RecordTable, rows) -> RecordTable:
+    """The rows that `rows` (a boolean mask or row indices) selects, same labels."""
+    columns = {name: column[rows] for name, column in table.attributes.items()}
+    return dataclasses.replace(
+        table, campaign=table.campaign[rows], item=table.item[rows], attributes=columns
     )
 
 

@@ -438,19 +438,19 @@ def scope_csv() -> str:
 
 
 def test_stage_loop_copies_no_records(tmp_path, monkeypatch):
-    takes = []
+    tables = []
     computed = []
-    take, campaign_items = RecordTable.take, RecordTable.campaign_items.func
+    init, campaign_items = RecordTable.__init__, RecordTable.campaign_items.func
 
-    def counting_take(table, rows):
-        takes.append(rows)
-        return take(table, rows)
+    def counting_init(table, *args, **kwargs):
+        tables.append(table)
+        init(table, *args, **kwargs)
 
     def counting_campaign_items(table):
         computed.append(table)
         return campaign_items(table)
 
-    monkeypatch.setattr(RecordTable, "take", counting_take)
+    monkeypatch.setattr(RecordTable, "__init__", counting_init)
     monkeypatch.setattr(RecordTable.campaign_items, "func", counting_campaign_items)
     path = tmp_path / "scope.csv"
     path.write_text(scope_csv(), encoding="utf-8")
@@ -459,11 +459,11 @@ def test_stage_loop_copies_no_records(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "largest" / "report.json").read_text())
     assert [len(entry["group_summaries"]) for entry in report["stages"]] == [2, 3, 1]
     # the stage build and the diversity histogram share one campaign_items of one table
-    assert takes == [] and len(computed) == 1
-    # only the min-mean: selector reads a stage's copied records
+    assert len(tables) == 1 and len(computed) == 1
+    # the min-mean: selector reads each stage's rows of that table through a mask
     out = tmp_path / "min_mean"
     assert main(analyze + ["--component", "min-mean:carbon", "--out", str(out)]) == 0
-    assert len(takes) == 3 and len(computed) == 2  # one copy per stage
+    assert len(tables) == 2 and len(computed) == 2
 
 
 def test_each_scope_graph_is_scored_once(monkeypatch):

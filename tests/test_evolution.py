@@ -24,6 +24,7 @@ from conftest import (
     rescan_group_summary,
     rescan_prune_minor_groups,
     table_records,
+    take,
 )
 
 
@@ -93,7 +94,7 @@ def test_prune_minor_groups(snapshot_csv):
     assert set(prune_minor_groups(graph, partition, summaries, 0.0).nodes()) == {
         "1", "2", "3", "4",
     }
-    skewed = records.take([0, 1, 2, 3] * 3 + [0] * 8)
+    skewed = take(records, [0, 1, 2, 3] * 3 + [0] * 8)
     pruned = prune_minor_groups(
         graph, partition, group_summary(partition, skewed, every_row(skewed)), 0.4
     )
@@ -192,9 +193,10 @@ def test_stage_networks_match_rebuild_oracle(records, windows, min_support, min_
     assert series.ends == ends
     assert len(series.stages) == len(oracle) == windows
     for s, (new, old) in enumerate(zip(series.stages, oracle)):
-        assert_same_graph(new, old, series.stage_records(s).item_means())
+        stage = take(table, table.campaign < series.ends[s])
+        assert_same_graph(new, old, stage.item_means())
         included = {cid for cid, w in window_of.items() if w <= s}
-        assert table_records(series.stage_records(s)) == [
+        assert table_records(stage) == [
             rec for rec in records if rec.campaign_id in included
         ]
 
@@ -204,7 +206,7 @@ def test_stage_networks_match_rebuild_oracle(records, windows, min_support, min_
 def test_build_graph_matches_rebuild_oracle(records, min_support, min_lift):
     # the first campaigns, up to the one of the middle row, with all their records
     table = record_table(records)
-    prefix = table.take(table.campaign <= table.campaign[len(records) // 2])
+    prefix = take(table, table.campaign <= table.campaign[len(records) // 2])
     transactions = group_campaigns(prefix)
     included = {cid for cid, _ in transactions.transactions}
     assert_same_graph(
@@ -226,7 +228,7 @@ def test_group_summary_and_prune_match_rescan_oracles(records, data):
     full = record_table(records)
     kept = data.draw(st.sets(st.integers(0, len(full.campaign_labels) - 1), min_size=1))
     rows = np.isin(full.campaign, sorted(kept))
-    table = full.take(rows)
+    table = take(full, rows)
     records = table_records(table)
     transactions = group_campaigns(table)
     items = sorted(transactions.item_universe)

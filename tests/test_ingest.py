@@ -35,6 +35,7 @@ from conftest import (
     itemsets_table,
     row_parse_records,
     table_records,
+    take,
 )
 
 
@@ -63,7 +64,7 @@ def test_parse_ignores_byte_order_mark(snapshot_csv):
 
 def test_take_keeps_labels(snapshot_csv):
     table = parse_records(snapshot_csv)
-    part = table.take(table.campaign == 1)
+    part = take(table, table.campaign == 1)
     assert (part.campaign_labels, part.item_labels) == (table.campaign_labels, table.item_labels)
     assert [(r.campaign_id, r.item) for r in table_records(part)] == [("B", "3"), ("B", "4")]
     assert part.attributes["carbon"].tolist() == [0.020, 0.020]

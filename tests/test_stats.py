@@ -9,11 +9,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gradenet import nullmodels
 from gradenet.errors import InsufficientDataError, InvalidArgumentError, UndefinedCorrelationError
 from gradenet.graph import Graph, _adjacency_matrix
-from gradenet.nullmodels import NullModelSpec, SeedStream, er_gnm, generate_null, spec_for
+from gradenet.nullmodels import (
+    NullModelSpec,
+    SeedStream,
+    SwapChain,
+    er_gnm,
+    generate_null,
+    spec_for,
+)
 from gradenet.stats import (
     STATISTICS,
+    _replicate_values,
+    _row_midranks,
     correlation,
     ensemble_zscores,
     kendall,
@@ -30,7 +40,9 @@ from conftest import (
     graph_from_adjacency,
     kendall_exhaustive,
     kendall_z_oracle,
+    loop_ensemble_zscores,
     loop_midranks,
+    loop_replicate_values,
     normal_p_value_oracle,
     random_graph,
     t_p_value_oracle,
@@ -55,10 +67,10 @@ def test_midranks():
 
 
 # small integers give long tie runs; signed zeros are equal and tie
-tie_heavy_values = st.lists(
-    st.one_of(st.integers(min_value=-3, max_value=3).map(float), st.sampled_from([0.0, -0.0])),
-    max_size=40,
+tie_heavy_value = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(float), st.sampled_from([0.0, -0.0])
 )
+tie_heavy_values = st.lists(tie_heavy_value, max_size=40)
 
 
 @given(st.one_of(tie_heavy_values, st.lists(finite_floats, max_size=40)))
@@ -346,3 +358,133 @@ def test_ensemble_zscores_validates_replicates():
             1,
             stream=SeedStream.from_seed(0),
         )
+
+
+KINDS = ("spearman", "pearson", "kendall")
+# metric values with long tie runs and signed zeros, or any finite float
+metric_values = st.one_of(
+    st.integers(min_value=0, max_value=3).map(float),
+    st.sampled_from([0.0, -0.0, 0.5]),
+    finite_floats,
+)
+
+
+@st.composite
+def replicate_vectors(draw):
+    """(same_degrees, metric vectors) of a few replicates.
+
+    Lengths are mixed, as ER and GRG replicates with isolated nodes give,
+    unless every replicate shares one degree vector, as DEGSEQ's do. Some
+    replicates are missing (fewer than 3 non-isolated nodes) and some
+    vectors constant, so that their values are dropped.
+    """
+    same_degrees = draw(st.booleans())
+    lengths = st.sampled_from([3, 4, 7])
+    degrees = draw(lengths.flatmap(lambda k: st.lists(metric_values, min_size=k, max_size=k)))
+    vectors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            vectors.append(None)
+            continue
+        k = len(degrees) if same_degrees else draw(lengths)
+        triple = [draw(st.lists(metric_values, min_size=k, max_size=k)) for _ in range(3)]
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            triple[draw(st.integers(min_value=0, max_value=2))] = [draw(metric_values)] * k
+        if same_degrees:
+            triple[0] = degrees
+        vectors.append(tuple(np.array(v) for v in triple))
+    return same_degrees, vectors
+
+
+@given(
+    st.integers(min_value=0, max_value=9).flatmap(
+        lambda k: st.lists(
+            st.lists(st.one_of(tie_heavy_value, finite_floats), min_size=k, max_size=k),
+            min_size=1,
+            max_size=8,
+        )
+    )
+)
+@settings(max_examples=200)
+def test_row_midranks_match_loop_oracle(rows):
+    assert _row_midranks(np.array(rows)).tolist() == [loop_midranks(row).tolist() for row in rows]
+
+
+@given(
+    replicate_vectors(),
+    st.sampled_from(KINDS),
+    st.sampled_from([STATISTICS, STATISTICS[:1], STATISTICS[1:]]),
+)
+@settings(max_examples=300, deadline=None)
+def test_replicate_values_match_loop_oracle(case, kind, names):
+    same_degrees, vectors = case
+    values = _replicate_values(vectors, kind, names, same_degrees)
+    expected, dropped = loop_replicate_values(vectors, kind)
+    assert list(values) == list(names)
+    for name in names:
+        defined = ~np.isnan(values[name])
+        assert values[name][defined].tolist() == expected[name]
+        assert len(vectors) - int(defined.sum()) == dropped[name]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("model", ["er", "grg"])
+def test_er_and_grg_ensembles_match_loop_oracle(model, kind):
+    # (16, 14) leaves replicate nodes isolated, so the vector lengths vary
+    # and some replicates fall below 3 nodes; (12, 30) has defined cells
+    defined = 0
+    for n, m in ((16, 14), (12, 30)):
+        a = er_gnm(n, m, np.random.default_rng(n))
+        spec = spec_for(model, a)
+        empirical = node_metric_correlations(a, kind)
+        stream = SeedStream.from_seed(m)
+        cells = ensemble_zscores(empirical, spec, 40, kind, stream=stream)
+        assert cells == loop_ensemble_zscores(empirical, spec, 40, kind, stream=stream)
+        defined += sum("z" in cell for cell in cells.values())
+    assert defined >= 2
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_degseq_ensemble_scores_one_thinned_chain(kind):
+    a = er_gnm(14, 30, np.random.default_rng(5))
+    spec = spec_for("degseq", a, swap_multiplier=2.5)
+    empirical = node_metric_correlations(a, kind)
+    stream = SeedStream.from_seed(6)
+    cells = ensemble_zscores(empirical, spec, 30, kind, stream=stream)
+    chain, rng = SwapChain(a, 2.5), stream.generator()
+    values, dropped = loop_replicate_values(
+        [metric_vectors(chain.sample(rng)) for _ in range(30)], kind
+    )
+    for name, cell in cells.items():
+        vals = np.array(values[name])
+        mean, std = float(vals.mean()), float(vals.std())
+        lag1 = cell.pop("lag1_autocorrelation")
+        assert cell == {
+            "empirical": empirical[name]["value"],
+            "mean": mean,
+            "std": std,
+            "z": (empirical[name]["value"] - mean) / std,
+            "dropped": dropped[name],
+            "replicates": 30,
+        }
+        d = vals - mean
+        assert lag1 == pytest.approx(float(d[:-1] @ d[1:]) / float(d @ d), rel=1e-12, abs=1e-15)
+        assert -1.0 <= lag1 <= 1.0
+
+
+def test_degseq_ensemble_proposal_count(monkeypatch):
+    # one burn-in of ceil(multiplier * m), then ceil(SAMPLE_GAP * m) per further replicate
+    proposals = []
+    swap = nullmodels._swap
+
+    def counting(ends, rows, count, rng):
+        proposals.append(count)
+        swap(ends, rows, count, rng)
+
+    monkeypatch.setattr(nullmodels, "_swap", counting)
+    a = er_gnm(14, 29, np.random.default_rng(5))
+    spec = spec_for("degseq", a, swap_multiplier=2.5)
+    empirical = node_metric_correlations(a)
+    ensemble_zscores(empirical, spec, 9, stream=SeedStream.from_seed(0))
+    assert proposals == [math.ceil(2.5 * 29)] + [math.ceil(nullmodels.SAMPLE_GAP * 29)] * 8
+    assert sum(proposals) == 73 + 8 * 58
