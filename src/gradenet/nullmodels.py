@@ -118,6 +118,8 @@ class SwapChain:
             raise InvalidArgumentError("DEGSEQ spec requires a source adjacency")
         if not 0 < swap_multiplier < math.inf:
             raise InvalidArgumentError("swap multiplier must be positive and finite")
+        # what the chain was built from, for `generate_null` to check
+        self.source, self.swap_multiplier = a, swap_multiplier
         a = np.asarray(a, dtype=bool)
         # edge k is (ends[2k], ends[2k + 1]); slot 2k + flip is the endpoint a
         # flip selects as "first"
@@ -245,15 +247,18 @@ def generate_null(
 ) -> np.ndarray:
     """Draw one replicate from a null-model family as an n x n bool adjacency.
 
-    A DEGSEQ draw is the next sample of `chain`, a `SwapChain` on
-    spec.source; without one it is `switch_randomize`, the first sample of a
-    fresh chain. ER and GRG ignore `chain`.
+    A DEGSEQ draw is the next sample of `chain`, which must be a `SwapChain`
+    built from spec.source and spec.swap_multiplier; without one it is
+    `switch_randomize`, the first sample of a fresh chain. ER and GRG
+    ignore `chain`.
     """
     if spec.kind == "ER":
         return er_gnm(spec.n, spec.m, rng)
     if spec.kind == "DEGSEQ":
         if chain is None:
             return switch_randomize(spec.source, spec.swap_multiplier, rng)
+        if chain.source is not spec.source or chain.swap_multiplier != spec.swap_multiplier:
+            raise InvalidArgumentError("swap chain was not built from this DEGSEQ spec")
         return chain.sample(rng)
     if spec.kind == "GRG":
         return random_geometric(spec.n, spec.radius, rng)

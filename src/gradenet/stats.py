@@ -41,21 +41,7 @@ class CorrelationResult:
 
 def midranks(values) -> np.ndarray:
     """Ranks starting at 1, ties receiving the average of their positions."""
-    arr = np.asarray(values, dtype=float)
-    order = np.argsort(arr, kind="stable")
-    ordered = arr[order].tolist()
-    n = len(ordered)
-    sorted_ranks = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and ordered[j + 1] == ordered[i]:
-            j += 1
-        sorted_ranks += [(i + j) / 2.0 + 1.0] * (j + 1 - i)
-        i = j + 1
-    ranks = np.empty(n)
-    ranks[order] = sorted_ranks
-    return ranks
+    return _row_midranks(np.asarray(values, dtype=float)[None])[0]
 
 
 def _row_midranks(v: np.ndarray) -> np.ndarray:
@@ -63,7 +49,6 @@ def _row_midranks(v: np.ndarray) -> np.ndarray:
 
     A row's tie group spans sorted positions first..last, found by running
     max and min over the group bounds; each member gets (first + last) / 2 + 1.
-    On one short vector the loop in `midranks` is faster.
     """
     k = v.shape[1]
     order = np.argsort(v, axis=1, kind="stable")
@@ -239,14 +224,13 @@ def _row_spearman(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(defined, np.minimum(1.0, np.maximum(-1.0, r)), np.nan)
 
 
-def _replicate_values(vectors: list, kind: str, names, same_degrees: bool = False) -> dict:
+def _replicate_values(vectors: list, kind: str, names) -> dict:
     """{statistic: one value per replicate, NaN where undefined} for the statistics in `names`.
 
     `vectors` holds each replicate's `metric_vectors`, or None for a
     replicate with fewer than 3 non-isolated nodes. Spearman ranks and
-    correlates the replicates of each vector length in one pass; with
-    `same_degrees` (every replicate has the first one's degree vector) the
-    degrees are ranked once. Pearson and Kendall go replicate by replicate.
+    correlates the replicates of each vector length in one pass; Pearson
+    and Kendall go replicate by replicate.
     """
     values = {name: np.full(len(vectors), np.nan) for name in names}
     if not names:
@@ -272,10 +256,7 @@ def _replicate_values(vectors: list, kind: str, names, same_degrees: bool = Fals
         # betweenness is ranked once for both statistics
         bvec = _row_midranks(np.array([vectors[i][2] for i in indices]))
         for name in names:
-            if column[name] == 0 and same_degrees:
-                x = np.broadcast_to(_row_midranks(vectors[indices[0]][0][None]), bvec.shape)
-            else:
-                x = _row_midranks(np.array([vectors[i][column[name]] for i in indices]))
+            x = _row_midranks(np.array([vectors[i][column[name]] for i in indices]))
             values[name][indices] = _row_spearman(x, bvec)
     return values
 
@@ -323,7 +304,7 @@ def ensemble_zscores(
             vectors.append(None)
     # a statistic whose empirical cell is undefined has no z, so no replicate values
     names = [name for name in STATISTICS if "undefined" not in empirical[name]]
-    values = _replicate_values(vectors, kind, names, same_degrees=chain is not None)
+    values = _replicate_values(vectors, kind, names)
 
     cells = {}
     for name in STATISTICS:

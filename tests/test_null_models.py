@@ -232,6 +232,16 @@ def test_spec_for_unknown_model():
         generate_null(NullModelSpec(kind="??", n=2, m=1), np.random.default_rng(0))
 
 
+def test_generate_null_refuses_another_specs_chain():
+    a = er_gnm(12, 20, np.random.default_rng(3))
+    spec = spec_for("degseq", a, swap_multiplier=4.0)
+    rng = np.random.default_rng(4)
+    assert generate_null(spec, rng, SwapChain(a, 4.0)).shape == a.shape
+    for chain in (SwapChain(a.copy(), 4.0), SwapChain(a, 5.0)):
+        with pytest.raises(InvalidArgumentError, match="swap chain"):
+            generate_null(spec, rng, chain)
+
+
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=9))
 @settings(max_examples=60, deadline=None)
 def test_er_gnm_property(seed, n):

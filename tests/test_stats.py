@@ -371,29 +371,24 @@ metric_values = st.one_of(
 
 @st.composite
 def replicate_vectors(draw):
-    """(same_degrees, metric vectors) of a few replicates.
+    """Metric vectors of a few replicates.
 
-    Lengths are mixed, as ER and GRG replicates with isolated nodes give,
-    unless every replicate shares one degree vector, as DEGSEQ's do. Some
-    replicates are missing (fewer than 3 non-isolated nodes) and some
+    Lengths are mixed, as ER and GRG replicates with isolated nodes give.
+    Some replicates are missing (fewer than 3 non-isolated nodes) and some
     vectors constant, so that their values are dropped.
     """
-    same_degrees = draw(st.booleans())
     lengths = st.sampled_from([3, 4, 7])
-    degrees = draw(lengths.flatmap(lambda k: st.lists(metric_values, min_size=k, max_size=k)))
     vectors = []
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         if draw(st.integers(min_value=0, max_value=5)) == 0:
             vectors.append(None)
             continue
-        k = len(degrees) if same_degrees else draw(lengths)
+        k = draw(lengths)
         triple = [draw(st.lists(metric_values, min_size=k, max_size=k)) for _ in range(3)]
         if draw(st.integers(min_value=0, max_value=3)) == 0:
             triple[draw(st.integers(min_value=0, max_value=2))] = [draw(metric_values)] * k
-        if same_degrees:
-            triple[0] = degrees
         vectors.append(tuple(np.array(v) for v in triple))
-    return same_degrees, vectors
+    return vectors
 
 
 @given(
@@ -416,9 +411,8 @@ def test_row_midranks_match_loop_oracle(rows):
     st.sampled_from([STATISTICS, STATISTICS[:1], STATISTICS[1:]]),
 )
 @settings(max_examples=300, deadline=None)
-def test_replicate_values_match_loop_oracle(case, kind, names):
-    same_degrees, vectors = case
-    values = _replicate_values(vectors, kind, names, same_degrees)
+def test_replicate_values_match_loop_oracle(vectors, kind, names):
+    values = _replicate_values(vectors, kind, names)
     expected, dropped = loop_replicate_values(vectors, kind)
     assert list(values) == list(names)
     for name in names:
