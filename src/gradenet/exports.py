@@ -10,7 +10,7 @@ import csv
 import io
 import re
 
-from .mining import CoSelectionGraph
+from .evolution import CoSelectionGraph
 from .records import ATTRIBUTE_COLUMNS, CAMPAIGN_COLUMN, ITEM_COLUMN
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"

@@ -6,8 +6,11 @@ clustering-vs-betweenness correlations that serve as randomness probes;
 and z = (X - mu) / sigma against null-model ensembles. Both probes come
 back as the report's {statistic: cell} dicts, so the pipeline writes them
 as they are. An ensemble's replicates are drawn and measured first; the
-Spearman values of all its replicates are then ranked and correlated in
-one array pass per vector length.
+replicates of each vector length are then ranked (for Spearman) and
+correlated together. Pearson, on one vector pair or on a stack of them,
+is `_row_pearson`, whose sums are numpy's own row dot products: no BLAS
+kernel enters them, so a value does not depend on which kernel runs.
+Kendall runs `_kendall_tau` one replicate at a time.
 
 The p-values come from the special functions imported below: twice the
 Student t tail `stdtr(n - 2, -|t|)` for Pearson and Spearman, twice the
@@ -33,7 +36,6 @@ STATISTICS = ("COR_D_BC", "COR_CC_BC")
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    kind: str
     value: float
     p_value: float
     sample_size: int
@@ -77,21 +79,6 @@ def _check_samples(x, y):
     return x, y
 
 
-def _pearson_value(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    vx = float(xc @ xc)
-    vy = float(yc @ yc)
-    if vx == 0.0 or vy == 0.0:
-        raise UndefinedCorrelationError("zero variance in a correlation argument")
-    scale = math.sqrt(vx * vy)
-    if scale == 0.0:
-        # the product underflowed, as with spreads near 1e-80
-        scale = math.sqrt(vx) * math.sqrt(vy)
-    r = float(xc @ yc) / scale
-    return min(1.0, max(-1.0, r))
-
-
 def _t_p_value(r: float, n: int) -> float:
     if abs(r) >= 1.0:
         return 0.0
@@ -101,14 +88,15 @@ def _t_p_value(r: float, n: int) -> float:
 
 def pearson(x, y) -> CorrelationResult:
     x, y = _check_samples(x, y)
-    r = _pearson_value(x, y)
-    return CorrelationResult("pearson", r, _t_p_value(r, len(x)), len(x))
+    r = float(_row_pearson(x[None], y[None])[0])
+    if math.isnan(r):
+        raise UndefinedCorrelationError("zero variance in a correlation argument")
+    return CorrelationResult(r, _t_p_value(r, len(x)), len(x))
 
 
 def spearman(x, y) -> CorrelationResult:
     x, y = _check_samples(x, y)
-    r = _pearson_value(midranks(x), midranks(y))
-    return CorrelationResult("spearman", r, _t_p_value(r, len(x)), len(x))
+    return pearson(midranks(x), midranks(y))
 
 
 def _kendall_tau(x: np.ndarray, y: np.ndarray):
@@ -156,7 +144,7 @@ def kendall(x, y) -> CorrelationResult:
     # null variance of num: positive, as both samples are finite and not all tied
     var = (v0 - vt - vu) / 18.0 + v1 + v2
     p = float(2.0 * ndtr(-abs(num) / math.sqrt(var)))
-    return CorrelationResult("kendall", tau, min(1.0, p), n)
+    return CorrelationResult(tau, min(1.0, p), n)
 
 
 _CORRELATIONS = {"pearson": pearson, "spearman": spearman, "kendall": kendall}
@@ -207,57 +195,61 @@ def node_metric_correlations(a: np.ndarray, kind: str = "spearman") -> dict:
     return cells
 
 
-def _row_spearman(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`_pearson_value` of each row pair of two midrank arrays; NaN where a row is constant.
+def _row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson's r of each row pair of two 2-D arrays; NaN where a row is constant.
 
-    Midranks and their deviations from the mean (k + 1) / 2 are
-    half-integers, so every sum below is exact in any order and each value
-    equals `_pearson_value`'s bit for bit.
+    The sums are `einsum` row dot products, which numpy evaluates in its
+    own fixed order, never in BLAS. On midranks, whose deviations from the
+    mean (k + 1) / 2 are half-integers, every sum is exact.
     """
     xc = x - x.mean(axis=1, keepdims=True)
     yc = y - y.mean(axis=1, keepdims=True)
     vx = np.einsum("ij,ij->i", xc, xc)
     vy = np.einsum("ij,ij->i", yc, yc)
-    defined = (vx != 0.0) & (vy != 0.0)
+    scale = np.sqrt(vx * vy)
+    # where the product underflows, as with spreads near 1e-80
+    scale = np.where(scale == 0.0, np.sqrt(vx) * np.sqrt(vy), scale)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.einsum("ij,ij->i", xc, yc) / np.sqrt(vx * vy)
+        r = np.einsum("ij,ij->i", xc, yc) / scale
+    defined = (vx != 0.0) & (vy != 0.0)
     return np.where(defined, np.minimum(1.0, np.maximum(-1.0, r)), np.nan)
+
+
+def _row_kendall(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`_kendall_tau` of each row pair of two 2-D arrays; NaN where a row is all tied."""
+    tau = np.full(len(x), np.nan)
+    for i in range(len(x)):
+        try:
+            tau[i] = _kendall_tau(x[i], y[i])[0]
+        except UndefinedCorrelationError:
+            pass
+    return tau
 
 
 def _replicate_values(vectors: list, kind: str, names) -> dict:
     """{statistic: one value per replicate, NaN where undefined} for the statistics in `names`.
 
     `vectors` holds each replicate's `metric_vectors`, or None for a
-    replicate with fewer than 3 non-isolated nodes. Spearman ranks and
-    correlates the replicates of each vector length in one pass; Pearson
-    and Kendall go replicate by replicate.
+    replicate with fewer than 3 non-isolated nodes. The replicates of each
+    vector length are stacked, midranked for Spearman, and correlated in
+    one kernel call per statistic.
     """
     values = {name: np.full(len(vectors), np.nan) for name in names}
     if not names:
         return values
-    column = {name: STATISTICS.index(name) for name in names}
-    if kind != "spearman":
-        for i, triple in enumerate(vectors):
-            if triple is None:
-                continue
-            for name in names:
-                x, y = triple[column[name]], triple[2]
-                try:
-                    value = _kendall_tau(x, y)[0] if kind == "kendall" else _pearson_value(x, y)
-                except UndefinedCorrelationError:
-                    continue
-                values[name][i] = value
-        return values
+    rank = _row_midranks if kind == "spearman" else np.asarray
+    kernel = _row_kendall if kind == "kendall" else _row_pearson
     by_length: dict = {}
     for i, triple in enumerate(vectors):
         if triple is not None:
             by_length.setdefault(len(triple[0]), []).append(i)
     for indices in by_length.values():
         # betweenness is ranked once for both statistics
-        bvec = _row_midranks(np.array([vectors[i][2] for i in indices]))
+        bvec = rank(np.array([vectors[i][2] for i in indices]))
         for name in names:
-            x = _row_midranks(np.array([vectors[i][column[name]] for i in indices]))
-            values[name][indices] = _row_spearman(x, bvec)
+            column = STATISTICS.index(name)
+            x = rank(np.array([vectors[i][column] for i in indices]))
+            values[name][indices] = kernel(x, bvec)
     return values
 
 
@@ -283,12 +275,14 @@ def ensemble_zscores(
     `stream.generator()`: a burn-in of ceil(spec.swap_multiplier * m)
     proposals, then one replicate every ceil(SAMPLE_GAP * m) proposals.
     Every replicate's metric vectors are collected first, then each
-    statistic whose empirical cell is defined is evaluated on them;
-    undefined replicate values are dropped and counted. A defined cell is {"empirical", "mean", "std", "z",
-    "dropped", "replicates"}; a DEGSEQ cell adds "lag1_autocorrelation", of
-    its defined values in chain order. A statistic whose empirical cell is
-    undefined, that loses more than half its replicates or whose ensemble
-    has zero spread gets {"undefined": reason}.
+    statistic whose empirical cell is defined is evaluated on all of them
+    by `_replicate_values`, with the same formula as the empirical cell;
+    undefined replicate values are dropped and counted. A defined cell is
+    {"empirical", "mean", "std", "z", "dropped", "replicates"}; a DEGSEQ
+    cell adds "lag1_autocorrelation", of its defined values in chain
+    order. A statistic whose empirical cell is undefined, that loses more
+    than half its replicates or whose ensemble has zero spread gets
+    {"undefined": reason}.
     """
     if replicates < 2:
         raise InvalidArgumentError("at least 2 replicates required")

@@ -26,6 +26,7 @@ from gradenet.errors import (
     SchemaError,
     UndefinedCorrelationError,
 )
+from gradenet.evolution import CoSelectionGraph, stage_networks
 from gradenet.exports import _GRAPHML_NS, _GRAPHML_TYPES, _node_data
 from gradenet.graph import (
     _TIE_EPS,
@@ -36,7 +37,6 @@ from gradenet.graph import (
     _dense_clustering,
     connected_components,
 )
-from gradenet.mining import CoSelectionGraph, cumulative_graphs
 from gradenet.nullmodels import generate_null, max_edges
 from gradenet.records import (
     _NONNEGATIVE,
@@ -46,12 +46,7 @@ from gradenet.records import (
     ITEM_COLUMN,
     RecordTable,
 )
-from gradenet.stats import (
-    STATISTICS,
-    _kendall_tau,
-    _pearson_value,
-    metric_vectors,
-)
+from gradenet.stats import STATISTICS, _kendall_tau, metric_vectors, pearson
 from gradenet.synth import ProductionRecord
 
 # verdict lines collected by the acceptance-test decorator, printed once
@@ -122,13 +117,13 @@ def build_graph(
     min_support: float = 0.0,
     min_lift: float = 1.0,
 ) -> CoSelectionGraph:
-    """The co-selection network of every campaign of `records`: `cumulative_graphs` with one stage.
+    """The co-selection network of every campaign of `records`: `stage_networks` with one stage.
 
     The stage is the campaign codes up to the largest one with rows, so a
     table taken down to a prefix of campaign codes gives that prefix's network.
     """
     end = int(records.campaign.max()) + 1 if len(records) else 0
-    return cumulative_graphs(records, (end,), min_support, min_lift)[0]
+    return stage_networks(records, (end,), min_support, min_lift).stages[0]
 
 
 def clustering_all(graph: Graph) -> dict:
@@ -723,13 +718,32 @@ def zscore(x: float, replicates) -> float:
     return (x - float(arr.mean())) / sigma
 
 
+# The Pearson formula `stats._row_pearson` replaced, kept as it was: its
+# sums are 1-D `@` products, BLAS `ddot`, so their last bits depend on the
+# BLAS kernel. `pearson` must stay within a relative 1e-12 of it.
+def _pearson_value(x: np.ndarray, y: np.ndarray) -> float:
+    xc = x - x.mean()
+    yc = y - y.mean()
+    vx = float(xc @ xc)
+    vy = float(yc @ yc)
+    if vx == 0.0 or vy == 0.0:
+        raise UndefinedCorrelationError("zero variance in a correlation argument")
+    scale = math.sqrt(vx * vy)
+    if scale == 0.0:
+        # the product underflowed, as with spreads near 1e-80
+        scale = math.sqrt(vx) * math.sqrt(vy)
+    r = float(xc @ yc) / scale
+    return min(1.0, max(-1.0, r))
+
+
 def loop_replicate_values(vectors, kind: str):
     """({statistic: values}, {statistic: dropped}) replicate by replicate.
 
-    The scoring loop `stats.ensemble_zscores` ran before it batched
-    Spearman: `vectors` holds each replicate's `metric_vectors`, or None for
-    a replicate below 3 non-isolated nodes; each statistic's defined values
-    stay in replicate order.
+    The scoring loop `stats.ensemble_zscores` ran before it batched its
+    replicates, with each Pearson value from the public `pearson` on one
+    replicate: `vectors` holds each replicate's `metric_vectors`, or None
+    for a replicate below 3 non-isolated nodes; each statistic's defined
+    values stay in replicate order.
     """
     values = {name: [] for name in STATISTICS}
     dropped = {name: 0 for name in STATISTICS}
@@ -746,7 +760,7 @@ def loop_replicate_values(vectors, kind: str):
                 if kind == "kendall":
                     values[name].append(_kendall_tau(x, bvec)[0])
                 else:
-                    values[name].append(_pearson_value(x, bvec))
+                    values[name].append(pearson(x, bvec).value)
             except UndefinedCorrelationError:
                 dropped[name] += 1
     return values, dropped

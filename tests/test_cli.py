@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 import gradenet
 from gradenet.cli import main
 from gradenet.errors import InvalidArgumentError
+from gradenet.evolution import CoSelectionGraph
 from gradenet.exports import dot_dumps, graphml_dumps, records_csv_dumps
 from gradenet.graph import Graph, _adjacency_matrix
-from gradenet.mining import CoSelectionGraph
 from gradenet.nullmodels import SeedStream
 from gradenet.pipeline import MODELS, AnalysisConfig, run_analysis, zscore_rows
 from gradenet.records import RecordTable, parse_records

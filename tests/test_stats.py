@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gradenet
 from gradenet import nullmodels
 from gradenet.errors import InsufficientDataError, InvalidArgumentError, UndefinedCorrelationError
 from gradenet.graph import Graph, _adjacency_matrix
@@ -35,6 +40,7 @@ from gradenet.stats import (
 )
 from conftest import (
     UndefinedZScoreError,
+    _pearson_value,
     betweenness_all,
     clustering_all,
     graph_from_adjacency,
@@ -132,6 +138,56 @@ def test_spearman_is_pearson_on_midranks(xy):
     assert result.p_value == expected.p_value
     assert -1.0 <= result.value <= 1.0
     assert 0.0 <= result.p_value <= 1.0
+
+
+@given(sequences())
+@example(([0.0, 0.0, 3.4e-82], [0.0, 0.0, 3.4e-82]))  # the variance product underflows
+@example(([0.0, 1e-82, 3e-82], [0.0, 2e-82, 1e-82]))  # underflows, with r = 0.327
+@example(([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))  # constant rows
+@example(([1.0, 2.0, 3.0, 4.0], [-5.0, -5.0, -5.0, -5.0]))
+@settings(max_examples=300)
+def test_pearson_matches_blas_summed_oracle(xy):
+    x, y = (np.array(v) for v in xy)
+    try:
+        expected = _pearson_value(x, y)
+    except UndefinedCorrelationError:
+        with pytest.raises(UndefinedCorrelationError):
+            pearson(x, y)
+        return
+    assert pearson(x, y).value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+# pearson() and the BLAS product x @ x on fixed random vectors, as two digests
+PEARSON_BITS = """
+import hashlib
+import numpy as np
+from gradenet.stats import pearson
+pairs = np.random.default_rng(0).random((200, 2, 28))
+values = np.array([pearson(x, y).value for x, y in pairs])
+products = np.array([x @ x for x, _ in pairs])
+print(*(hashlib.sha256(a.tobytes()).hexdigest() for a in (values, products)))
+"""
+
+
+def test_pearson_bits_do_not_depend_on_the_blas_kernel():
+    src = str(Path(gradenet.__file__).resolve().parents[1])
+    digests = []
+    for core in (None, "Haswell", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-c", PEARSON_BITS],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digests.append(run.stdout.split())
+    if len({products for _, products in digests}) == 1:
+        pytest.skip("x @ x has the same bits under every OPENBLAS_CORETYPE: no kernel to switch")
+    assert len({values for values, _ in digests}) == 1
 
 
 @given(sequences(max_size=8))
