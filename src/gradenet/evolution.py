@@ -22,9 +22,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import Graph
-from .records import RecordTable
-
-_BLOCK_CAMPAIGNS = 2048
+from .records import RecordTable, _distinct
 
 
 @dataclass(frozen=True)
@@ -54,33 +52,31 @@ def stage_networks(
     Stage s is the campaigns with code < ends[s] (ends ascending). Nodes
     are items that occur and reach min_support; an edge (a, b) needs a
     pair that co-occurs, reaches min_support and has lift >= min_lift.
-    Supports count campaigns, from a running item x item count that each
-    stage extends by B.T @ B over the 0/1 campaign x item incidence B of
-    its new campaigns in `records.campaign_items`, so each campaign is
-    counted once.
+    Supports count campaigns, from a running item x item count, upper
+    triangle and diagonal, that each stage extends by one `np.bincount` of
+    the pair codes of its new campaigns' rows in `records.campaign_items`:
+    a row paired with itself and with each later row of its campaign.
+    Each campaign is counted once, and every count is an exact integer.
     """
     if not (0.0 <= min_support <= 1.0):
         raise InvalidArgumentError("min_support must be in [0, 1]")
     if not math.isfinite(min_lift):
         raise InvalidArgumentError("min_lift must be finite")
     labels = records.item_labels
+    size = len(labels)
     # counts run in sorted-label order, so the upper triangle is the sorted edge list
-    order = sorted(range(len(labels)), key=labels.__getitem__)
+    order = sorted(range(size), key=labels.__getitem__)
     names = [labels[i] for i in order]
-    rank = np.empty(len(labels), np.intp)
-    rank[order] = np.arange(len(labels))
+    rank = np.empty(size, np.intp)
+    rank[order] = np.arange(size)
     campaign, items = records.campaign_items
-    counts = np.zeros((len(labels), len(labels)), np.int64)
+    counts = np.zeros((size, size), np.int64)
     stages = []
     total = 0
     for end in ends:
-        # B in blocks of campaigns, so its size does not grow with the campaign count
-        for lo in range(total, end, _BLOCK_CAMPAIGNS):
-            hi = min(lo + _BLOCK_CAMPAIGNS, end)
-            a, z = np.searchsorted(campaign, (lo, hi)).tolist()
-            block = np.zeros((hi - lo, len(labels)))
-            block[campaign[a:z] - lo, rank[items[a:z]]] = 1.0
-            counts += (block.T @ block).astype(np.int64)  # small integer sums are exact
+        a, z = np.searchsorted(campaign, (total, end)).tolist()
+        codes = _pair_codes(campaign[a:z], rank[items[a:z]], size)
+        counts += np.bincount(codes, minlength=size * size).reshape(size, size)
         total = end
         single = counts.diagonal()
         i, j = np.nonzero(np.triu(counts, 1))
@@ -94,6 +90,25 @@ def stage_networks(
         nodes = [names[k] for k in occurs[single[occurs] / total >= min_support].tolist()]
         stages.append(CoSelectionGraph(Graph(nodes=nodes, edges=edge_lift), edge_lift))
     return StageSeries(tuple(stages), ends)
+
+
+def _pair_codes(campaign: np.ndarray, rank: np.ndarray, size: int) -> np.ndarray:
+    """The code lo * size + hi of each row with itself and with each later row of its campaign.
+
+    `campaign` is sorted, so a campaign's rows are consecutive and the rows
+    d apart in one campaign are among those d - 1 apart; lo and hi are the
+    smaller and larger of the two rows' ranks.
+    """
+    codes = [rank * (size + 1)]
+    at = np.arange(len(campaign))
+    for d in range(1, len(campaign)):
+        at = at[at < len(campaign) - d]
+        at = at[campaign[at + d] == campaign[at]]
+        if not len(at):
+            break
+        lo, hi = rank[at], rank[at + d]
+        codes.append(np.minimum(lo, hi) * size + np.maximum(lo, hi))
+    return np.concatenate(codes)
 
 
 def node_age(series: StageSeries) -> dict:
@@ -139,7 +154,7 @@ def group_summary(groups, records: RecordTable, rows) -> list:
     row_group = code_group[item]
     slabs, means = records.bin_means(row_group, len(groups), picked)
     width = max(len(groups), 1)
-    pairs = np.unique(records.campaign[picked] * width + row_group)
+    pairs = _distinct(records.campaign[picked] * width + row_group)
     campaigns = np.bincount(pairs % width, minlength=len(groups)).tolist()
     total_records = int(np.count_nonzero(rows))
     total_campaigns = int(np.count_nonzero(np.bincount(records.campaign[rows])))

@@ -98,7 +98,8 @@ def _score(graph, config: AnalysisConfig, stream: SeedStream) -> tuple:
 
     The graph's adjacency, built here once, is what the stats and null-model
     layers read. Below 3 non-isolated nodes every cell gives that reason and
-    no replicate is drawn.
+    no replicate is drawn. Nor is one drawn when every empirical cell is
+    undefined: each ensemble cell then says so, as `ensemble_zscores` would.
     """
     _, a = _adjacency_matrix(graph)
     try:
@@ -106,6 +107,9 @@ def _score(graph, config: AnalysisConfig, stream: SeedStream) -> tuple:
     except InsufficientDataError as exc:
         undefined = {name: {"undefined": str(exc)} for name in STATISTICS}
         return undefined, dict.fromkeys(config.models, undefined)
+    if all("undefined" in cell for cell in empirical.values()):
+        undefined = dict.fromkeys(STATISTICS, {"undefined": "empirical correlation undefined"})
+        return empirical, dict.fromkeys(config.models, undefined)
     ensembles = {}
     for model in config.models:
         spec = spec_for(model, a, swap_multiplier=config.swap_multiplier)
@@ -137,6 +141,9 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
     base_stream = SeedStream.from_seed(config.seed)
 
     stages = []
+    # the last selected component graph and its partition: GN is a pure
+    # function of the graph, so a stage whose component is unchanged reuses it
+    previous = None, None
     for s, cograph in enumerate(series.stages):
         components = connected_components(cograph.graph)
         entry = {
@@ -163,7 +170,11 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
             stages.append(entry)
             continue
         component_graph = cograph.graph.subgraph(selected)
-        partition = girvan_newman(component_graph)
+        if component_graph == previous[0]:
+            partition = previous[1]
+        else:
+            partition = girvan_newman(component_graph)
+            previous = component_graph, partition
         communities = partition.ordered()
         summaries = group_summary(communities, table, rows)
         pruned_graph = prune_minor_groups(

@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import re
+import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,7 +38,7 @@ _POSITIVE = {"width_mm", "thickness_mm"}
 _NONNEGATIVE = {"carbon", "manganese", "silicon", "titanium"}
 _NONBLANK = re.compile(r"\S")
 # np.loadtxt arguments that read the rows after the header line as csv.reader does
-_BODY = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2, encoding="utf-8")
+_BODY = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1, encoding="utf-8")
 
 
 class _Codes(dict):
@@ -46,6 +47,14 @@ class _Codes(dict):
     def __missing__(self, label):
         self[label] = code = len(self)
         return code
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending: `np.unique` by a sort, not a hash."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +87,7 @@ class RecordTable:
         Computed once per table; the stage build and the diversity histogram share it.
         """
         width = max(len(self.item_labels), 1)
-        return np.divmod(np.unique(self.campaign * width + self.item), width)
+        return np.divmod(_distinct(self.campaign * width + self.item), width)
 
     def bin_means(self, bins, size: int, rows=slice(None)) -> tuple:
         """Row count and {attribute: mean} per bin, for the rows `rows` selects binned by `bins`.
@@ -172,17 +181,35 @@ def _read_columns(csv_text: str, item_column: str, attribute_columns):
     if not end or '"' in first or "\x00" in csv_text or not _NONBLANK.search(csv_text, end):
         return None
     names, col = _columns(next(csv.reader([first])), item_column, attribute_columns)
-    data = csv_text.encode("utf-8")  # one UTF-8 copy: never a UCS-4 StringIO of the text
-    usecols = [col[name] for name in names]
-    values = np.loadtxt(io.BytesIO(data), np.float64, usecols=usecols, **_BODY).T.copy()
     campaign_at, item_at = col[CAMPAIGN_COLUMN], col[item_column]
     # raw label -> code in order of first appearance, one dict per label column
     labels = {campaign_at: _Codes(), item_at: _Codes()}
+    # one field per label column, then one per attribute. Where usecols repeats
+    # a column, numpy applies its converter at the first place only, so an
+    # attribute that is also the item column is coded once and read as a float
+    usecols = [*labels, *(col[name] for name in names)]
+    dtype = np.dtype([("", np.intp)] * len(labels) + [("", np.float64)] * len(names))
     converters = {at: seen.__getitem__ for at, seen in labels.items()}
-    codes = np.loadtxt(
-        io.BytesIO(data), np.intp, usecols=list(labels), converters=converters, **_BODY
-    )
-    codes = dict(zip(labels, codes.T.copy()))
+    data = csv_text.encode("utf-8")  # one UTF-8 copy: never a UCS-4 StringIO of the text
+    # a row ends at a "\n" or at the end of the text, and the header takes one
+    # "\n", so max_rows bounds the rows: numpy then allocates the array once,
+    # where growing it would raise the peak. numpy warns that a blank line is
+    # not counted towards max_rows, which changes nothing for a bound.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Input line", UserWarning)
+        rows = np.loadtxt(
+            io.BytesIO(data),
+            dtype,
+            usecols=usecols,
+            converters=converters,
+            max_rows=data.count(b"\n"),
+            **_BODY,
+        )
+    del data  # freed before the copies, which lowers the peak
+    fields = [rows[name].copy() for name in dtype.names]  # contiguous columns
+    del rows
+    codes = dict(zip(labels, fields))
+    values = fields[len(labels) :]
     for at, raw in labels.items():
         if any(label != label.strip() for label in raw):
             # merge the labels that strip to the same text: the stripped labels
@@ -192,7 +219,7 @@ def _read_columns(csv_text: str, item_column: str, attribute_columns):
             codes[at] = np.array(merged, np.intp)[codes[at]]
             labels[at] = stripped
     campaigns, items = labels[campaign_at], labels[item_at]
-    if "" in campaigns or "" in items or not np.isfinite(values).all():
+    if "" in campaigns or "" in items or not all(np.isfinite(v).all() for v in values):
         return None
     for name, column in zip(names, values):
         low = column.min()

@@ -202,17 +202,34 @@ def _row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     own fixed order, never in BLAS. On midranks, whose deviations from the
     mean (k + 1) / 2 are half-integers, every sum is exact.
     """
-    xc = x - x.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    vx = np.einsum("ij,ij->i", xc, xc)
-    vy = np.einsum("ij,ij->i", yc, yc)
-    scale = np.sqrt(vx * vy)
-    # where the product underflows, as with spreads near 1e-80
-    scale = np.where(scale == 0.0, np.sqrt(vx) * np.sqrt(vy), scale)
+    xc, vx = _centred(x)
+    yc, vy = _centred(y)
+    with np.errstate(over="ignore"):
+        scale = np.sqrt(vx * vy)
+    # where the product underflows or overflows, as with spreads near 1e-80 or 1e80
+    scale = np.where((scale == 0.0) | (scale == np.inf), np.sqrt(vx) * np.sqrt(vy), scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.einsum("ij,ij->i", xc, yc) / scale
     defined = (vx != 0.0) & (vy != 0.0)
     return np.where(defined, np.minimum(1.0, np.maximum(-1.0, r)), np.nan)
+
+
+def _centred(v: np.ndarray) -> tuple:
+    """Each row of a 2-D array less its mean, and the row's sum of squares of those.
+
+    A row whose sum of squares overflows, as with spreads near 1e155, is
+    first scaled by a power of two that brings its largest value below 1.
+    The scaling is exact, and r does not depend on it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vc = v - v.mean(axis=1, keepdims=True)
+        squares = np.einsum("ij,ij->i", vc, vc)
+    big = ~np.isfinite(squares)
+    if big.any():
+        scaled = np.ldexp(v[big], -np.frexp(np.abs(v[big]).max(axis=1, keepdims=True))[1])
+        vc[big] = scaled - scaled.mean(axis=1, keepdims=True)
+        squares[big] = np.einsum("ij,ij->i", vc[big], vc[big])
+    return vc, squares
 
 
 def _row_kendall(x: np.ndarray, y: np.ndarray) -> np.ndarray:

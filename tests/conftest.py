@@ -736,6 +736,20 @@ def _pearson_value(x: np.ndarray, y: np.ndarray) -> float:
     return min(1.0, max(-1.0, r))
 
 
+# `stats._row_pearson` on one row pair before it handled sums that overflow:
+# (r, the variance product). Where that product is finite and positive,
+# `pearson` must return these bits.
+def einsum_pearson_value(x: np.ndarray, y: np.ndarray) -> tuple:
+    x, y = x[None], y[None]
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    vx = np.einsum("ij,ij->i", xc, xc)[0]
+    vy = np.einsum("ij,ij->i", yc, yc)[0]
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        r = np.einsum("ij,ij->i", xc, yc)[0] / np.sqrt(vx * vy)
+        return min(1.0, max(-1.0, float(r))), float(vx * vy)
+
+
 def loop_replicate_values(vectors, kind: str):
     """({statistic: values}, {statistic: dropped}) replicate by replicate.
 
@@ -979,6 +993,50 @@ def rebuild_stage_networks(
                 min_lift=min_lift,
             )
         )
+    return tuple(stages)
+
+
+# The stage count that `evolution.stage_networks` replaced, kept as it was:
+# each stage adds B.T @ B, the float product of the 0/1 campaign x item
+# incidence of its new campaigns, in blocks of campaigns. Its products run
+# in BLAS; every sum is a small integer, so every count is exact.
+_BLOCK_CAMPAIGNS = 2048
+
+
+def block_stage_networks(
+    records: RecordTable,
+    ends: tuple,
+    min_support: float = 0.0,
+    min_lift: float = 1.0,
+) -> tuple:
+    """One CoSelectionGraph per stage end, from block products of the incidence matrix."""
+    labels = records.item_labels
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    names = [labels[i] for i in order]
+    rank = np.empty(len(labels), np.intp)
+    rank[order] = np.arange(len(labels))
+    campaign, items = records.campaign_items
+    counts = np.zeros((len(labels), len(labels)), np.int64)
+    stages = []
+    total = 0
+    for end in ends:
+        for lo in range(total, end, _BLOCK_CAMPAIGNS):
+            hi = min(lo + _BLOCK_CAMPAIGNS, end)
+            a, z = np.searchsorted(campaign, (lo, hi)).tolist()
+            block = np.zeros((hi - lo, len(labels)))
+            block[campaign[a:z] - lo, rank[items[a:z]]] = 1.0
+            counts += (block.T @ block).astype(np.int64)
+        total = end
+        single = counts.diagonal()
+        i, j = np.nonzero(np.triu(counts, 1))
+        support = counts[i, j] / total
+        lift = support / ((single[i] / total) * (single[j] / total))
+        keep = (support >= min_support) & (lift >= min_lift)
+        pairs = zip(i[keep].tolist(), j[keep].tolist(), lift[keep].tolist())
+        edge_lift = {(names[a], names[b]): value for a, b, value in pairs}
+        occurs = np.flatnonzero(single)
+        nodes = [names[k] for k in occurs[single[occurs] / total >= min_support].tolist()]
+        stages.append(CoSelectionGraph(Graph(nodes=nodes, edges=edge_lift), edge_lift))
     return tuple(stages)
 
 

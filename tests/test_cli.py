@@ -21,11 +21,11 @@ from gradenet.cli import main
 from gradenet.errors import InvalidArgumentError
 from gradenet.evolution import CoSelectionGraph
 from gradenet.exports import dot_dumps, graphml_dumps, records_csv_dumps
-from gradenet.graph import Graph, _adjacency_matrix
-from gradenet.nullmodels import SeedStream
+from gradenet.graph import Graph, _adjacency_matrix, girvan_newman
+from gradenet.nullmodels import SeedStream, spec_for
 from gradenet.pipeline import MODELS, AnalysisConfig, run_analysis, zscore_rows
 from gradenet.records import RecordTable, parse_records
-from gradenet.stats import STATISTICS
+from gradenet.stats import STATISTICS, ensemble_zscores, node_metric_correlations
 from gradenet.synth import generate, planted_two_band_config
 
 from conftest import (
@@ -513,6 +513,58 @@ def test_two_node_component_draws_no_replicate(snapshot_csv, monkeypatch):
     for scope in ("full", "pruned"):
         assert entry["correlations"][scope] == undefined
         assert entry["ensembles"][scope] == dict.fromkeys(MODELS, undefined)
+
+
+# six campaigns of A, B and C, a triangle, in three stages of two
+TRIANGLES_CSV = "campaign,grade\n" + "".join(f"c{i},A\nc{i},B\nc{i},C\n" for i in range(6))
+# at --min-lift 0.5, stages of two campaigns: the path A-B-C twice, then the
+# triangle on the same nodes, then the edge C-D as well
+REPEATED_CSV = "campaign,grade\n" + "".join(
+    f"c{c},{a}\nc{c},{b}\n" for c, (a, b) in enumerate(["AB", "BC"] * 2 + ["AC"] * 2 + ["CD"] * 2)
+)
+
+
+def test_all_undefined_scope_draws_no_replicate(monkeypatch):
+    # in a triangle every degree, clustering and betweenness is equal, so
+    # both empirical cells are undefined and no ensemble cell has a z
+    config = AnalysisConfig(windows=3, ensemble=5)
+    entry = run_analysis(TRIANGLES_CSV, config)["stages"][0]
+    assert entry["selected_component"] == ["A", "B", "C"]
+    _, a = _adjacency_matrix(Graph(edges=[("A", "B"), ("A", "C"), ("B", "C")]))
+    empirical = node_metric_correlations(a)
+    assert entry["correlations"]["full"] == empirical
+    expected = {
+        model: ensemble_zscores(
+            empirical, spec_for(model, a), config.ensemble, stream=SeedStream.from_seed(0)
+        )
+        for model in MODELS
+    }
+
+    def no_replicate(*args):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr("gradenet.stats.generate_null", no_replicate)
+    for entry in run_analysis(TRIANGLES_CSV, config)["stages"]:
+        assert entry["ensembles"] == {"full": expected, "pruned": expected}
+
+
+def test_unchanged_component_reuses_its_partition(monkeypatch):
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return girvan_newman(graph)
+
+    monkeypatch.setattr("gradenet.pipeline.girvan_newman", counting)
+    config = AnalysisConfig(windows=4, ensemble=5, min_lift=0.5)
+    report = run_analysis(REPEATED_CSV, config)
+    selected = [entry["selected_component"] for entry in report["stages"]]
+    assert selected == [["A", "B", "C"]] * 3 + [["A", "B", "C", "D"]]
+    assert [graph.number_of_edges() for graph in calls] == [2, 3, 4]
+    # with no graph equal to another, every stage runs Girvan-Newman
+    monkeypatch.setattr(Graph, "__eq__", lambda graph, other: False)
+    assert run_analysis(REPEATED_CSV, config) == report
+    assert len(calls) == 3 + 4
 
 
 def test_analyze_component_selector(snapshot_csv):

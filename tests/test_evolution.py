@@ -6,15 +6,16 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradenet.errors import InvalidArgumentError
 from gradenet.evolution import group_summary, node_age, prune_minor_groups, stage_networks
 from gradenet.graph import Graph
-from gradenet.records import assign_windows, parse_records
+from gradenet.records import _distinct, assign_windows, parse_records
 from gradenet.synth import ProductionRecord
 from conftest import (
+    block_stage_networks,
     build_graph,
     copied_group_summary,
     group_campaigns,
@@ -244,3 +245,62 @@ def test_group_summary_and_prune_match_rescan_oracles(records, data):
     assert prune_minor_groups(graph, groups, summaries, floor) == rescan_prune_minor_groups(
         graph, groups, records, floor
     )
+
+
+@st.composite
+def sized_campaigns(draw):
+    """Records of 1-12 campaigns of 1-12 rows each over 14 items, in shuffled file order.
+
+    A campaign may repeat an item, and may hold a single item.
+    """
+    rows = []
+    for c in range(draw(st.integers(min_value=1, max_value=12))):
+        size = draw(st.integers(min_value=1, max_value=12))
+        items = draw(st.lists(st.sampled_from("ABCDEFGHIJKLMN"), min_size=size, max_size=size))
+        rows += [(f"c{c}", item) for item in items]
+    return [ProductionRecord(cid, item, {}) for cid, item in draw(st.permutations(rows))]
+
+
+# single-item campaigns and one that repeats A: A in 3 of 5, B in 2, both in 1, lift 5/6
+ONE_STAGE = [ProductionRecord(c, item, {}) for c, item in zip("0123444", "ABACABA")]
+
+
+@given(
+    sized_campaigns(),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([0.0, 0.0, 0.2, 0.5]),
+    st.sampled_from([0.0, 1.0, 1.5]),
+)
+@example(ONE_STAGE, 1, 0.0, 1.0)
+@example(ONE_STAGE, 1, 0.0, 0.5)
+@settings(max_examples=300, deadline=None)
+def test_stage_networks_match_block_product_oracle(records, windows, min_support, min_lift):
+    table = record_table(records)
+    ends = assign_windows(table, min(windows, len(table.campaign_labels)))
+    series = stage_networks(table, ends, min_support, min_lift)
+    oracle = block_stage_networks(table, ends, min_support, min_lift)
+    assert len(series.stages) == len(oracle) == len(ends)
+    for new, old in zip(series.stages, oracle):
+        assert new.graph.nodes() == old.graph.nodes()
+        assert new.graph.edges() == old.graph.edges()
+        assert repr(new.edge_lift) == repr(old.edge_lift)
+
+
+def int64_arrays():
+    return st.lists(st.integers(min_value=-(2**62), max_value=2**62), max_size=60).map(
+        lambda values: np.array(values, np.int64)
+    )
+
+
+@given(int64_arrays(), st.sampled_from(["drawn", "sorted", "few"]))
+@example(np.array([], np.int64), "drawn")
+@settings(max_examples=300)
+def test_distinct_matches_np_unique(keys, shape):
+    # drawn keys come in no order; "few" folds them onto five values, so most repeat
+    if shape == "sorted":
+        keys = np.sort(keys)
+    elif shape == "few":
+        keys = keys % 5
+    distinct = _distinct(keys)
+    assert distinct.dtype == keys.dtype
+    assert distinct.tolist() == np.unique(keys).tolist()

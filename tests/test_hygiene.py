@@ -100,7 +100,7 @@ MEMBERS_READ_ELSEWHERE = {
 def test_every_class_member_is_read():
     # a member counts as read when any attribute of its name is loaded in
     # src/, so a name shared with another read escapes: a method named copy
-    # would pass unread, as records._read_columns reads `codes.T.copy()`
+    # would pass unread, as records._read_columns reads `rows[name].copy()`
     modules = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in modules}
     read = {

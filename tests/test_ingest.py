@@ -368,6 +368,30 @@ def test_labels_that_strip_alike_share_a_code(monkeypatch):
     assert str(parsed.value) == str(caught.value) == "row 7: empty campaign cell"
 
 
+@pytest.mark.parametrize("item_column", ["carbon", "campaign"])
+def test_column_reader_reads_a_label_column_twice(monkeypatch, item_column):
+    # carbon is both the item label and an attribute, so its column is read
+    # once for codes and once for floats; with item_column="campaign" one
+    # column holds both labels. Numeric labels show a code read as a number.
+    text = "campaign,grade,carbon\n7,A,0.25\n7,B,0.5\n3,A,0.25\n5,B,1e-3\n3,C,0.5\n"
+    expected = row_parse_records(text, item_column=item_column)
+
+    def row_loop(*args):
+        raise AssertionError("the row loop ran")
+
+    monkeypatch.setattr(records_module, "_read_rows", row_loop)
+    table = parse_records(text, item_column=item_column)
+    assert_table_matches(table, expected)
+    assert table.campaign.tolist() == [0, 0, 1, 2, 1]
+    if item_column == "carbon":
+        assert table.item_labels == ("0.25", "0.5", "1e-3")
+        assert table.item.tolist() == [0, 1, 0, 2, 1]
+        assert table.attributes["carbon"].tolist() == [0.25, 0.5, 0.25, 1e-3, 0.5]
+    else:
+        assert table.item_labels == table.campaign_labels == ("7", "3", "5")
+        assert table.item.tolist() == table.campaign.tolist()
+
+
 def test_parse_and_mine_warn_nothing(tmp_path, snapshot_csv):
     blank_lines = snapshot_csv.replace("\n", "\n\n")
     header_only = snapshot_csv.split("\n", 1)[0] + "\n\n"

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from conftest import (
     UndefinedZScoreError,
     _pearson_value,
     betweenness_all,
+    einsum_pearson_value,
     clustering_all,
     graph_from_adjacency,
     kendall_exhaustive,
@@ -155,6 +157,42 @@ def test_pearson_matches_blas_summed_oracle(xy):
             pearson(x, y)
         return
     assert pearson(x, y).value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("big", [1e80, 1e160, 1e300])
+def test_pearson_of_spreads_whose_sums_overflow(big):
+    # near 1e80 the variance product overflows; near 1e155 each variance does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pearson([0.0, 0.0, big], [0.0, 0.0, big]).value == 1.0
+        assert pearson([0.0, 0.0, big], [0.0, 0.0, -big]).value == -1.0
+        assert pearson([0.0, 1.0, big], [big, 1.0, 0.0]).value == pytest.approx(-0.5, rel=1e-12)
+        assert pearson([-big, 0.0, big], [0.0, 0.0, 1.0]).value == pytest.approx(
+            math.sqrt(0.75), rel=1e-12
+        )
+
+
+@given(sequences(), st.integers(min_value=0, max_value=1100))
+@example(([0.0, 0.0, 1.0], [0.0, 0.0, 1.0]), 266)  # the variance product overflows
+@example(([0.0, 1.0, 3.0], [2.0, 0.0, 1.0]), 520)  # a variance overflows
+@settings(max_examples=300)
+def test_pearson_is_scale_free_where_its_sums_overflow(xy, k):
+    x, y = (np.array(v) for v in xy)
+    if not einsum_pearson_value(x, y)[1] >= np.finfo(float).tiny:
+        return  # constant, or a subnormal variance product, whose square root loses bits
+    expected = pearson(x, y).value
+    # x times 2**k, as far as it stays finite: r does not change
+    k = min(k, 1023 - math.frexp(np.abs(x).max())[1])
+    assert pearson(np.ldexp(x, k), y).value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+@given(sequences())
+@settings(max_examples=300)
+def test_pearson_keeps_its_bits_where_the_variance_product_is_finite(xy):
+    x, y = (np.array(v) for v in xy)
+    expected, product = einsum_pearson_value(x, y)
+    if 0.0 < product < math.inf:
+        assert pearson(x, y).value == expected
 
 
 # pearson() and the BLAS product x @ x on fixed random vectors, as two digests
