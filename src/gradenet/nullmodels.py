@@ -88,16 +88,6 @@ def er_gnm(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return a | a.T
 
 
-def switch_randomize(a: np.ndarray, swap_multiplier: float, rng: np.random.Generator) -> np.ndarray:
-    """Degree-preserving double-edge-swap randomization of a symmetric 0/1 adjacency.
-
-    The first sample of a fresh `SwapChain`: exactly ceil(swap_multiplier * m)
-    swap proposals. Returns a new n x n bool adjacency with the rows of `a`;
-    `a` itself is left as it is.
-    """
-    return SwapChain(a, swap_multiplier).sample(rng)
-
-
 class SwapChain:
     """One degree-preserving double-edge-swap chain on a symmetric 0/1 adjacency.
 
@@ -248,16 +238,17 @@ def generate_null(
     """Draw one replicate from a null-model family as an n x n bool adjacency.
 
     A DEGSEQ draw is the next sample of `chain`, which must be a `SwapChain`
-    built from spec.source and spec.swap_multiplier; without one it is
-    `switch_randomize`, the first sample of a fresh chain. ER and GRG
-    ignore `chain`.
+    built from spec.source and spec.swap_multiplier. ER and GRG ignore
+    `chain`.
     """
     if spec.kind == "ER":
         return er_gnm(spec.n, spec.m, rng)
     if spec.kind == "DEGSEQ":
-        if chain is None:
-            return switch_randomize(spec.source, spec.swap_multiplier, rng)
-        if chain.source is not spec.source or chain.swap_multiplier != spec.swap_multiplier:
+        if (
+            chain is None
+            or chain.source is not spec.source
+            or chain.swap_multiplier != spec.swap_multiplier
+        ):
             raise InvalidArgumentError("swap chain was not built from this DEGSEQ spec")
         return chain.sample(rng)
     if spec.kind == "GRG":

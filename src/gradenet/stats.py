@@ -10,7 +10,8 @@ replicates of each vector length are then ranked (for Spearman) and
 correlated together. Pearson, on one vector pair or on a stack of them,
 is `_row_pearson`, whose sums are numpy's own row dot products: no BLAS
 kernel enters them, so a value does not depend on which kernel runs.
-Kendall runs `_kendall_tau` one replicate at a time.
+Kendall, likewise, is `_row_kendall` on one pair or on a stack, whose
+sums are exact integer counts.
 
 The p-values come from the special functions imported below: twice the
 Student t tail `stdtr(n - 2, -|t|)` for Pearson and Spearman, twice the
@@ -32,6 +33,10 @@ from .graph import _dense_betweenness, _dense_clustering
 from .nullmodels import NullModelSpec, SeedStream, SwapChain, generate_null
 
 STATISTICS = ("COR_D_BC", "COR_CC_BC")
+
+# Index pairs i < j per chunk of `_row_kendall`, over all the chunk's rows:
+# this bounds its sign arrays to 512 KiB each, whatever the stack's height.
+_KENDALL_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -99,28 +104,13 @@ def spearman(x, y) -> CorrelationResult:
     return pearson(midranks(x), midranks(y))
 
 
-def _kendall_tau(x: np.ndarray, y: np.ndarray):
-    """(tau-b, concordant minus discordant pairs) with tie correction."""
-    n = len(x)
-    dx = np.sign(x[:, None] - x[None, :])
-    dy = np.sign(y[:, None] - y[None, :])
-    iu = np.triu_indices(n, k=1)
-    prod = dx[iu] * dy[iu]
-    num = float(prod.sum())  # concordant minus discordant
-    n0 = n * (n - 1) / 2.0
-    tx = float((dx[iu] == 0).sum())
-    ty = float((dy[iu] == 0).sum())
-    denom = math.sqrt((n0 - tx) * (n0 - ty))
-    if denom == 0.0:
-        raise UndefinedCorrelationError("all-tied sequence in kendall tau")
-    return min(1.0, max(-1.0, num / denom)), num
-
-
 def kendall(x, y) -> CorrelationResult:
     """Tau-b with tie correction; p-value from the normal approximation."""
     x, y = _check_samples(x, y)
     n = len(x)
-    tau, num = _kendall_tau(x, y)
+    tau, num = (float(v[0]) for v in _row_kendall(x[None], y[None]))
+    if math.isnan(tau):
+        raise UndefinedCorrelationError("all-tied sequence in kendall tau")
 
     def tie_sizes(values):
         _, counts = np.unique(values, return_counts=True)
@@ -205,9 +195,10 @@ def _row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     xc, vx = _centred(x)
     yc, vy = _centred(y)
     with np.errstate(over="ignore"):
-        scale = np.sqrt(vx * vy)
-    # where the product underflows or overflows, as with spreads near 1e-80 or 1e80
-    scale = np.where((scale == 0.0) | (scale == np.inf), np.sqrt(vx) * np.sqrt(vy), scale)
+        product = vx * vy
+    # where the product is subnormal, 0 or inf, as with spreads near 1e-80 or 1e80
+    normal = (product >= np.finfo(float).tiny) & (product < np.inf)
+    scale = np.where(normal, np.sqrt(product), np.sqrt(vx) * np.sqrt(vy))
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.einsum("ij,ij->i", xc, yc) / scale
     defined = (vx != 0.0) & (vy != 0.0)
@@ -217,30 +208,44 @@ def _row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _centred(v: np.ndarray) -> tuple:
     """Each row of a 2-D array less its mean, and the row's sum of squares of those.
 
-    A row whose sum of squares overflows, as with spreads near 1e155, is
-    first scaled by a power of two that brings its largest value below 1.
-    The scaling is exact, and r does not depend on it.
+    A row whose sum of squares overflows, as with spreads near 1e155, or is
+    subnormal or 0 though the row is not constant, as with spreads near
+    1e-155, is first scaled by a power of two that brings its largest value
+    into [0.5, 1). The scaling is exact, and r does not depend on it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         vc = v - v.mean(axis=1, keepdims=True)
         squares = np.einsum("ij,ij->i", vc, vc)
-    big = ~np.isfinite(squares)
-    if big.any():
-        scaled = np.ldexp(v[big], -np.frexp(np.abs(v[big]).max(axis=1, keepdims=True))[1])
-        vc[big] = scaled - scaled.mean(axis=1, keepdims=True)
-        squares[big] = np.einsum("ij,ij->i", vc[big], vc[big])
+    small = (squares < np.finfo(float).tiny) & (v.min(axis=1) != v.max(axis=1))
+    odd = small | ~np.isfinite(squares)
+    if odd.any():
+        scaled = np.ldexp(v[odd], -np.frexp(np.abs(v[odd]).max(axis=1, keepdims=True))[1])
+        vc[odd] = scaled - scaled.mean(axis=1, keepdims=True)
+        squares[odd] = np.einsum("ij,ij->i", vc[odd], vc[odd])
     return vc, squares
 
 
-def _row_kendall(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`_kendall_tau` of each row pair of two 2-D arrays; NaN where a row is all tied."""
-    tau = np.full(len(x), np.nan)
-    for i in range(len(x)):
-        try:
-            tau[i] = _kendall_tau(x[i], y[i])[0]
-        except UndefinedCorrelationError:
-            pass
-    return tau
+def _row_kendall(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(tau-b, concordant minus discordant pairs) of each row pair of two 2-D arrays.
+
+    Tau-b is NaN where a row is all tied. The signs of the pairs i < j are
+    taken a chunk of rows at a time, at most `_KENDALL_PAIRS` pairs but at
+    least one row. Every sum is an integer count, exact in a float.
+    """
+    i, j = np.triu_indices(x.shape[1], k=1)
+    num, tx, ty = np.empty((3, len(x)))
+    pairs = len(i)  # n (n - 1) / 2
+    step = max(1, _KENDALL_PAIRS // pairs)
+    for start in range(0, len(x), step):
+        rows = slice(start, start + step)
+        dx = np.sign(x[rows, i] - x[rows, j])
+        dy = np.sign(y[rows, i] - y[rows, j])
+        num[rows] = np.einsum("ij,ij->i", dx, dy)
+        tx[rows], ty[rows] = np.count_nonzero(dx == 0, axis=1), np.count_nonzero(dy == 0, axis=1)
+    denom = np.sqrt((pairs - tx) * (pairs - ty))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.minimum(1.0, np.maximum(-1.0, num / denom))
+    return np.where(denom == 0.0, np.nan, tau), num
 
 
 def _replicate_values(vectors: list, kind: str, names) -> dict:
@@ -255,7 +260,7 @@ def _replicate_values(vectors: list, kind: str, names) -> dict:
     if not names:
         return values
     rank = _row_midranks if kind == "spearman" else np.asarray
-    kernel = _row_kendall if kind == "kendall" else _row_pearson
+    kernel = (lambda x, y: _row_kendall(x, y)[0]) if kind == "kendall" else _row_pearson
     by_length: dict = {}
     for i, triple in enumerate(vectors):
         if triple is not None:

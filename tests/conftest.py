@@ -37,7 +37,7 @@ from gradenet.graph import (
     _dense_clustering,
     connected_components,
 )
-from gradenet.nullmodels import generate_null, max_edges
+from gradenet.nullmodels import SwapChain, generate_null, max_edges
 from gradenet.records import (
     _NONNEGATIVE,
     _POSITIVE,
@@ -46,7 +46,7 @@ from gradenet.records import (
     ITEM_COLUMN,
     RecordTable,
 )
-from gradenet.stats import STATISTICS, _kendall_tau, metric_vectors, pearson
+from gradenet.stats import STATISTICS, metric_vectors, pearson
 from gradenet.synth import ProductionRecord
 
 # verdict lines collected by the acceptance-test decorator, printed once
@@ -718,27 +718,33 @@ def zscore(x: float, replicates) -> float:
     return (x - float(arr.mean())) / sigma
 
 
-# The Pearson formula `stats._row_pearson` replaced, kept as it was: its
-# sums are 1-D `@` products, BLAS `ddot`, so their last bits depend on the
-# BLAS kernel. `pearson` must stay within a relative 1e-12 of it.
+# The Pearson formula `stats._row_pearson` replaced: its sums are 1-D `@`
+# products, BLAS `ddot`, so their last bits depend on the BLAS kernel.
+# `pearson` must stay within a relative 1e-12 of it. Like `_row_pearson`,
+# it scales a non-constant argument whose sum of squares is subnormal or 0
+# by a power of two first, and takes the product of the square roots where
+# the variance product is not a normal float.
 def _pearson_value(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    vx = float(xc @ xc)
-    vy = float(yc @ yc)
+    def centred(v):
+        vc = v - v.mean()
+        if float(vc @ vc) < np.finfo(float).tiny and v.min() != v.max():
+            v = np.ldexp(v, -math.frexp(np.abs(v).max())[1])
+            vc = v - v.mean()
+        return vc, float(vc @ vc)
+
+    (xc, vx), (yc, vy) = centred(x), centred(y)
     if vx == 0.0 or vy == 0.0:
         raise UndefinedCorrelationError("zero variance in a correlation argument")
     scale = math.sqrt(vx * vy)
-    if scale == 0.0:
-        # the product underflowed, as with spreads near 1e-80
+    if not np.finfo(float).tiny <= vx * vy < math.inf:
         scale = math.sqrt(vx) * math.sqrt(vy)
     r = float(xc @ yc) / scale
     return min(1.0, max(-1.0, r))
 
 
-# `stats._row_pearson` on one row pair before it handled sums that overflow:
-# (r, the variance product). Where that product is finite and positive,
-# `pearson` must return these bits.
+# `stats._row_pearson` on one row pair before it handled sums that overflow
+# or underflow: (r, vx, vy), the two variance sums. Where vx, vy and their
+# product are normal floats, `pearson` must return these bits.
 def einsum_pearson_value(x: np.ndarray, y: np.ndarray) -> tuple:
     x, y = x[None], y[None]
     xc = x - x.mean(axis=1, keepdims=True)
@@ -747,7 +753,29 @@ def einsum_pearson_value(x: np.ndarray, y: np.ndarray) -> tuple:
     vy = np.einsum("ij,ij->i", yc, yc)[0]
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         r = np.einsum("ij,ij->i", xc, yc)[0] / np.sqrt(vx * vy)
-        return min(1.0, max(-1.0, float(r))), float(vx * vy)
+        return min(1.0, max(-1.0, float(r))), float(vx), float(vy)
+
+
+def _kendall_tau(x: np.ndarray, y: np.ndarray):
+    """(tau-b, concordant minus discordant pairs) with tie correction."""
+    n = len(x)
+    dx = np.sign(x[:, None] - x[None, :])
+    dy = np.sign(y[:, None] - y[None, :])
+    iu = np.triu_indices(n, k=1)
+    prod = dx[iu] * dy[iu]
+    num = float(prod.sum())  # concordant minus discordant
+    n0 = n * (n - 1) / 2.0
+    tx = float((dx[iu] == 0).sum())
+    ty = float((dy[iu] == 0).sum())
+    denom = math.sqrt((n0 - tx) * (n0 - ty))
+    if denom == 0.0:
+        raise UndefinedCorrelationError("all-tied sequence in kendall tau")
+    return min(1.0, max(-1.0, num / denom)), num
+
+
+def switch_randomize(a: np.ndarray, swap_multiplier: float, rng: np.random.Generator) -> np.ndarray:
+    """The first sample of a fresh `SwapChain`: ceil(swap_multiplier * m) swap proposals."""
+    return SwapChain(a, swap_multiplier).sample(rng)
 
 
 def loop_replicate_values(vectors, kind: str):
@@ -792,8 +820,9 @@ def loop_ensemble_zscores(empirical, spec, replicates, kind="spearman", *, strea
         raise InvalidArgumentError("at least 2 replicates required")
     vectors = []
     for i in range(replicates):
+        chain = SwapChain(spec.source, spec.swap_multiplier) if spec.kind == "DEGSEQ" else None
         try:
-            vectors.append(metric_vectors(generate_null(spec, stream.generator(i))))
+            vectors.append(metric_vectors(generate_null(spec, stream.generator(i), chain)))
         except InsufficientDataError:
             vectors.append(None)
     values, dropped = loop_replicate_values(vectors, kind)

@@ -24,7 +24,6 @@ from gradenet.nullmodels import (
     calibrate_radius,
     er_gnm,
     random_geometric,
-    switch_randomize,
 )
 from gradenet.pipeline import AnalysisConfig, run_analysis
 from gradenet.records import parse_records
@@ -55,6 +54,7 @@ from conftest import (
     lift,
     modularity,
     random_graph,
+    switch_randomize,
 )
 
 

@@ -1,5 +1,5 @@
 """Source hygiene: every module-level import in the package is used, every
-public function and class has a caller inside the package, every
+module-level function and class has a caller inside the package, every
 public field and method of a class is read there, and the CLI loads no
 scipy subpackage but `scipy.special`."""
 
@@ -52,8 +52,9 @@ def names_used(path: Path) -> set:
 
 
 def test_every_public_name_has_a_caller():
-    # synth.py's planted_two_band_config is a helper for library users;
-    # a re-export from __init__.py is not a caller
+    # private module-level names too, so that a test-only oracle stays in
+    # tests/; synth.py's planted_two_band_config is a helper for library
+    # users; a re-export from __init__.py is not a caller
     modules = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
     used = set().union(*(names_used(path) for path in modules))
     uncalled = [
@@ -61,9 +62,7 @@ def test_every_public_name_has_a_caller():
         for path in modules
         if path.name != "synth.py"
         for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert uncalled == []
 

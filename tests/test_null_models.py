@@ -24,7 +24,6 @@ from gradenet.nullmodels import (
     random_geometric,
     SwapChain,
     spec_for,
-    switch_randomize,
 )
 from conftest import (
     graph_er_gnm,
@@ -33,6 +32,7 @@ from conftest import (
     graph_switch_randomize,
     monte_carlo_radius,
     random_graph,
+    switch_randomize,
 )
 
 
@@ -213,14 +213,19 @@ def test_generate_null_deterministic(model):
     stream = SeedStream.from_seed(10)
     spec = spec_for(model, _adjacency_matrix(g)[1])
     source = None if spec.source is None else spec.source.copy()
-    first = graph_from_adjacency(g.nodes(), generate_null(spec, stream.generator(0)))
-    second = graph_from_adjacency(g.nodes(), generate_null(spec, stream.generator(0)))
+
+    def draw(i):
+        # a DEGSEQ draw is the first sample of a fresh chain
+        chain = None if source is None else SwapChain(spec.source, spec.swap_multiplier)
+        return graph_from_adjacency(g.nodes(), generate_null(spec, stream.generator(i), chain))
+
+    first, second = draw(0), draw(0)
     assert first.edges() == second.edges()
     # the draws read the DEGSEQ source adjacency and leave it as it was
     assert (spec.source is None) == (model != "degseq")
     if source is not None:
         assert np.array_equal(spec.source, source)
-    other = graph_from_adjacency(g.nodes(), generate_null(spec, stream.generator(1)))
+    other = draw(1)
     assert first.nodes() == other.nodes()
 
 
@@ -237,7 +242,8 @@ def test_generate_null_refuses_another_specs_chain():
     spec = spec_for("degseq", a, swap_multiplier=4.0)
     rng = np.random.default_rng(4)
     assert generate_null(spec, rng, SwapChain(a, 4.0)).shape == a.shape
-    for chain in (SwapChain(a.copy(), 4.0), SwapChain(a, 5.0)):
+    # DEGSEQ draws only from a chain: a missing one fails the same check
+    for chain in (SwapChain(a.copy(), 4.0), SwapChain(a, 5.0), None):
         with pytest.raises(InvalidArgumentError, match="swap chain"):
             generate_null(spec, rng, chain)
 

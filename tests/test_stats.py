@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradenet
-from gradenet import nullmodels
+from gradenet import nullmodels, stats
 from gradenet.errors import InsufficientDataError, InvalidArgumentError, UndefinedCorrelationError
 from gradenet.graph import Graph, _adjacency_matrix
 from gradenet.nullmodels import (
@@ -29,6 +30,7 @@ from gradenet.nullmodels import (
 from gradenet.stats import (
     STATISTICS,
     _replicate_values,
+    _row_kendall,
     _row_midranks,
     correlation,
     ensemble_zscores,
@@ -41,6 +43,7 @@ from gradenet.stats import (
 )
 from conftest import (
     UndefinedZScoreError,
+    _kendall_tau,
     _pearson_value,
     betweenness_all,
     einsum_pearson_value,
@@ -145,6 +148,8 @@ def test_spearman_is_pearson_on_midranks(xy):
 @given(sequences())
 @example(([0.0, 0.0, 3.4e-82], [0.0, 0.0, 3.4e-82]))  # the variance product underflows
 @example(([0.0, 1e-82, 3e-82], [0.0, 2e-82, 1e-82]))  # underflows, with r = 0.327
+@example(([0.0, 0.0, 0.0, 9.925168188014967e-81],) * 2)  # the product is subnormal
+@example(([0.0, 0.0, 1e-200], [0.0, 1e-200, 0.0]))  # each variance sum underflows to 0
 @example(([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))  # constant rows
 @example(([1.0, 2.0, 3.0, 4.0], [-5.0, -5.0, -5.0, -5.0]))
 @settings(max_examples=300)
@@ -175,11 +180,13 @@ def test_pearson_of_spreads_whose_sums_overflow(big):
 @given(sequences(), st.integers(min_value=0, max_value=1100))
 @example(([0.0, 0.0, 1.0], [0.0, 0.0, 1.0]), 266)  # the variance product overflows
 @example(([0.0, 1.0, 3.0], [2.0, 0.0, 1.0]), 520)  # a variance overflows
+@example(([0.0, 0.0, 0.0, 9.925168188014967e-81],) * 2, 300)  # the product is subnormal
+@example(([0.0, 0.0, 1e-200],) * 2, 600)  # each variance sum underflows to 0
 @settings(max_examples=300)
 def test_pearson_is_scale_free_where_its_sums_overflow(xy, k):
     x, y = (np.array(v) for v in xy)
-    if not einsum_pearson_value(x, y)[1] >= np.finfo(float).tiny:
-        return  # constant, or a subnormal variance product, whose square root loses bits
+    if x.min() == x.max() or y.min() == y.max():
+        return  # a constant argument has no r
     expected = pearson(x, y).value
     # x times 2**k, as far as it stays finite: r does not change
     k = min(k, 1023 - math.frexp(np.abs(x).max())[1])
@@ -190,8 +197,8 @@ def test_pearson_is_scale_free_where_its_sums_overflow(xy, k):
 @settings(max_examples=300)
 def test_pearson_keeps_its_bits_where_the_variance_product_is_finite(xy):
     x, y = (np.array(v) for v in xy)
-    expected, product = einsum_pearson_value(x, y)
-    if 0.0 < product < math.inf:
+    expected, vx, vy = einsum_pearson_value(x, y)
+    if np.finfo(float).tiny <= min(vx, vy, vx * vy) and vx * vy < math.inf:
         assert pearson(x, y).value == expected
 
 
@@ -434,7 +441,8 @@ def test_ensemble_zscores_constant_ensemble_is_undefined():
     spec = spec_for("degseq", a)
     stream = SeedStream.from_seed(1)
     for i in range(3):
-        assert np.array_equal(generate_null(spec, stream.generator(i)), a > 0)
+        chain = SwapChain(spec.source, spec.swap_multiplier)
+        assert np.array_equal(generate_null(spec, stream.generator(i), chain), a > 0)
     empirical = node_metric_correlations(a)
     assert all("value" in cell for cell in empirical.values())
     # np.std of the 25 equal COR_D_BC values is 1.1e-16, which read z = -1.0
@@ -576,3 +584,45 @@ def test_degseq_ensemble_proposal_count(monkeypatch):
     ensemble_zscores(empirical, spec, 9, stream=SeedStream.from_seed(0))
     assert proposals == [math.ceil(2.5 * 29)] + [math.ceil(nullmodels.SAMPLE_GAP * 29)] * 8
     assert sum(proposals) == 73 + 8 * 58
+
+
+def tied_rows(n):
+    # values from {0, 1, 2}, or a row tied all through
+    row = st.lists(st.integers(min_value=0, max_value=2).map(float), min_size=n, max_size=n)
+    return st.one_of(row, row, st.floats(-2.0, 2.0).map(lambda v: [v] * n))
+
+
+def assert_rows_match_kendall_tau(x, y):
+    tau, num = _row_kendall(x, y)
+    for i in range(len(x)):
+        try:
+            expected, expected_num = _kendall_tau(x[i], y[i])
+        except UndefinedCorrelationError:
+            assert math.isnan(tau[i])
+            continue
+        assert (tau[i], num[i]) == (expected, expected_num)
+
+
+@given(
+    st.integers(min_value=3, max_value=40).flatmap(
+        lambda n: st.lists(st.tuples(tied_rows(n), tied_rows(n)), min_size=1, max_size=12)
+    ),
+    st.integers(min_value=1, max_value=1000),
+)
+@settings(max_examples=300, deadline=None)
+def test_row_kendall_matches_kendall_tau(rows, pairs):
+    # `pairs` index pairs per chunk: a chunk holds at least one row, and
+    # pairs // (n (n - 1) / 2) rows, so most stacks here span several chunks
+    x, y = (np.array(side) for side in zip(*rows))
+    with mock.patch.object(stats, "_KENDALL_PAIRS", pairs):
+        assert_rows_match_kendall_tau(x, y)
+
+
+def test_row_kendall_spans_chunks():
+    # a stack three chunks long and a bit, at the module's own chunk size
+    rng = np.random.default_rng(8)
+    n = 40
+    k = 3 * (stats._KENDALL_PAIRS // (n * (n - 1) // 2)) + 5
+    x, y = rng.integers(0, 3, (2, k, n)).astype(float)
+    x[4] = 1.0  # one row all tied
+    assert_rows_match_kendall_tau(x, y)
