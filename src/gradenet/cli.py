@@ -36,6 +36,7 @@ from .records import (
     parse_records,
     slabs_per_item_histogram,
 )
+from .stats import CORRELATIONS
 from .synth import PlannerConfig, generate
 
 
@@ -74,10 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--windows", type=int, default=10)
     analyze.add_argument("--ensemble", type=int, default=1000)
     analyze.add_argument("--models", type=_model_list, default=MODELS)
-    analyze.add_argument(
-        "--corr", dest="correlation", choices=("pearson", "spearman", "kendall"),
-        default="spearman",
-    )
+    analyze.add_argument("--corr", dest="correlation", choices=tuple(CORRELATIONS), default="spearman")
     analyze.add_argument("--seed", type=int, default=0)
     analyze.add_argument("--prune-floor", type=float, default=0.01)
     analyze.add_argument(

@@ -3,8 +3,10 @@
 Stage s is the co-selection graph built from all campaigns in windows
 0..s. Windows are runs of consecutive campaign codes, so stage s is the
 campaigns with code < ends[s]: the final stage equals the full-data
-network and node sets grow monotonically (edge sets need not: cumulative
-lift can cross the threshold in either direction).
+network. Neither node nor edge sets need grow from stage to stage: an
+item's support is a share of the stage's campaigns, so with min_support
+> 0 it can fall below the floor as campaigns without the item arrive, and
+cumulative lift can cross the threshold in either direction.
 
 Edges are symmetric association rules: an edge is drawn when an item pair
 co-occurs, passes the support floor and its lift reaches the threshold

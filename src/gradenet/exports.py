@@ -26,6 +26,15 @@ _XML_ATTRIBUTE = str.maketrans(
 _DOT_NUMERAL = re.compile(r"-?(\.[0-9]+|[0-9]+(\.[0-9]*)?)")
 
 
+def _csv_text(header: list, rows) -> str:
+    """The header row, then `rows`, as CSV text whose lines end in a bare newline."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def records_csv_dumps(records) -> str:
     """Records in the ingest schema; attribute columns in schema order."""
     present = set()
@@ -33,15 +42,14 @@ def records_csv_dumps(records) -> str:
         present.update(rec.attributes)
     columns = [c for c in ATTRIBUTE_COLUMNS if c in present]
     columns += sorted(present - set(ATTRIBUTE_COLUMNS))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([CAMPAIGN_COLUMN, ITEM_COLUMN, *columns])
-    for rec in records:
-        writer.writerow(
+    return _csv_text(
+        [CAMPAIGN_COLUMN, ITEM_COLUMN, *columns],
+        (
             [rec.campaign_id, rec.item]
             + [repr(rec.attributes[c]) if c in rec.attributes else "" for c in columns]
-        )
-    return out.getvalue()
+            for rec in records
+        ),
+    )
 
 
 def _node_data(cograph: CoSelectionGraph, node_annotations: dict | None) -> dict:
@@ -120,30 +128,17 @@ def dot_dumps(cograph: CoSelectionGraph, node_annotations: dict | None = None) -
 
 
 def edges_csv_dumps(cograph: CoSelectionGraph) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["item_a", "item_b", "lift"])
-    for (u, v), lift in cograph.edge_lift.items():
-        writer.writerow([u, v, repr(lift)])
-    return out.getvalue()
+    rows = ([u, v, repr(lift)] for (u, v), lift in cograph.edge_lift.items())
+    return _csv_text(["item_a", "item_b", "lift"], rows)
 
 
 def histogram_csv_dumps(histogram: dict, key_name: str, value_name: str) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([key_name, value_name])
-    for key in sorted(histogram):
-        writer.writerow([key, histogram[key]])
-    return out.getvalue()
+    return _csv_text([key_name, value_name], ([key, histogram[key]] for key in sorted(histogram)))
 
 
 def zscores_csv_dumps(rows) -> str:
     """Tidy long-format z-score table for external plotting."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["stage", "scope", "model", "statistic", "empirical", "mean", "std", "z", "dropped", "defined"]
+    return _csv_text(
+        ["stage", "scope", "model", "statistic", "empirical", "mean", "std", "z", "dropped", "defined"],
+        rows,
     )
-    for row in rows:
-        writer.writerow(row)
-    return out.getvalue()

@@ -48,10 +48,8 @@ class SeedStream:
     def child(self, *indices: int) -> "SeedStream":
         return SeedStream(self.path + tuple(int(i) for i in indices))
 
-    def generator(self, *indices: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(self.path + tuple(int(i) for i in indices))
-        )
+    def generator(self) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(self.path))
 
 
 @dataclass(frozen=True)

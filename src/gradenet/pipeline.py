@@ -24,7 +24,7 @@ from .records import (
     parse_records,
     slabs_per_item_histogram,
 )
-from .stats import STATISTICS, ensemble_zscores, node_metric_correlations
+from .stats import CORRELATIONS, STATISTICS, ensemble_zscores, node_metric_correlations
 
 MODELS = ("er", "degseq", "grg")
 _MODEL_INDEX = {name: i for i, name in enumerate(MODELS)}
@@ -57,7 +57,7 @@ class AnalysisConfig:
             raise InvalidArgumentError(f"unknown null model {unknown[0]!r}")
         if len(set(self.models)) < len(self.models):
             raise InvalidArgumentError("models must not repeat a null model")
-        if self.correlation not in ("pearson", "spearman", "kendall"):
+        if self.correlation not in CORRELATIONS:
             raise InvalidArgumentError(f"unknown correlation {self.correlation!r}")
         if not (0.0 <= self.prune_floor <= 1.0):
             raise InvalidArgumentError("prune floor must be in [0, 1]")
@@ -98,8 +98,7 @@ def _score(graph, config: AnalysisConfig, stream: SeedStream) -> tuple:
 
     The graph's adjacency, built here once, is what the stats and null-model
     layers read. Below 3 non-isolated nodes every cell gives that reason and
-    no replicate is drawn. Nor is one drawn when every empirical cell is
-    undefined: each ensemble cell then says so, as `ensemble_zscores` would.
+    no replicate is drawn.
     """
     _, a = _adjacency_matrix(graph)
     try:
@@ -107,9 +106,6 @@ def _score(graph, config: AnalysisConfig, stream: SeedStream) -> tuple:
     except InsufficientDataError as exc:
         undefined = {name: {"undefined": str(exc)} for name in STATISTICS}
         return undefined, dict.fromkeys(config.models, undefined)
-    if all("undefined" in cell for cell in empirical.values()):
-        undefined = dict.fromkeys(STATISTICS, {"undefined": "empirical correlation undefined"})
-        return empirical, dict.fromkeys(config.models, undefined)
     ensembles = {}
     for model in config.models:
         spec = spec_for(model, a, swap_multiplier=config.swap_multiplier)

@@ -42,11 +42,27 @@ _BODY = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1, e
 
 
 class _Codes(dict):
-    """Label -> code in order of first appearance; a new label takes the next code."""
+    """Raw label -> the code of its stripped text, codes in order of first appearance.
+
+    A padded label's stripped text is coded first, as a key of its own, so
+    " c1" and "c1 " share c1's code, and the keys less the padded labels
+    are the labels in code order.
+    """
+
+    padded = 0  # the keys that are labels with surrounding whitespace
 
     def __missing__(self, label):
-        self[label] = code = len(self)
+        text = label.strip()
+        if text == label:
+            self[label] = code = len(self) - self.padded
+        else:
+            self[label] = code = self[text]
+            self.padded += 1
         return code
+
+    def labels(self) -> tuple:
+        """The stripped labels by code."""
+        return tuple(k for k in self if k == k.strip()) if self.padded else tuple(self)
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -117,18 +133,13 @@ class RecordTable:
         return dict(zip(self.item_labels, self.bin_means(self.item, len(self.item_labels))[1]))
 
 
-def parse_records(
-    csv_text: str,
-    item_column: str = ITEM_COLUMN,
-    attribute_columns=None,
-) -> RecordTable:
+def parse_records(csv_text: str, item_column: str = ITEM_COLUMN) -> RecordTable:
     """Parse CSV text into a RecordTable, preserving file order.
 
     Extra columns are ignored. A column that is read must appear exactly
-    once in the header. When attribute_columns is None, the standard
-    attribute columns present in the header are used. One leading UTF-8
-    byte-order mark is dropped. Rows are checked one at a time, so the
-    first bad cell in file order is the one reported.
+    once in the header. The attribute columns are the standard ones in the
+    header. One leading UTF-8 byte-order mark is dropped. Rows are checked
+    one at a time, so the first bad cell in file order is the one reported.
 
     The body is read by numpy's C reader when it can be; any input that
     reader rejects or that fails a check goes to the row loop, which is
@@ -140,11 +151,11 @@ def parse_records(
     item's) can overflow after that check.
     """
     try:
-        table = _read_columns(csv_text, item_column, attribute_columns)
+        table = _read_columns(csv_text, item_column)
     except (ValueError, csv.Error):  # ValueError includes UnicodeError
         table = None
     if table is None:
-        table = _read_rows(csv_text, item_column, attribute_columns)
+        table = _read_rows(csv_text, item_column)
     for name, column in table.attributes.items():
         with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
             total = np.cumsum(column)[-1:]  # the row-order total; np.sum adds pairwise
@@ -153,20 +164,19 @@ def parse_records(
     return table
 
 
-def _columns(header: list, item_column: str, attribute_columns) -> tuple:
+def _columns(header: list, item_column: str) -> tuple:
     """The attribute columns to read and each header name's column, after the schema checks."""
     header = [h.strip() for h in header]
-    if attribute_columns is None:
-        attribute_columns = [c for c in ATTRIBUTE_COLUMNS if c in header]
-    for required in (CAMPAIGN_COLUMN, item_column, *attribute_columns):
+    names = [c for c in ATTRIBUTE_COLUMNS if c in header]
+    for required in (CAMPAIGN_COLUMN, item_column, *names):
         if required not in header:
             raise SchemaError(f"missing required column: {required}")
         if header.count(required) > 1:
             raise SchemaError(f"duplicate column: {required}")
-    return list(dict.fromkeys(attribute_columns)), {name: header.index(name) for name in header}
+    return names, {name: header.index(name) for name in header}
 
 
-def _read_columns(csv_text: str, item_column: str, attribute_columns):
+def _read_columns(csv_text: str, item_column: str):
     """The table from np.loadtxt, or None where only the row loop can decide.
 
     The C reader splits, unquotes and skips blank lines as csv does, and
@@ -180,10 +190,9 @@ def _read_columns(csv_text: str, item_column: str, attribute_columns):
     first = csv_text[csv_text.startswith("\ufeff") : end]
     if not end or '"' in first or "\x00" in csv_text or not _NONBLANK.search(csv_text, end):
         return None
-    names, col = _columns(next(csv.reader([first])), item_column, attribute_columns)
+    names, col = _columns(next(csv.reader([first])), item_column)
     campaign_at, item_at = col[CAMPAIGN_COLUMN], col[item_column]
-    # raw label -> code in order of first appearance, one dict per label column
-    labels = {campaign_at: _Codes(), item_at: _Codes()}
+    labels = {campaign_at: _Codes(), item_at: _Codes()}  # one coder per label column
     # one field per label column, then one per attribute. Where usecols repeats
     # a column, numpy applies its converter at the first place only, so an
     # attribute that is also the item column is coded once and read as a float
@@ -210,14 +219,6 @@ def _read_columns(csv_text: str, item_column: str, attribute_columns):
     del rows
     codes = dict(zip(labels, fields))
     values = fields[len(labels) :]
-    for at, raw in labels.items():
-        if any(label != label.strip() for label in raw):
-            # merge the labels that strip to the same text: the stripped labels
-            # in order of first appearance, and each raw code mapped to its own
-            stripped = {}
-            merged = [stripped.setdefault(label.strip(), len(stripped)) for label in raw]
-            codes[at] = np.array(merged, np.intp)[codes[at]]
-            labels[at] = stripped
     campaigns, items = labels[campaign_at], labels[item_at]
     if "" in campaigns or "" in items or not all(np.isfinite(v).all() for v in values):
         return None
@@ -225,9 +226,8 @@ def _read_columns(csv_text: str, item_column: str, attribute_columns):
         low = column.min()
         if (name in _POSITIVE and low <= 0) or (name in _NONNEGATIVE and low < 0):
             return None
-    return RecordTable(
-        tuple(campaigns), tuple(items), codes[campaign_at], codes[item_at], dict(zip(names, values))
-    )
+    table = campaigns.labels(), items.labels(), codes[campaign_at], codes[item_at]
+    return RecordTable(*table, dict(zip(names, values)))
 
 
 def _csv_rows(csv_text: str):
@@ -238,17 +238,17 @@ def _csv_rows(csv_text: str):
         raise ParseError(f"malformed CSV: {exc}") from exc
 
 
-def _read_rows(csv_text: str, item_column: str, attribute_columns) -> RecordTable:
+def _read_rows(csv_text: str, item_column: str) -> RecordTable:
     """The row loop: csv.reader over the text, every cell checked in file order."""
     reader = _csv_rows(csv_text.removeprefix("\ufeff"))
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError("input has no header row") from None
-    names, col = _columns(header, item_column, attribute_columns)
+    names, col = _columns(header, item_column)
     width = max(col[c] for c in (CAMPAIGN_COLUMN, item_column, *names))
 
-    campaign_codes, item_codes = {}, {}
+    campaign_codes, item_codes = _Codes(), _Codes()
     campaigns, items = array("q"), array("q")
     columns = {name: array("d") for name in names}
     checks = [(n, col[n], columns[n].append, n in _POSITIVE, n in _NONNEGATIVE) for n in columns]
@@ -257,11 +257,11 @@ def _read_rows(csv_text: str, item_column: str, attribute_columns) -> RecordTabl
             continue
         if len(row) <= width:
             raise ParseError(f"row {line_no}: expected {len(header)} fields, got {len(row)}")
-        campaign = row[col[CAMPAIGN_COLUMN]].strip()
-        item = row[col[item_column]].strip()
-        if not campaign:
+        campaign = campaign_codes[row[col[CAMPAIGN_COLUMN]]]
+        item = item_codes[row[col[item_column]]]
+        if "" in campaign_codes:  # a blank label raises in the row that coded it
             raise ParseError(f"row {line_no}: empty campaign cell")
-        if not item:
+        if "" in item_codes:
             raise ParseError(f"row {line_no}: empty item cell")
         for name, at, append, positive, nonnegative in checks:
             cell = row[at].strip()
@@ -278,11 +278,11 @@ def _read_rows(csv_text: str, item_column: str, attribute_columns) -> RecordTabl
             if nonnegative and value < 0:
                 raise ParseError(f"row {line_no}: column {name} must be >= 0")
             append(value)
-        campaigns.append(campaign_codes.setdefault(campaign, len(campaign_codes)))
-        items.append(item_codes.setdefault(item, len(item_codes)))
+        campaigns.append(campaign)
+        items.append(item)
     codes = np.array(campaigns, np.intp), np.array(items, np.intp)
     floats = {name: np.frombuffer(column, np.float64) for name, column in columns.items()}
-    return RecordTable(tuple(campaign_codes), tuple(item_codes), *codes, floats)
+    return RecordTable(campaign_codes.labels(), item_codes.labels(), *codes, floats)
 
 
 def assign_windows(table: RecordTable, window_count: int) -> tuple:

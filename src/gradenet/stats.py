@@ -146,12 +146,13 @@ def kendall(x, y) -> CorrelationResult:
     return CorrelationResult(tau, min(1.0, p), n)
 
 
-_CORRELATIONS = {"pearson": pearson, "spearman": spearman, "kendall": kendall}
+# the correlation kinds, by name: `--corr` and `AnalysisConfig` accept these
+CORRELATIONS = {"pearson": pearson, "spearman": spearman, "kendall": kendall}
 
 
 def correlation(x, y, kind: str) -> CorrelationResult:
     try:
-        fn = _CORRELATIONS[kind]
+        fn = CORRELATIONS[kind]
     except KeyError:
         raise InvalidArgumentError(f"unknown correlation kind {kind!r}") from None
     return fn(x, y)
@@ -278,8 +279,6 @@ def _replicate_values(metrics: tuple, kind: str, names) -> dict:
     *rows, keep = metrics
     counts = np.count_nonzero(keep, axis=1)
     values = {name: np.full(len(keep), np.nan) for name in names}
-    if not names:
-        return values
     if kind == "spearman":
         rows = [_row_midranks(np.where(keep, v, np.inf)) for v in rows]
     kernel = (lambda x, y: _row_kendall(x, y)[0]) if kind == "kendall" else _row_pearson
@@ -320,6 +319,7 @@ def ensemble_zscores(
     Each statistic whose empirical cell is defined is then evaluated on
     every replicate's rows by `_replicate_values`, with the same formula as
     the empirical cell; undefined replicate values are dropped and counted.
+    Where no empirical cell is defined, no replicate is drawn.
     A defined cell is
     {"empirical", "mean", "std", "z", "dropped", "replicates"}; a DEGSEQ
     cell adds "lag1_autocorrelation", of its defined values in chain
@@ -329,10 +329,14 @@ def ensemble_zscores(
     """
     if replicates < 2:
         raise InvalidArgumentError("at least 2 replicates required")
+    # a statistic whose empirical cell is undefined has no z, so no replicate values
+    undefined = {"undefined": "empirical correlation undefined"}
+    cells = {name: undefined for name in STATISTICS if "undefined" in empirical[name]}
+    names = [name for name in STATISTICS if name not in cells]
+    if not names:
+        return cells
     rng = stream.generator()
     chain = SwapChain(spec.source, spec.swap_multiplier) if spec.kind == "DEGSEQ" else None
-    # a statistic whose empirical cell is undefined has no z, so no replicate values
-    names = [name for name in STATISTICS if "undefined" not in empirical[name]]
     step = max(1, _STACK_ENTRIES // max(1, spec.n) ** 2)
     stacks = [
         metric_vectors(generate_null(spec, rng, chain, min(step, replicates - start)))
@@ -340,12 +344,8 @@ def ensemble_zscores(
     ]
     values = _replicate_values(tuple(np.concatenate(rows) for rows in zip(*stacks)), kind, names)
 
-    cells = {}
-    for name in STATISTICS:
-        if name not in values:
-            cells[name] = {"undefined": "empirical correlation undefined"}
-            continue
-        vals = values[name][~np.isnan(values[name])]
+    for name, vals in values.items():
+        vals = vals[~np.isnan(vals)]
         dropped = replicates - len(vals)
         if dropped * 2 > replicates:
             reason = f"degenerate: {dropped} of {replicates} replicates undefined"

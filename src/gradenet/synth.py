@@ -121,24 +121,34 @@ class PlannerConfig:
                 Band(
                     name=b["name"],
                     attribute=b.get("attribute", "carbon"),
-                    interval=tuple(b["interval"]),
-                    items=dict(b["items"]),
-                    weights=dict(b["weights"]) if b.get("weights") else None,
+                    interval=_numbers(tuple(b["interval"])),
+                    items={item: _numbers(dict(a)) for item, a in dict(b["items"]).items()},
+                    weights=_numbers(dict(b["weights"])) if b.get("weights") else None,
                 )
                 for b in data["bands"]
             )
             config = cls(
                 bands=bands,
                 campaign_count=int(data["campaign_count"]),
-                campaign_size=tuple(data.get("campaign_size", (2, 6))),
+                campaign_size=_numbers(tuple(data.get("campaign_size", (2, 6))), int),
                 cross_band_rate=float(data.get("cross_band_rate", 0.0)),
-                late_items={k: int(v) for k, v in data.get("late_items", {}).items()},
-                slabs_per_item=tuple(data.get("slabs_per_item", (1, 1))),
+                late_items={k: int(v) for k, v in dict(data.get("late_items", {})).items()},
+                slabs_per_item=_numbers(tuple(data.get("slabs_per_item", (1, 1))), int),
             )
+            config.validate()  # a value of the wrong type or shape fails here, if not before
+        except InvalidArgumentError:  # a well-formed value that breaks a rule says which
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"malformed planner config: {exc}") from exc
-        config.validate()
         return config
+
+
+def _numbers(values, kind=(int, float)):
+    """`values`, a tuple or dict of JSON numbers of `kind` (a bool is none), or TypeError."""
+    for v in values.values() if isinstance(values, dict) else values:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise TypeError(f"not {'an integer' if kind is int else 'a number'}: {v!r}")
+    return values
 
 
 def _band_weights(band: Band) -> dict:

@@ -1178,16 +1178,12 @@ def rescan_prune_minor_groups(
 # values, and malformed input must fail with the same exception and message.
 
 
-def row_parse_records(
-    csv_text: str,
-    item_column: str = ITEM_COLUMN,
-    attribute_columns=None,
-) -> list:
+def row_parse_records(csv_text: str, item_column: str = ITEM_COLUMN) -> list:
     """Parse CSV text into ProductionRecords, preserving file order.
 
     Extra columns are ignored. A column that is read must appear exactly
-    once in the header. When attribute_columns is None, the standard
-    attribute columns present in the header are used.
+    once in the header. The attribute columns are the standard ones in the
+    header.
     """
     reader = csv.reader(io.StringIO(csv_text))
     try:
@@ -1195,8 +1191,7 @@ def row_parse_records(
     except StopIteration:
         raise SchemaError("input has no header row") from None
     header = [h.strip() for h in header]
-    if attribute_columns is None:
-        attribute_columns = [c for c in ATTRIBUTE_COLUMNS if c in header]
+    attribute_columns = [c for c in ATTRIBUTE_COLUMNS if c in header]
     for required in (CAMPAIGN_COLUMN, item_column, *attribute_columns):
         if required not in header:
             raise SchemaError(f"missing required column: {required}")

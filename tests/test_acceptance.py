@@ -136,19 +136,19 @@ def test_acceptance_3_community_recovery():
 def test_acceptance_4_null_models():
     started = time.time()
     stream = SeedStream.from_seed(4)
-    source = graph_from_adjacency(range(100), er_gnm(100, 300, stream.generator(0)))
+    source = graph_from_adjacency(range(100), er_gnm(100, 300, stream.child(0).generator()))
     source_degrees = sorted(
         (v, len(source.neighbors(v))) for v in source.nodes()
     )
     for i in range(1000):
-        replica = graph_from_adjacency(range(100), er_gnm(100, 300, stream.generator(1, i)))
+        replica = graph_from_adjacency(range(100), er_gnm(100, 300, stream.child(1, i).generator()))
         assert replica.number_of_nodes() == 100
         assert replica.number_of_edges() == 300
         assert all(u != v for u, v in replica.edges())
     _, source_adjacency = _adjacency_matrix(source)
     for i in range(1000):
         shuffled = graph_from_adjacency(
-            source.nodes(), switch_randomize(source_adjacency, 10.0, stream.generator(2, i))
+            source.nodes(), switch_randomize(source_adjacency, 10.0, stream.child(2, i).generator())
         )
         assert (
             sorted((v, len(shuffled.neighbors(v))) for v in shuffled.nodes())
@@ -157,7 +157,7 @@ def test_acceptance_4_null_models():
     radius = calibrate_radius(100, 300)
     fresh = [
         graph_from_adjacency(
-            range(100), random_geometric(100, radius, stream.generator(4, i))
+            range(100), random_geometric(100, radius, stream.child(4, i).generator())
         ).number_of_edges()
         for i in range(200)
     ]
@@ -171,7 +171,7 @@ def test_acceptance_5_zscore_self_consistency():
     spec = NullModelSpec(kind="ER", n=20, m=50)
     z_values = {"COR_D_BC": [], "COR_CC_BC": []}
     for trial in range(200):
-        g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.generator(trial, 0)))
+        g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.child(trial, 0).generator()))
         empirical = node_metric_correlations(_adjacency_matrix(g)[1])
         cells = ensemble_zscores(empirical, spec, 200, stream=stream.child(trial, 1))
         for name, cell in cells.items():

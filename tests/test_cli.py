@@ -309,6 +309,21 @@ def test_exit_codes(tmp_path, input_csv, capsys):
     bad_config = tmp_path / "bad.json"
     bad_config.write_text("{not json", encoding="utf-8")
     assert main(["synth", str(bad_config), "--out", str(tmp_path / "o4")]) == 1
+    # so is a value of the wrong type or shape: a message, not a TypeError or ValueError
+    low, high = SYNTH_CONFIG["bands"]
+    malformed = [
+        {"bands": [{**low, "items": {"x": {"carbon": "0.5"}}}, high]},
+        {"bands": [{**low, "weights": dict.fromkeys(low["items"], "w")}, high]},
+        {"campaign_size": [1]},
+        {"campaign_size": [1.5, 2.5]},
+    ]
+    for change in malformed:
+        bad_config.write_text(json.dumps({**SYNTH_CONFIG, **change}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["synth", str(bad_config), "--out", str(tmp_path / "o4")]) == 1, change
+        error = capsys.readouterr().err
+        assert error.startswith("gradenet: invalid input: malformed planner config: "), change
+    assert not (tmp_path / "o4").exists()
     code = main(
         [
             "analyze",

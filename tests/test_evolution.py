@@ -59,6 +59,16 @@ def test_node_age():
                 assert ages[v] <= stage
 
 
+def test_node_sets_shrink_under_a_support_floor():
+    # A and B hold 100 % support in the first stage's one campaign and 10 %
+    # once nine campaigns of C and D follow, below the 20 % floor
+    text = "campaign,grade\nc0,A\nc0,B\n" + "".join(f"c{i},C\nc{i},D\n" for i in range(1, 10))
+    series = stage_networks(parse_records(text), (1, 10), min_support=0.2)
+    assert [cograph.graph.nodes() for cograph in series.stages] == [["A", "B"], ["C", "D"]]
+    # an item that the final stage lost has no age
+    assert node_age(series) == {"C": 1, "D": 1}
+
+
 def every_row(records):
     return np.ones(len(records), bool)
 

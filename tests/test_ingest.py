@@ -274,10 +274,6 @@ def parser_inputs(draw):
     names = [name.strip() for name in header if name.strip() != "campaign"]
     if draw(st.booleans()):
         kwargs["item_column"] = draw(st.sampled_from(names * 3 + ["note", "titanium"]))
-    if draw(st.booleans()):
-        kwargs["attribute_columns"] = draw(
-            st.lists(st.sampled_from(names * 3 + ["titanium"]), max_size=3)
-        )
     eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
     text = eol.join(lines) + draw(st.sampled_from([eol, "", eol * 2]))
     if draw(st.integers(0, 9)) == 0:
@@ -347,7 +343,7 @@ def test_generated_input_takes_the_column_reader(monkeypatch, eol, quote):
 def test_labels_that_strip_alike_share_a_code(monkeypatch):
     # "c2 " comes first, then " c1"; "c2", "c1 " and "c1" first appear later
     text = "campaign,grade,carbon\nc2 ,A,0.1\n c1,B ,0.2\nc2,A,0.3\nc1 , B,0.4\nc1,B,0.5\n"
-    expected = records_module._read_rows(text, "grade", None)
+    expected = records_module._read_rows(text, "grade")
     assert expected.campaign_labels == ("c2", "c1") and expected.item_labels == ("A", "B")
     assert expected.campaign.tolist() == [0, 1, 0, 1, 1]
     assert expected.item.tolist() == [0, 1, 0, 1, 1]
@@ -362,7 +358,7 @@ def test_labels_that_strip_alike_share_a_code(monkeypatch):
     # a label that is blank after strip leaves the column reader for the row loop's error
     blank = text + "  ,A,0.6\n"
     with pytest.raises(ParseError) as caught:
-        records_module._read_rows(blank, "grade", None)
+        records_module._read_rows(blank, "grade")
     with pytest.raises(ParseError) as parsed:
         parse_records(blank)
     assert str(parsed.value) == str(caught.value) == "row 7: empty campaign cell"

@@ -38,11 +38,11 @@ from conftest import (
 
 def test_seed_stream_reproducible():
     stream = SeedStream.from_seed(5)
-    a = stream.generator(3).random(4)
-    b = stream.generator(3).random(4)
+    a = stream.child(3).generator().random(4)
+    b = stream.child(3).generator().random(4)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, stream.generator(4).random(4))
-    assert stream.child(1).generator(2).random() == stream.generator(1, 2).random()
+    assert not np.array_equal(a, stream.child(4).generator().random(4))
+    assert stream.child(1).child(2).generator().random() == stream.child(1, 2).generator().random()
     with pytest.raises(InvalidArgumentError):
         SeedStream.from_seed(-1)
 
@@ -160,7 +160,7 @@ def test_calibrate_radius_hits_target():
     radius = calibrate_radius(50, 100)
     fresh = [
         graph_from_adjacency(
-            range(50), random_geometric(50, radius, stream.generator(1, i))
+            range(50), random_geometric(50, radius, stream.child(1, i).generator())
         ).number_of_edges()
         for i in range(200)
     ]
@@ -232,7 +232,8 @@ def test_generate_null_deterministic(model):
     def draw(i):
         # a DEGSEQ draw is the first sample of a fresh chain
         chain = None if source is None else SwapChain(spec.source, spec.swap_multiplier)
-        return graph_from_adjacency(g.nodes(), generate_null(spec, stream.generator(i), chain))
+        a = generate_null(spec, stream.child(i).generator(), chain)
+        return graph_from_adjacency(g.nodes(), a)
 
     first, second = draw(0), draw(0)
     assert first.edges() == second.edges()

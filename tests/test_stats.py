@@ -416,7 +416,7 @@ def test_node_metric_correlations_star():
 
 def test_ensemble_zscores_deterministic():
     stream = SeedStream.from_seed(3)
-    g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.generator(99)))
+    g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.child(99).generator()))
     spec = spec_for("er", _adjacency_matrix(g)[1])
     empirical = node_metric_correlations(_adjacency_matrix(g)[1])
     first = ensemble_zscores(empirical, spec, 50, stream=stream)
@@ -467,7 +467,7 @@ def test_ensemble_zscores_constant_ensemble_is_undefined():
     stream = SeedStream.from_seed(1)
     for i in range(3):
         chain = SwapChain(spec.source, spec.swap_multiplier)
-        assert np.array_equal(generate_null(spec, stream.generator(i), chain), a > 0)
+        assert np.array_equal(generate_null(spec, stream.child(i).generator(), chain), a > 0)
     empirical = node_metric_correlations(a)
     assert all("value" in cell for cell in empirical.values())
     # np.std of the 25 equal COR_D_BC values is 1.1e-16, which read z = -1.0

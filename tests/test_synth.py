@@ -141,6 +141,31 @@ def test_from_dict_round_trip():
         PlannerConfig.from_dict({"bands": []})  # campaign_count missing
     with pytest.raises(InvalidArgumentError):
         PlannerConfig.from_dict({"bands": [], "campaign_count": 5})
+    # values are kept as read: an integer attribute value stays an int
+    data["bands"][0]["items"]["Y"] = {"carbon": 0}
+    data["bands"][0]["weights"] = {"X": 2, "Y": 0.5}
+    config = PlannerConfig.from_dict(data)
+    assert config.bands[0].items == {"X": {"carbon": 0.05}, "Y": {"carbon": 0}}
+    assert type(config.bands[0].items["Y"]["carbon"]) is int
+    assert config.bands[0].weights == {"X": 2, "Y": 0.5} and config.campaign_size == (1, 2)
+    # a value of the wrong type or shape is malformed, not a bare TypeError or ValueError
+    band = data["bands"][0]
+    malformed = [
+        {"bands": [{**band, "items": {"X": {"carbon": "0.05"}}}]},
+        {"bands": [{**band, "items": {"X": {"carbon": True}}}]},
+        {"bands": [{**band, "weights": {"X": "w", "Y": 1}}]},
+        {"bands": [{**band, "interval": [0.0]}]},
+        {"bands": [{**band, "interval": [0.0, "0.1"]}]},
+        {"bands": [{**band, "attribute": ["carbon"]}]},
+        {"campaign_size": [1]},
+        {"campaign_size": [1.5, 2.5]},
+        {"campaign_size": 2},
+        {"slabs_per_item": [1, 2, 3]},
+        {"late_items": ["X"]},
+    ]
+    for change in malformed:
+        with pytest.raises(InvalidArgumentError, match="^malformed planner config: "):
+            PlannerConfig.from_dict({**data, **change})
 
 
 def test_heavy_tailed_default_popularity():
