@@ -29,7 +29,7 @@ from .exports import (
 )
 from .graph import connected_components, girvan_newman
 from .nullmodels import SeedStream
-from .pipeline import MODELS, AnalysisConfig, run_analysis, zscore_rows
+from .pipeline import AnalysisConfig, run_analysis, zscore_rows
 from .records import (
     assign_windows,
     campaign_diversity_histogram,
@@ -55,10 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gradenet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # AnalysisConfig states the analysis defaults; mine's --windows and synth keep their own
     def add_common(p):
-        p.add_argument("--item-column", default="grade")
-        p.add_argument("--min-support", type=float, default=0.0)
-        p.add_argument("--min-lift", type=float, default=1.0)
+        p.add_argument("--item-column", default=AnalysisConfig.item_column)
+        p.add_argument("--min-support", type=float, default=AnalysisConfig.min_support)
+        p.add_argument("--min-lift", type=float, default=AnalysisConfig.min_lift)
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
     mine = sub.add_parser("mine", help="build the co-selection network and histograms")
@@ -72,20 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="full pipeline with null-model z-scores")
     analyze.add_argument("input", type=Path)
     add_common(analyze)
-    analyze.add_argument("--windows", type=int, default=10)
-    analyze.add_argument("--ensemble", type=int, default=1000)
-    analyze.add_argument("--models", type=_model_list, default=MODELS)
-    analyze.add_argument("--corr", dest="correlation", choices=tuple(CORRELATIONS), default="spearman")
-    analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--prune-floor", type=float, default=0.01)
+    analyze.add_argument("--windows", type=int)
+    analyze.add_argument("--ensemble", type=int)
+    analyze.add_argument("--models", type=_model_list)
+    analyze.add_argument("--corr", dest="correlation", choices=tuple(CORRELATIONS))
+    analyze.add_argument("--seed", type=int)
+    analyze.add_argument("--prune-floor", type=float)
     analyze.add_argument(
-        "--component", default="largest",
-        help="'largest' or 'min-mean:<attribute>' (e.g. min-mean:carbon)",
+        "--component", help="'largest' or 'min-mean:<attribute>' (e.g. min-mean:carbon)"
     )
-    analyze.add_argument(
-        "--swap-multiplier", type=float, default=10.0,
-        help="DEGSEQ swap proposals per edge",
-    )
+    analyze.add_argument("--swap-multiplier", type=float, help="DEGSEQ swap proposals per edge")
+    analyze.set_defaults(**dataclasses.asdict(AnalysisConfig()))
 
     synth = sub.add_parser("synth", help="generate synthetic records from a planner config")
     synth.add_argument("config", type=Path)

@@ -134,9 +134,6 @@ def _dense_betweenness(
     matrix gets the bits that a call on it alone gives.
     """
     n = a.shape[-1]
-    if n == 0:
-        empty = np.zeros(a.shape)
-        return (None, empty, empty > 0) if edges else (np.zeros(a.shape[:-1]), None, empty > 0)
     # each matrix as one row, in which every (n + 1)-th entry is diagonal;
     # a reshape to it is a view of a C-ordered array
     flat = a.shape[:-2] + (n * n,)

@@ -3,11 +3,11 @@
 Three families: Erdos-Renyi G(n, m), degree-preserving switch
 randomization, and random geometric graphs in the unit square with the
 radius solved in closed form to hit a target edge count in expectation.
-Every family draws one replicate, or a stack of `size` of them, from one
-seeded generator; a stack of k holds the k replicates that k successive
-single draws would give, so an ensemble drawn a stack at a time does not
-depend on the stack sizes. ER and GRG replicates are independent. A DEGSEQ
-ensemble is one `SwapChain`: a burn-in of ceil(swap_multiplier * m)
+`MODELS` names them. Every family draws a (size, n, n) stack of replicates
+from one seeded generator; a stack of k holds the k replicates that k
+successive stacks of one would give, so an ensemble drawn a stack at a time
+does not depend on the stack sizes. ER and GRG replicates are independent.
+A DEGSEQ ensemble is one `SwapChain`: a burn-in of ceil(swap_multiplier * m)
 proposals, then one sample every ceil(SAMPLE_GAP * m) proposals. The
 module works on dense adjacency arrays only: a spec is matched to the
 empirical graph's symmetric 0/1 adjacency, which DEGSEQ also keeps as its
@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
+
+MODELS = ("er", "degseq", "grg")
 
 # Swap proposals per edge between two successive samples of a DEGSEQ chain.
 # At 2 the lag-1 autocorrelation of both ensemble statistics measured at
@@ -56,8 +58,8 @@ class SeedStream:
 class NullModelSpec:
     """Parameters of one randomized-graph family.
 
-    kind: "ER" (n, m), "DEGSEQ" (source adjacency, burn-in swap proposals
-    per edge) or "GRG" (n, radius).
+    kind: the model name, "er" (n, m), "degseq" (source adjacency, burn-in
+    swap proposals per edge) or "grg" (n, radius).
     """
 
     kind: str
@@ -72,28 +74,22 @@ def max_edges(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _stack(size: int | None) -> tuple:
-    """The leading shape of a draw: () for one replicate, (size,) for a stack."""
-    return () if size is None else (size,)
-
-
-def er_gnm(n: int, m: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+def er_gnm(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform simple graphs with exactly n nodes and m edges, as bool adjacencies.
 
-    One n x n graph, or a (size, n, n) stack of independent ones. A graph
-    draws one uniform key per pair i < j, in row-major order, and its edges
-    are the pairs of the m smallest keys, so every m-subset of pairs is
-    equally likely.
+    A (size, n, n) stack of independent graphs. A graph draws one uniform
+    key per pair i < j, in row-major order, and its edges are the pairs of
+    the m smallest keys, so every m-subset of pairs is equally likely.
     """
     if n < 0:
         raise InvalidArgumentError("node count must be non-negative")
     limit = max_edges(n)
     if not (0 <= m <= limit):
         raise InvalidArgumentError(f"edge count {m} outside [0, {limit}]")
-    a = np.zeros(_stack(size) + (n, n), dtype=bool)
+    a = np.zeros((size, n, n), dtype=bool)
     if m == 0:
         return a
-    keys = rng.random(_stack(size) + (limit,))
+    keys = rng.random((size, limit))
     upper = np.zeros(keys.shape, dtype=bool)
     np.put_along_axis(upper, np.argpartition(keys, m - 1, axis=-1)[..., :m], True, axis=-1)
     a[..., ~np.tri(n, dtype=bool)] = upper  # the strict upper triangle, filled in row-major order
@@ -110,7 +106,7 @@ class SwapChain:
     over the simple graphs with the source's degree sequence. Edges are
     numbered (i, j), i < j, in row-major order of the source.
 
-    The first `sample` runs ceil(swap_multiplier * m) proposals of burn-in
+    The first sample runs ceil(swap_multiplier * m) proposals of burn-in
     from the source; each later one runs ceil(SAMPLE_GAP * m) more from the
     previous sample. Successive samples are correlated, not independent.
     """
@@ -131,19 +127,16 @@ class SwapChain:
         self._next = math.ceil(swap_multiplier * m)
         self._gap = math.ceil(SAMPLE_GAP * m)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Run the chain to its next sample, or its next `size` samples, as bool adjacencies.
-
-        Returns a new n x n array, or a (size, n, n) stack in chain order.
-        """
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Run the chain to its next `size` samples, as a new (size, n, n) bool stack."""
         n = len(self._rows)
-        out = np.empty((1 if size is None else size, n * n), dtype=bool)
+        out = np.empty((size, n * n), dtype=bool)
         for replicate in out:
             if len(self._ends) >= 4:  # a swap needs two edges
                 _swap(self._ends, self._rows, self._next, rng)
             self._next = self._gap
             replicate[:] = np.frombuffer(b"".join(self._rows), dtype=bool)
-        return out.reshape(_stack(size) + (n, n))
+        return out.reshape(size, n, n)
 
 
 def _swap(ends: list, rows: list, proposals: int, rng: np.random.Generator) -> None:
@@ -178,19 +171,17 @@ def _swap(ends: list, rows: list, proposals: int, rng: np.random.Generator) -> N
             ends[qq] = b
 
 
-def random_geometric(
-    n: int, radius: float, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
+def random_geometric(n: int, radius: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform points in the unit square joined when within the radius.
 
-    Euclidean, non-toroidal. Returns the n x n bool adjacency, or a
-    (size, n, n) stack of independent ones.
+    Euclidean, non-toroidal. Returns a (size, n, n) stack of independent
+    bool adjacencies.
     """
     if n < 0:
         raise InvalidArgumentError("node count must be non-negative")
     if radius < 0:
         raise InvalidArgumentError("radius must be non-negative")
-    x, y = np.moveaxis(rng.random(_stack(size) + (n, 2)), -1, 0)
+    x, y = np.moveaxis(rng.random((size, n, 2)), -1, 0)
     dx = x[..., :, None] - x[..., None, :]
     dy = y[..., :, None] - y[..., None, :]
     a = np.sqrt(dx * dx + dy * dy) <= radius
@@ -244,32 +235,27 @@ def spec_for(model: str, a: np.ndarray, swap_multiplier: float = 10.0) -> NullMo
     """Build the null-model spec matched to an empirical graph's symmetric 0/1 adjacency."""
     n = len(a)
     m = int(np.count_nonzero(a)) // 2
-    kind = model.upper()
-    if kind == "ER":
-        return NullModelSpec(kind="ER", n=n, m=m)
-    if kind == "DEGSEQ":
-        return NullModelSpec(kind="DEGSEQ", n=n, m=m, source=a, swap_multiplier=swap_multiplier)
-    if kind == "GRG":
-        return NullModelSpec(kind="GRG", n=n, m=m, radius=calibrate_radius(n, m))
+    if model == "er":
+        return NullModelSpec(model, n=n, m=m)
+    if model == "degseq":
+        return NullModelSpec(model, n=n, m=m, source=a, swap_multiplier=swap_multiplier)
+    if model == "grg":
+        return NullModelSpec(model, n=n, m=m, radius=calibrate_radius(n, m))
     raise InvalidArgumentError(f"unknown null model {model!r}")
 
 
 def generate_null(
-    spec: NullModelSpec,
-    rng: np.random.Generator,
-    chain: SwapChain | None = None,
-    size: int | None = None,
+    spec: NullModelSpec, rng: np.random.Generator, size: int, chain: SwapChain | None = None
 ) -> np.ndarray:
-    """Draw one replicate from a null-model family as an n x n bool adjacency.
+    """Draw a (size, n, n) bool stack of replicates from a null-model family.
 
-    With `size`, draw that many as a (size, n, n) stack: the replicates that
-    `size` successive single draws give. A DEGSEQ draw takes the next
-    samples of `chain`, which must be a `SwapChain` built from spec.source
-    and spec.swap_multiplier. ER and GRG ignore `chain`.
+    A DEGSEQ draw takes the next samples of `chain`, which must be a
+    `SwapChain` built from spec.source and spec.swap_multiplier. ER and GRG
+    ignore `chain`.
     """
-    if spec.kind == "ER":
+    if spec.kind == "er":
         return er_gnm(spec.n, spec.m, rng, size)
-    if spec.kind == "DEGSEQ":
+    if spec.kind == "degseq":
         if (
             chain is None
             or chain.source is not spec.source
@@ -277,6 +263,6 @@ def generate_null(
         ):
             raise InvalidArgumentError("swap chain was not built from this DEGSEQ spec")
         return chain.sample(rng, size)
-    if spec.kind == "GRG":
+    if spec.kind == "grg":
         return random_geometric(spec.n, spec.radius, rng, size)
     raise InvalidArgumentError(f"unknown null model {spec.kind!r}")

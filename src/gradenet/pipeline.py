@@ -16,7 +16,7 @@ import math
 from .errors import InsufficientDataError, InvalidArgumentError
 from .evolution import group_summary, node_age, prune_minor_groups, stage_networks
 from .graph import _adjacency_matrix, connected_components, girvan_newman
-from .nullmodels import SeedStream, spec_for
+from .nullmodels import MODELS, SeedStream, spec_for
 from .records import (
     ITEM_COLUMN,
     assign_windows,
@@ -26,8 +26,6 @@ from .records import (
 )
 from .stats import CORRELATIONS, STATISTICS, ensemble_zscores, node_metric_correlations
 
-MODELS = ("er", "degseq", "grg")
-_MODEL_INDEX = {name: i for i, name in enumerate(MODELS)}
 _SCOPES = ("full", "pruned")
 
 
@@ -114,7 +112,7 @@ def _score(graph, config: AnalysisConfig, stream: SeedStream) -> tuple:
             spec,
             config.ensemble,
             config.correlation,
-            stream=stream.child(_MODEL_INDEX[model]),
+            stream=stream.child(MODELS.index(model)),
         )
     return empirical, ensembles
 

@@ -336,10 +336,10 @@ def ensemble_zscores(
     if not names:
         return cells
     rng = stream.generator()
-    chain = SwapChain(spec.source, spec.swap_multiplier) if spec.kind == "DEGSEQ" else None
+    chain = SwapChain(spec.source, spec.swap_multiplier) if spec.kind == "degseq" else None
     step = max(1, _STACK_ENTRIES // max(1, spec.n) ** 2)
     stacks = [
-        metric_vectors(generate_null(spec, rng, chain, min(step, replicates - start)))
+        metric_vectors(generate_null(spec, rng, min(step, replicates - start), chain))
         for start in range(0, replicates, step)
     ]
     values = _replicate_values(tuple(np.concatenate(rows) for rows in zip(*stacks)), kind, names)

@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import GenerationError, InvalidArgumentError, ParseError
+from .errors import GenerationError, InvalidArgumentError
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,12 +24,6 @@ class ProductionRecord:
     campaign_id: str
     item: str
     attributes: MappingProxyType  # read-only, shared by every record of the item
-
-    def __post_init__(self):
-        if not self.campaign_id:
-            raise ParseError("campaign id must be non-empty")
-        if not self.item:
-            raise ParseError("item label must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -76,6 +70,8 @@ class PlannerConfig:
                 raise InvalidArgumentError(f"band {band.name!r} interval is inverted")
             by_attribute.setdefault(band.attribute, []).append((low, high, band.name))
             for item, attrs in band.items.items():
+                if not item or item != item.strip():  # ingest would refuse or merge it
+                    raise InvalidArgumentError(f"item label {item!r} is empty or padded")
                 if item in seen_items:
                     raise InvalidArgumentError(f"item {item!r} appears in two bands")
                 seen_items.add(item)
@@ -129,10 +125,10 @@ class PlannerConfig:
             )
             config = cls(
                 bands=bands,
-                campaign_count=int(data["campaign_count"]),
+                campaign_count=_numbers((data["campaign_count"],), int)[0],
                 campaign_size=_numbers(tuple(data.get("campaign_size", (2, 6))), int),
                 cross_band_rate=float(data.get("cross_band_rate", 0.0)),
-                late_items={k: int(v) for k, v in dict(data.get("late_items", {})).items()},
+                late_items=_numbers(dict(data.get("late_items", {})), int),
                 slabs_per_item=_numbers(tuple(data.get("slabs_per_item", (1, 1))), int),
             )
             config.validate()  # a value of the wrong type or shape fails here, if not before

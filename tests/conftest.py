@@ -779,7 +779,7 @@ def _kendall_tau(x: np.ndarray, y: np.ndarray):
 
 def switch_randomize(a: np.ndarray, swap_multiplier: float, rng: np.random.Generator) -> np.ndarray:
     """The first sample of a fresh `SwapChain`: ceil(swap_multiplier * m) swap proposals."""
-    return SwapChain(a, swap_multiplier).sample(rng)
+    return SwapChain(a, swap_multiplier).sample(rng, 1)[0]
 
 
 def kept_metric_vectors(a: np.ndarray):
@@ -828,7 +828,7 @@ def loop_ensemble_zscores(empirical, spec, replicates, kind="spearman", *, strea
     if replicates < 2:
         raise InvalidArgumentError("at least 2 replicates required")
     rng = stream.generator()
-    vectors = [kept_metric_vectors(generate_null(spec, rng)) for _ in range(replicates)]
+    vectors = [kept_metric_vectors(generate_null(spec, rng, 1)[0]) for _ in range(replicates)]
     values, dropped = loop_replicate_values(vectors, kind)
     cells = {}
     for name in STATISTICS:

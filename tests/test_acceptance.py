@@ -136,12 +136,16 @@ def test_acceptance_3_community_recovery():
 def test_acceptance_4_null_models():
     started = time.time()
     stream = SeedStream.from_seed(4)
-    source = graph_from_adjacency(range(100), er_gnm(100, 300, stream.child(0).generator()))
+    source = graph_from_adjacency(
+        range(100), er_gnm(100, 300, stream.child(0).generator(), 1)[0]
+    )
     source_degrees = sorted(
         (v, len(source.neighbors(v))) for v in source.nodes()
     )
     for i in range(1000):
-        replica = graph_from_adjacency(range(100), er_gnm(100, 300, stream.child(1, i).generator()))
+        replica = graph_from_adjacency(
+            range(100), er_gnm(100, 300, stream.child(1, i).generator(), 1)[0]
+        )
         assert replica.number_of_nodes() == 100
         assert replica.number_of_edges() == 300
         assert all(u != v for u, v in replica.edges())
@@ -157,7 +161,7 @@ def test_acceptance_4_null_models():
     radius = calibrate_radius(100, 300)
     fresh = [
         graph_from_adjacency(
-            range(100), random_geometric(100, radius, stream.child(4, i).generator())
+            range(100), random_geometric(100, radius, stream.child(4, i).generator(), 1)[0]
         ).number_of_edges()
         for i in range(200)
     ]
@@ -168,10 +172,11 @@ def test_acceptance_4_null_models():
 @criterion(5, "z-score self-consistency")
 def test_acceptance_5_zscore_self_consistency():
     stream = SeedStream.from_seed(99)
-    spec = NullModelSpec(kind="ER", n=20, m=50)
+    spec = NullModelSpec(kind="er", n=20, m=50)
     z_values = {"COR_D_BC": [], "COR_CC_BC": []}
     for trial in range(200):
-        g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.child(trial, 0).generator()))
+        a = er_gnm(20, 50, stream.child(trial, 0).generator(), 1)[0]
+        g = graph_from_adjacency(range(20), a)
         empirical = node_metric_correlations(_adjacency_matrix(g)[1])
         cells = ensemble_zscores(empirical, spec, 200, stream=stream.child(trial, 1))
         for name, cell in cells.items():

@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradenet
-from gradenet.cli import main
+from gradenet.cli import build_parser, main
 from gradenet.errors import InvalidArgumentError
 from gradenet.evolution import CoSelectionGraph
 from gradenet.exports import dot_dumps, graphml_dumps, records_csv_dumps
 from gradenet.graph import Graph, _adjacency_matrix, girvan_newman
-from gradenet.nullmodels import SeedStream, spec_for
-from gradenet.pipeline import MODELS, AnalysisConfig, run_analysis, zscore_rows
+from gradenet.nullmodels import MODELS, SeedStream, spec_for
+from gradenet.pipeline import AnalysisConfig, run_analysis, zscore_rows
 from gradenet.records import RecordTable, parse_records
 from gradenet.stats import STATISTICS, ensemble_zscores, node_metric_correlations
 from gradenet.synth import generate, planted_two_band_config
@@ -316,13 +316,22 @@ def test_exit_codes(tmp_path, input_csv, capsys):
         {"bands": [{**low, "weights": dict.fromkeys(low["items"], "w")}, high]},
         {"campaign_size": [1]},
         {"campaign_size": [1.5, 2.5]},
+        {"campaign_count": 2.9},
+        {"campaign_count": "3"},
+        {"late_items": {"L1": 1.7}},
     ]
-    for change in malformed:
+    # an item label that ingest would refuse ("") or merge ("L0 " with "L0") is invalid input
+    padded = [
+        {"bands": [{**low, "items": {**low["items"], label: low["items"]["L0"]}}, high]}
+        for label in ("", "L0 ")
+    ]
+    for change in malformed + padded:
         bad_config.write_text(json.dumps({**SYNTH_CONFIG, **change}), encoding="utf-8")
         capsys.readouterr()
         assert main(["synth", str(bad_config), "--out", str(tmp_path / "o4")]) == 1, change
         error = capsys.readouterr().err
-        assert error.startswith("gradenet: invalid input: malformed planner config: "), change
+        reason = "item label" if change in padded else "malformed planner config: "
+        assert error.startswith(f"gradenet: invalid input: {reason}"), change
     assert not (tmp_path / "o4").exists()
     code = main(
         [
@@ -351,6 +360,19 @@ def test_exit_codes(tmp_path, input_csv, capsys):
         assert main(analyze + option + ["--out", str(out)]) == 1, option
         assert not (out / "report.json").exists(), option
     capsys.readouterr()
+
+
+def test_option_defaults_are_analysis_config_defaults():
+    parser = build_parser()
+    analyze = vars(parser.parse_args(["analyze", "x", "--out", "o"]))
+    fields = {f.name for f in dataclasses.fields(AnalysisConfig)}
+    assert set(analyze) - fields == {"command", "input", "out"}
+    assert AnalysisConfig(**{name: analyze[name] for name in fields}) == AnalysisConfig()
+    # mine shares three options with analyze; its --windows 0 builds one stage
+    mine = vars(parser.parse_args(["mine", "x", "--out", "o"]))
+    shared = ("item_column", "min_support", "min_lift")
+    assert {name: mine[name] for name in shared} == {name: analyze[name] for name in shared}
+    assert mine["windows"] == 0
 
 
 def test_mine_header_only_csv(tmp_path):

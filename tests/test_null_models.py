@@ -49,7 +49,7 @@ def test_seed_stream_reproducible():
 
 def test_er_gnm_exact_counts():
     rng = np.random.default_rng(0)
-    g = graph_from_adjacency(range(12), er_gnm(12, 20, rng))
+    g = graph_from_adjacency(range(12), er_gnm(12, 20, rng, 1)[0])
     assert g.number_of_nodes() == 12
     assert g.number_of_edges() == 20
     assert all(u != v for u, v in g.edges())
@@ -57,13 +57,13 @@ def test_er_gnm_exact_counts():
 
 def test_er_gnm_bounds():
     rng = np.random.default_rng(0)
-    complete = graph_from_adjacency(range(5), er_gnm(5, 10, rng))
+    complete = graph_from_adjacency(range(5), er_gnm(5, 10, rng, 1)[0])
     assert complete.number_of_edges() == 10  # complete K5
-    assert graph_from_adjacency([], er_gnm(0, 0, rng)).number_of_nodes() == 0
+    assert graph_from_adjacency([], er_gnm(0, 0, rng, 1)[0]).number_of_nodes() == 0
     with pytest.raises(InvalidArgumentError):
-        er_gnm(5, 11, rng)
+        er_gnm(5, 11, rng, 1)
     with pytest.raises(InvalidArgumentError):
-        er_gnm(-1, 0, rng)
+        er_gnm(-1, 0, rng, 1)
 
 
 def test_er_gnm_uniformity_smoke():
@@ -72,7 +72,7 @@ def test_er_gnm_uniformity_smoke():
 
     rng = np.random.default_rng(1)
     counts = Counter(
-        tuple(graph_from_adjacency(range(3), er_gnm(3, 1, rng)).edges()) for _ in range(3000)
+        tuple(graph_from_adjacency(range(3), er_gnm(3, 1, rng, 1)[0]).edges()) for _ in range(3000)
     )
     assert set(counts) == {((0, 1),), ((0, 2),), ((1, 2),)}
     assert all(abs(c / 3000 - 1 / 3) < 0.05 for c in counts.values())
@@ -119,7 +119,7 @@ def test_switch_randomize_small_inputs():
 def test_switch_randomize_mixing():
     """Multiplier 10 rewires at least 10% of edges in >= 95% of replicates."""
     rng = np.random.default_rng(4)
-    g = graph_from_adjacency(range(100), er_gnm(100, 300, rng))
+    g = graph_from_adjacency(range(100), er_gnm(100, 300, rng, 1)[0])
     original = set(g.edges())
     moved_enough = 0
     for _ in range(100):
@@ -133,7 +133,7 @@ def test_switch_randomize_mixing():
 
 def test_random_geometric_edges_match_positions():
     rng = np.random.default_rng(5)
-    g = graph_from_adjacency(range(40), random_geometric(40, 0.3, rng))
+    g = graph_from_adjacency(range(40), random_geometric(40, 0.3, rng, 1)[0])
     # the positions are the generator's first draw
     positions = np.random.default_rng(5).random((40, 2))
     expected = set()
@@ -148,11 +148,12 @@ def test_random_geometric_edges_match_positions():
 
 def test_random_geometric_extremes():
     rng = np.random.default_rng(6)
-    assert graph_from_adjacency(range(10), random_geometric(10, 0.0, rng)).number_of_edges() == 0
-    complete = graph_from_adjacency(range(10), random_geometric(10, math.sqrt(2.0), rng))
+    empty = graph_from_adjacency(range(10), random_geometric(10, 0.0, rng, 1)[0])
+    assert empty.number_of_edges() == 0
+    complete = graph_from_adjacency(range(10), random_geometric(10, math.sqrt(2.0), rng, 1)[0])
     assert complete.number_of_edges() == 45
     with pytest.raises(InvalidArgumentError):
-        random_geometric(10, -0.1, rng)
+        random_geometric(10, -0.1, rng, 1)
 
 
 def test_calibrate_radius_hits_target():
@@ -160,7 +161,7 @@ def test_calibrate_radius_hits_target():
     radius = calibrate_radius(50, 100)
     fresh = [
         graph_from_adjacency(
-            range(50), random_geometric(50, radius, stream.child(1, i).generator())
+            range(50), random_geometric(50, radius, stream.child(1, i).generator(), 1)[0]
         ).number_of_edges()
         for i in range(200)
     ]
@@ -224,7 +225,7 @@ def test_calibrate_radius_inside_monte_carlo_band(n, m, samples):
 @pytest.mark.parametrize("model", ["er", "degseq", "grg"])
 def test_generate_null_deterministic(model):
     rng = np.random.default_rng(9)
-    g = graph_from_adjacency(range(25), er_gnm(25, 60, rng))
+    g = graph_from_adjacency(range(25), er_gnm(25, 60, rng, 1)[0])
     stream = SeedStream.from_seed(10)
     spec = spec_for(model, _adjacency_matrix(g)[1])
     source = None if spec.source is None else spec.source.copy()
@@ -232,7 +233,7 @@ def test_generate_null_deterministic(model):
     def draw(i):
         # a DEGSEQ draw is the first sample of a fresh chain
         chain = None if source is None else SwapChain(spec.source, spec.swap_multiplier)
-        a = generate_null(spec, stream.child(i).generator(), chain)
+        a = generate_null(spec, stream.child(i).generator(), 1, chain)[0]
         return graph_from_adjacency(g.nodes(), a)
 
     first, second = draw(0), draw(0)
@@ -250,18 +251,18 @@ def test_spec_for_unknown_model():
     with pytest.raises(InvalidArgumentError):
         spec_for("config", _adjacency_matrix(g)[1])
     with pytest.raises(InvalidArgumentError):
-        generate_null(NullModelSpec(kind="??", n=2, m=1), np.random.default_rng(0))
+        generate_null(NullModelSpec(kind="??", n=2, m=1), np.random.default_rng(0), 1)
 
 
 def test_generate_null_refuses_another_specs_chain():
-    a = er_gnm(12, 20, np.random.default_rng(3))
+    a = er_gnm(12, 20, np.random.default_rng(3), 1)[0]
     spec = spec_for("degseq", a, swap_multiplier=4.0)
     rng = np.random.default_rng(4)
-    assert generate_null(spec, rng, SwapChain(a, 4.0)).shape == a.shape
+    assert generate_null(spec, rng, 1, SwapChain(a, 4.0)).shape == (1, *a.shape)
     # DEGSEQ draws only from a chain: a missing one fails the same check
     for chain in (SwapChain(a.copy(), 4.0), SwapChain(a, 5.0), None):
         with pytest.raises(InvalidArgumentError, match="swap chain"):
-            generate_null(spec, rng, chain)
+            generate_null(spec, rng, 1, chain)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=9))
@@ -270,7 +271,7 @@ def test_er_gnm_property(seed, n):
     rng = np.random.default_rng(seed)
     limit = n * (n - 1) // 2
     m = int(rng.integers(0, limit + 1))
-    g = graph_from_adjacency(range(n), er_gnm(n, m, np.random.default_rng(seed)))
+    g = graph_from_adjacency(range(n), er_gnm(n, m, np.random.default_rng(seed), 1)[0])
     assert g.number_of_nodes() == n
     assert g.number_of_edges() == m
     for u, v in g.edges():
@@ -298,21 +299,22 @@ def test_switch_randomize_property(seed):
 )
 @settings(max_examples=80, deadline=None)
 def test_a_stack_holds_successive_single_draws(seed, n, size, model):
-    # a stack of k replicates equals k single draws from one generator, in
+    # a stack of k replicates equals k stacks of one from one generator, in
     # order, and leaves the generator where they leave it
     limit = max_edges(n)
-    a = er_gnm(n, int(np.random.default_rng(seed).integers(0, limit + 1)), np.random.default_rng(0))
+    m = int(np.random.default_rng(seed).integers(0, limit + 1))
+    a = er_gnm(n, m, np.random.default_rng(0), 1)[0]
     spec = spec_for(model, a)
 
     def chain():
         return SwapChain(spec.source, spec.swap_multiplier) if model == "degseq" else None
 
     rng_stack, rng_single = np.random.default_rng(seed), np.random.default_rng(seed)
-    stack = generate_null(spec, rng_stack, chain(), size)
+    stack = generate_null(spec, rng_stack, size, chain())
     single = chain()
-    expected = [generate_null(spec, rng_single, single) for _ in range(size)]
+    expected = np.concatenate([generate_null(spec, rng_single, 1, single) for _ in range(size)])
     assert stack.shape == (size, n, n) and stack.dtype == bool
-    assert all(np.array_equal(s, e) for s, e in zip(stack, expected))
+    assert np.array_equal(stack, expected)
     assert rng_stack.random() == rng_single.random()
 
 
@@ -332,7 +334,7 @@ def assert_same_draws(array_fn, graph_fn, seed):
 @settings(max_examples=60, deadline=None)
 def test_er_gnm_matches_graph_oracle(seed, n):
     m = int(np.random.default_rng(seed).integers(0, n * (n - 1) // 2 + 1))
-    assert_same_draws(lambda r: er_gnm(n, m, r), lambda r: graph_er_gnm(n, m, r), seed)
+    assert_same_draws(lambda r: er_gnm(n, m, r, 1)[0], lambda r: graph_er_gnm(n, m, r), seed)
 
 
 @given(
@@ -343,7 +345,7 @@ def test_er_gnm_matches_graph_oracle(seed, n):
 @settings(max_examples=60, deadline=None)
 def test_random_geometric_matches_graph_oracle(seed, n, radius):
     assert_same_draws(
-        lambda r: random_geometric(n, radius, r),
+        lambda r: random_geometric(n, radius, r, 1)[0],
         lambda r: graph_random_geometric(n, radius, r),
         seed,
     )
@@ -352,16 +354,18 @@ def test_random_geometric_matches_graph_oracle(seed, n, radius):
 def test_er_gnm_matches_graph_oracle_at_ladder_size():
     # the triangle mask fills edges in the order of graph_er_gnm's np.triu_indices
     for seed in range(200):
-        assert_same_draws(lambda r: er_gnm(30, 147, r), lambda r: graph_er_gnm(30, 147, r), seed)
+        assert_same_draws(
+            lambda r: er_gnm(30, 147, r, 1)[0], lambda r: graph_er_gnm(30, 147, r), seed
+        )
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_tiny_er_and_grg_match_graph_oracles(n):
     for m in range(n * (n - 1) // 2 + 1):
-        assert_same_draws(lambda r: er_gnm(n, m, r), lambda r: graph_er_gnm(n, m, r), 11)
+        assert_same_draws(lambda r: er_gnm(n, m, r, 1)[0], lambda r: graph_er_gnm(n, m, r), 11)
     for radius in (0.0, 0.5, math.sqrt(2.0)):
         assert_same_draws(
-            lambda r: random_geometric(n, radius, r),
+            lambda r: random_geometric(n, radius, r, 1)[0],
             lambda r: graph_random_geometric(n, radius, r),
             12,
         )
@@ -431,7 +435,7 @@ def test_switch_randomize_complete_graph_matches_graph_oracle(graph):
 def test_switch_randomize_across_block_boundary_matches_graph_oracle(m, multiplier):
     # the chain draws its proposals in blocks of 4096: 4096, 4097 and 6000
     # proposals here, on (40, m)
-    g = graph_from_adjacency(range(40), er_gnm(40, m, np.random.default_rng(m)))
+    g = graph_from_adjacency(range(40), er_gnm(40, m, np.random.default_rng(m), 1)[0])
     assert_same_draws(
         lambda r: switch_randomize(_adjacency_matrix(g)[1], multiplier, r),
         lambda r: graph_switch_randomize(g, multiplier, r),
@@ -494,6 +498,6 @@ def test_swap_chain_uniform_over_realizations(degrees, count, critical):
 
     def draw(source, samples):
         chain = SwapChain(source, 20.0)
-        return (chain.sample(rng) for _ in range(samples))
+        return (chain.sample(rng, 1)[0] for _ in range(samples))
 
     assert _chi_square_over_realizations(degrees, count, draw) < critical

@@ -416,7 +416,7 @@ def test_node_metric_correlations_star():
 
 def test_ensemble_zscores_deterministic():
     stream = SeedStream.from_seed(3)
-    g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.child(99).generator()))
+    g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.child(99).generator(), 1)[0])
     spec = spec_for("er", _adjacency_matrix(g)[1])
     empirical = node_metric_correlations(_adjacency_matrix(g)[1])
     first = ensemble_zscores(empirical, spec, 50, stream=stream)
@@ -427,7 +427,7 @@ def test_ensemble_zscores_deterministic():
     values = {name: [] for name in STATISTICS}
     rng = stream.generator()
     for _ in range(50):
-        *metrics, keep = metric_vectors(generate_null(spec, rng))
+        *metrics, keep = metric_vectors(generate_null(spec, rng, 1)[0])
         deg, cc, bc = (v[keep] for v in metrics)
         for name, x in zip(STATISTICS, (deg, cc)):
             try:
@@ -444,7 +444,7 @@ def test_ensemble_zscores_deterministic():
 def test_ensemble_zscores_degenerate():
     # 4-cycles have constant clustering 0, so COR_CC_BC drops all replicates
     g = Graph(edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
-    spec = NullModelSpec(kind="DEGSEQ", n=4, m=4, source=_adjacency_matrix(g)[1])
+    spec = NullModelSpec(kind="degseq", n=4, m=4, source=_adjacency_matrix(g)[1])
     stream = SeedStream.from_seed(0)
     cells = ensemble_zscores(
         node_metric_correlations(_adjacency_matrix(g)[1]), spec, 20, stream=stream
@@ -467,7 +467,7 @@ def test_ensemble_zscores_constant_ensemble_is_undefined():
     stream = SeedStream.from_seed(1)
     for i in range(3):
         chain = SwapChain(spec.source, spec.swap_multiplier)
-        assert np.array_equal(generate_null(spec, stream.child(i).generator(), chain), a > 0)
+        assert np.array_equal(generate_null(spec, stream.child(i).generator(), 1, chain)[0], a > 0)
     empirical = node_metric_correlations(a)
     assert all("value" in cell for cell in empirical.values())
     # np.std of the 25 equal COR_D_BC values is 1.1e-16, which read z = -1.0
@@ -476,8 +476,8 @@ def test_ensemble_zscores_constant_ensemble_is_undefined():
 
 
 def test_ensemble_zscores_validates_replicates():
-    g = graph_from_adjacency(range(10), er_gnm(10, 20, np.random.default_rng(0)))
-    spec = NullModelSpec(kind="ER", n=10, m=20)
+    g = graph_from_adjacency(range(10), er_gnm(10, 20, np.random.default_rng(0), 1)[0])
+    spec = NullModelSpec(kind="er", n=10, m=20)
     with pytest.raises(InvalidArgumentError):
         ensemble_zscores(
             node_metric_correlations(_adjacency_matrix(g)[1]),
@@ -562,7 +562,7 @@ def test_er_and_grg_ensembles_match_loop_oracle(model, kind):
     # and some replicates fall below 3 nodes; (12, 30) has defined cells
     defined = 0
     for n, m in ((16, 14), (12, 30)):
-        a = er_gnm(n, m, np.random.default_rng(n))
+        a = er_gnm(n, m, np.random.default_rng(n), 1)[0]
         spec = spec_for(model, a)
         empirical = node_metric_correlations(a, kind)
         stream = SeedStream.from_seed(m)
@@ -572,7 +572,7 @@ def test_er_and_grg_ensembles_match_loop_oracle(model, kind):
     assert defined >= 2
 
 
-ENSEMBLE_GRAPH = er_gnm(12, 16, np.random.default_rng(3))
+ENSEMBLE_GRAPH = er_gnm(12, 16, np.random.default_rng(3), 1)[0]
 
 
 @given(
@@ -597,14 +597,14 @@ def test_ensemble_does_not_depend_on_the_stack_size(model, kind, replicates, ent
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_degseq_ensemble_scores_one_thinned_chain(kind):
-    a = er_gnm(14, 30, np.random.default_rng(5))
+    a = er_gnm(14, 30, np.random.default_rng(5), 1)[0]
     spec = spec_for("degseq", a, swap_multiplier=2.5)
     empirical = node_metric_correlations(a, kind)
     stream = SeedStream.from_seed(6)
     cells = ensemble_zscores(empirical, spec, 30, kind, stream=stream)
     chain, rng = SwapChain(a, 2.5), stream.generator()
     values, dropped = loop_replicate_values(
-        [kept_metric_vectors(chain.sample(rng)) for _ in range(30)], kind
+        [kept_metric_vectors(chain.sample(rng, 1)[0]) for _ in range(30)], kind
     )
     for name, cell in cells.items():
         vals = np.array(values[name])
@@ -633,7 +633,7 @@ def test_degseq_ensemble_proposal_count(monkeypatch):
         swap(ends, rows, count, rng)
 
     monkeypatch.setattr(nullmodels, "_swap", counting)
-    a = er_gnm(14, 29, np.random.default_rng(5))
+    a = er_gnm(14, 29, np.random.default_rng(5), 1)[0]
     spec = spec_for("degseq", a, swap_multiplier=2.5)
     empirical = node_metric_correlations(a)
     ensemble_zscores(empirical, spec, 9, stream=SeedStream.from_seed(0))

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from gradenet.errors import GenerationError, InvalidArgumentError
+from gradenet.errors import GenerationError, InvalidArgumentError, ParseError
+from gradenet.exports import records_csv_dumps
 from gradenet.graph import connected_components
 from gradenet.nullmodels import SeedStream
-from gradenet.synth import Band, PlannerConfig, generate, planted_two_band_config
+from gradenet.records import parse_records
+from gradenet.synth import Band, PlannerConfig, ProductionRecord, generate, planted_two_band_config
 from conftest import build_graph, group_campaigns, record_table
 
 
@@ -162,10 +164,28 @@ def test_from_dict_round_trip():
         {"campaign_size": 2},
         {"slabs_per_item": [1, 2, 3]},
         {"late_items": ["X"]},
+        # integer fields take no float and no numeric string, rather than truncating them
+        {"campaign_count": 2.9},
+        {"campaign_count": "3"},
+        {"late_items": {"Y": 1.7}},
+        {"late_items": {"Y": "1"}},
     ]
     for change in malformed:
         with pytest.raises(InvalidArgumentError, match="^malformed planner config: "):
             PlannerConfig.from_dict({**data, **change})
+    # ingest refuses an empty item label and merges a padded one with its stripped text
+    for label in ("", " ", "X ", "\tY"):
+        items = {**band["items"], label: {"carbon": 0.01}}
+        with pytest.raises(InvalidArgumentError, match="^item label .* is empty or padded$"):
+            PlannerConfig.from_dict({**data, "bands": [{**band, "items": items}]})
+
+
+def test_hand_built_empty_labels_fail_at_ingest():
+    # a planner config refuses an empty label; a record built by hand meets ingest's check
+    for campaign, item, column in (("c1", "", "item"), ("", "A", "campaign")):
+        record = ProductionRecord(campaign, item, {})
+        with pytest.raises(ParseError, match=f"^row 2: empty {column} cell$"):
+            parse_records(records_csv_dumps([record]))
 
 
 def test_heavy_tailed_default_popularity():
