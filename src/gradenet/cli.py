@@ -109,7 +109,7 @@ def _annotations(cograph, table, ages=None):
     annotations = table.item_means()
     for i, component in enumerate(connected_components(cograph.graph)):
         subgraph = cograph.graph.subgraph(component)
-        for j, community in enumerate(girvan_newman(subgraph).ordered()):
+        for j, community in enumerate(girvan_newman(subgraph).communities):
             for node in community:
                 annotations[node].update(component=i, community=f"{i}.{j}")
     if ages is not None:

@@ -136,9 +136,6 @@ def histogram_csv_dumps(histogram: dict, key_name: str, value_name: str) -> str:
     return _csv_text([key_name, value_name], ([key, histogram[key]] for key in sorted(histogram)))
 
 
-def zscores_csv_dumps(rows) -> str:
-    """Tidy long-format z-score table for external plotting."""
-    return _csv_text(
-        ["stage", "scope", "model", "statistic", "empirical", "mean", "std", "z", "dropped", "defined"],
-        rows,
-    )
+def zscores_csv_dumps(rows: list) -> str:
+    """Tidy long-format z-score table for external plotting; `rows[0]` is the header."""
+    return _csv_text(rows[0], rows[1:])

@@ -81,15 +81,15 @@ class Graph:
 
 @dataclass(frozen=True)
 class CommunityPartition:
-    """Best-modularity division plus the full divisive dendrogram."""
+    """Best-modularity division plus the full divisive dendrogram.
+
+    `communities` and each dendrogram level are tuples of sorted label
+    lists, largest first, then smallest label: the order the report writes.
+    """
 
     communities: tuple
     modularity_q: float
     dendrogram: tuple = field(default=())
-
-    def ordered(self) -> list:
-        """Communities as sorted member lists, largest first, then smallest label."""
-        return sorted((sorted(c) for c in self.communities), key=lambda c: (-len(c), c[0]))
 
 
 def _adjacency_matrix(graph: Graph):
@@ -186,7 +186,7 @@ def _dense_betweenness(
 
 
 def connected_components(graph: Graph) -> list:
-    """Maximal connected node sets, largest first, then smallest label."""
+    """Maximal connected node sets as sorted label lists, largest first, then smallest label."""
     seen = set()
     components = []
     for start in graph.nodes():
@@ -201,8 +201,8 @@ def connected_components(graph: Graph) -> list:
                     comp.add(w)
                     queue.append(w)
         seen |= comp
-        components.append(comp)
-    components.sort(key=lambda c: (-len(c), min(c)))
+        components.append(sorted(comp))
+    components.sort(key=lambda c: (-len(c), c[0]))
     return components
 
 
@@ -215,13 +215,12 @@ def girvan_newman(graph: Graph) -> CommunityPartition:
 
     Each part keeps its sorted member indices, its own contiguous
     adjacency block, its edge-betweenness block and that block's maximum,
-    its frozen labels and its modularity term. A removal changes scores
+    its sorted labels and its modularity term. A removal changes scores
     only inside the part that held the edge, so it edits that part's block
-    in place and makes one kernel call on it, whose result becomes the
-    part's edge-betweenness block. The call's reachability matrix tells
-    whether the block split and which nodes left; Brandes on a block that
-    fell apart already scores each part on its own, so a split slices both
-    blocks and recomputes only the two parts it makes.
+    in place and makes one kernel call on it. Brandes on a block that has
+    fallen apart scores each part on its own, so `split` slices a call's
+    blocks by its reachability matrix, as it slices the first call, on the
+    whole graph, into the components.
     """
     # a stays the graph before any removal: each part edits its own copy
     labels, a = _adjacency_matrix(graph)
@@ -244,11 +243,20 @@ def girvan_newman(graph: Graph) -> CommunityPartition:
         degree_sum = int(degree[members].sum())
         term = internal / two_m - (degree_sum / two_m) ** 2
         listed = members.tolist()
-        parts[k] = ((-len(listed), listed[0]), frozenset(labels[t] for t in listed), term)
+        parts[k] = ((-len(listed), listed[0]), [labels[t] for t in listed], term)
         if len(listed) > 1:
             scored[k] = (members, block, eb, eb.max())
         else:
             scored.pop(k, None)
+
+    def split(k: int, members: np.ndarray, block: np.ndarray, eb, seen) -> None:
+        # a part per first reached node; the first keeps id k, the rest take new ids
+        first = seen.argmax(axis=1)
+        for root in np.unique(first).tolist():
+            rows = np.flatnonzero(first == root)
+            sub = rows[:, None], rows
+            set_part(k, members[rows], block[sub], eb[sub])
+            k = len(parts)
 
     def level() -> tuple:
         # largest first, then smallest label; Q summed in that order from 0.0.
@@ -259,12 +267,9 @@ def girvan_newman(graph: Graph) -> CommunityPartition:
             q += part[2]
         return tuple(part[1] for part in order), q
 
-    index = {v: i for i, v in enumerate(labels)}
-    for k, community in enumerate(connected_components(graph)):
-        members = np.sort([index[v] for v in community])
-        block = a[members[:, None], members]
-        eb = _dense_betweenness(block, edges=True)[1] if len(members) > 1 else None
-        set_part(k, members, block, eb)
+    if len(labels):  # argmax has no first reached node in an empty matrix
+        _, eb, seen = _dense_betweenness(a, edges=True)
+        split(0, np.arange(len(labels)), a, eb, seen)
     partition, best_q = level()
     best = partition
     dendrogram = []
@@ -284,14 +289,10 @@ def girvan_newman(graph: Graph) -> CommunityPartition:
         block[p, q] = block[q, p] = 0.0
         remaining -= 1
         _, eb, seen = _dense_betweenness(block, edges=True)
-        reached = seen[p]
-        if reached[q]:
+        if seen[p, q]:
             scored[k] = (members, block, eb, eb.max())
         else:
-            for part, keep in ((len(parts), ~reached), (k, reached)):
-                rows = np.flatnonzero(keep)
-                sub = rows[:, None], rows
-                set_part(part, members[rows], block[sub], eb[sub])
+            split(k, members, block, eb, seen)
             partition, split_q = level()
             if split_q > best_q + _TIE_EPS:
                 best_q = split_q

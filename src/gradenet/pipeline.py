@@ -26,7 +26,8 @@ from .records import (
 )
 from .stats import CORRELATIONS, STATISTICS, ensemble_zscores, node_metric_correlations
 
-_SCOPES = ("full", "pruned")
+# the value columns of zscores.csv: the fields of a defined z-score cell
+_ZSCORE_VALUES = ("empirical", "mean", "std", "z", "dropped")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,7 +89,7 @@ def _select_component(components, table, rows, selector: str):
     def mean_attribute(component):
         return math.fsum(means[v][attribute] for v in component) / len(component)
 
-    return min(components, key=lambda c: (mean_attribute(c), -len(c), min(c)))
+    return min(components, key=lambda c: (mean_attribute(c), -len(c), c[0]))
 
 
 def _score(graph, config: AnalysisConfig, stream: SeedStream) -> tuple:
@@ -140,28 +141,25 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
     previous = None, None
     for s, cograph in enumerate(series.stages):
         components = connected_components(cograph.graph)
+        rows = table.campaign < series.ends[s]
+        selected = _select_component(components, table, rows, config.component)
+        # a stage without a component keeps these values of its last six keys
         entry = {
             "stage": s,
             "windows_included": s + 1,
             "campaigns": series.ends[s],
             "nodes": cograph.graph.number_of_nodes(),
             "edges": cograph.graph.number_of_edges(),
-            "components": [sorted(c) for c in components],
+            "components": components,
+            "selected_component": selected,
+            "communities": None,
+            "group_summaries": [],
+            "pruned_core": None,
+            "correlations": {},
+            "ensembles": {},
         }
-        rows = table.campaign < series.ends[s]
-        selected = _select_component(components, table, rows, config.component)
+        stages.append(entry)
         if selected is None:
-            entry.update(
-                {
-                    "selected_component": None,
-                    "communities": None,
-                    "group_summaries": [],
-                    "pruned_core": None,
-                    "correlations": {},
-                    "ensembles": {},
-                }
-            )
-            stages.append(entry)
             continue
         component_graph = cograph.graph.subgraph(selected)
         if component_graph == previous[0]:
@@ -169,12 +167,11 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
         else:
             partition = girvan_newman(component_graph)
             previous = component_graph, partition
-        communities = partition.ordered()
+        communities = partition.communities
         summaries = group_summary(communities, table, rows)
         pruned_graph = prune_minor_groups(
             component_graph, communities, summaries, config.prune_floor
         )
-        entry["selected_component"] = sorted(selected)
         entry["communities"] = {
             "count": len(communities),
             "modularity": partition.modularity_q,
@@ -194,7 +191,6 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
             pruned = _score(pruned_graph, config, base_stream.child(s, 1))
         entry["correlations"] = {"full": full[0], "pruned": pruned[0]}
         entry["ensembles"] = {"full": full[1], "pruned": pruned[1]}
-        stages.append(entry)
 
     report = {
         "input": {
@@ -216,21 +212,17 @@ def run_analysis(csv_text: str, config: AnalysisConfig) -> dict:
     return report
 
 
-def zscore_rows(report: dict):
-    """Flatten the report's ensemble grid into tidy rows."""
-    rows = []
+def zscore_rows(report: dict) -> list:
+    """The report's ensemble grid as tidy rows, the header row first."""
+    rows = [["stage", "scope", "model", "statistic", *_ZSCORE_VALUES, "defined"]]
     for entry in report["stages"]:
-        for scope in _SCOPES:
-            block = entry.get("ensembles", {}).get(scope, {})
+        for scope, block in entry["ensembles"].items():
             for model in report["config"]["models"]:
                 for statistic in STATISTICS:
-                    cell = block.get(model, {}).get(statistic)
-                    if cell is None:
-                        continue
+                    cell = block[model][statistic]
                     key = [entry["stage"], scope, model, statistic]
                     if "undefined" in cell:
-                        rows.append(key + ["", "", "", "", "", "false"])
+                        rows.append(key + [""] * len(_ZSCORE_VALUES) + ["false"])
                     else:
-                        values = [repr(cell[field]) for field in ("empirical", "mean", "std", "z")]
-                        rows.append(key + values + [cell["dropped"], "true"])
+                        rows.append(key + [repr(cell[f]) for f in _ZSCORE_VALUES] + ["true"])
     return rows

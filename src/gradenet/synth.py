@@ -109,6 +109,8 @@ class PlannerConfig:
             raise InvalidArgumentError(
                 f"late item {min(unknown_late)!r} not present in any band"
             )
+        if any(index < 0 for index in self.late_items.values()):
+            raise InvalidArgumentError("late item activation indices must be >= 0")
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlannerConfig":
@@ -127,7 +129,7 @@ class PlannerConfig:
                 bands=bands,
                 campaign_count=_numbers((data["campaign_count"],), int)[0],
                 campaign_size=_numbers(tuple(data.get("campaign_size", (2, 6))), int),
-                cross_band_rate=float(data.get("cross_band_rate", 0.0)),
+                cross_band_rate=_numbers((data.get("cross_band_rate", 0.0),))[0],
                 late_items=_numbers(dict(data.get("late_items", {})), int),
                 slabs_per_item=_numbers(tuple(data.get("slabs_per_item", (1, 1))), int),
             )

@@ -308,7 +308,7 @@ def modularity(graph: Graph, partition) -> float:
 
 
 def _freeze_partition(components) -> tuple:
-    return tuple(frozenset(c) for c in components)
+    return tuple(components)
 
 
 def whole_graph_girvan_newman(graph: Graph, edge_betweenness=edge_betweenness):

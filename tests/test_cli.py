@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -319,6 +320,7 @@ def test_exit_codes(tmp_path, input_csv, capsys):
         {"campaign_count": 2.9},
         {"campaign_count": "3"},
         {"late_items": {"L1": 1.7}},
+        {"cross_band_rate": "0.5"},
     ]
     # an item label that ingest would refuse ("") or merge ("L0 " with "L0") is invalid input
     padded = [
@@ -332,6 +334,10 @@ def test_exit_codes(tmp_path, input_csv, capsys):
         error = capsys.readouterr().err
         reason = "item label" if change in padded else "malformed planner config: "
         assert error.startswith(f"gradenet: invalid input: {reason}"), change
+    bad_config.write_text(json.dumps({**SYNTH_CONFIG, "late_items": {"L1": -5}}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["synth", str(bad_config), "--out", str(tmp_path / "o4")]) == 1
+    assert "late item activation indices must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "o4").exists()
     code = main(
         [
@@ -456,7 +462,61 @@ def test_report_cell_completeness(snapshot_csv):
                 for cell in block[model].values():
                     assert "z" in cell or "undefined" in cell
     rows = zscore_rows(report)
-    assert len(rows) == 2 * 2 * 3 * 2  # stages x scopes x models x statistics
+    assert len(rows) == 1 + 2 * 2 * 3 * 2  # header, then stages x scopes x models x statistics
+
+
+def test_stage_without_component_has_every_key(tmp_path, input_csv):
+    # each grade is in one of the two campaigns: under support 1.0 the stage has no node
+    lone = tmp_path / "lone.csv"
+    lone.write_text("campaign,grade\nc1,A\nc2,B\n", encoding="utf-8")
+    stages = {}
+    for name, path, support in (("lone", lone, "1.0"), ("snapshot", input_csv, "0.0")):
+        args = ["--windows", "1", "--min-support", support, "--ensemble", "2"]
+        assert main(["analyze", str(path), *args, "--out", str(tmp_path / name)]) == 0
+        (stages[name],) = json.loads((tmp_path / name / "report.json").read_text())["stages"]
+    empty, stage = stages["lone"], stages["snapshot"]
+    assert empty["components"] == [] and stage["selected_component"] == ["1", "2"]
+    assert len(empty) == 12 and empty.keys() == stage.keys()
+    kept = {
+        "selected_component": None,
+        "communities": None,
+        "group_summaries": [],
+        "pruned_core": None,
+        "correlations": {},
+        "ensembles": {},
+    }
+    assert {key: empty[key] for key in kept} == kept
+    # it has no cell, so zscores.csv holds its header only
+    lines = (tmp_path / "lone" / "zscores.csv").read_text().splitlines()
+    assert lines == ["stage,scope,model,statistic,empirical,mean,std,z,dropped,defined"]
+
+
+def test_zscores_csv_reads_back_as_the_report_cells(tmp_path):
+    path = tmp_path / "scope.csv"
+    path.write_text(scope_csv(), encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["--windows", "3", "--ensemble", "5", "--min-lift", "1.5", "--prune-floor", "0.2"]
+    assert main(["analyze", str(path), *args, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    with open(out / "zscores.csv", newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
+    values = ["empirical", "mean", "std", "z", "dropped"]
+    assert header == ["stage", "scope", "model", "statistic", *values, "defined"]
+    cells = sum(
+        len(block[model]) for entry in report["stages"]
+        for block in entry["ensembles"].values() for model in block
+    )
+    assert len(rows) == cells
+    assert {row[-1] for row in rows} == {"true", "false"}  # both kinds of row are read
+    for row in rows:
+        assert len(row) == len(header)
+        stage, scope, model, statistic = row[:4]
+        cell = report["stages"][int(stage)]["ensembles"][scope][model][statistic]
+        if row[-1] == "true":
+            assert row[4:-1] == [repr(cell[value]) for value in values]
+        else:
+            assert row[-1] == "false" and "undefined" in cell
+            assert row[4:-1] == [""] * len(values)
 
 
 # three stages: pruning removes 3 of 8 items in the first two, none in the last

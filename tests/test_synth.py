@@ -169,10 +169,18 @@ def test_from_dict_round_trip():
         {"campaign_count": "3"},
         {"late_items": {"Y": 1.7}},
         {"late_items": {"Y": "1"}},
+        # the rate is a JSON number too, not a string or a bool that float() would read
+        {"cross_band_rate": "0.5"},
+        {"cross_band_rate": " 1 "},
+        {"cross_band_rate": True},
     ]
     for change in malformed:
         with pytest.raises(InvalidArgumentError, match="^malformed planner config: "):
             PlannerConfig.from_dict({**data, **change})
+    assert PlannerConfig.from_dict({**data, "cross_band_rate": 0.5}).cross_band_rate == 0.5
+    # an activation index counts campaigns, so a negative one is refused, not read as "always"
+    with pytest.raises(InvalidArgumentError, match="^late item activation indices must be >= 0$"):
+        PlannerConfig.from_dict({**data, "late_items": {"Y": -5}})
     # ingest refuses an empty item label and merges a padded one with its stripped text
     for label in ("", " ", "X ", "\tY"):
         items = {**band["items"], label: {"carbon": 0.01}}
