@@ -1,8 +1,9 @@
 """Randomized graph families used as null models.
 
 Three families: Erdos-Renyi G(n, m), degree-preserving switch
-randomization, and random geometric graphs in the unit square with the
-radius solved in closed form to hit a target edge count in expectation.
+randomization, and random geometric graphs that join the m closest pairs
+of n uniform points in the unit square. ER and GRG are one draw with
+different pair keys, so both have exactly m edges in every replicate.
 `MODELS` names them. Every family draws a (size, n, n) stack of replicates
 from one seeded generator; a stack of k holds the k replicates that k
 successive stacks of one would give, so an ensemble drawn a stack at a time
@@ -58,8 +59,8 @@ class SeedStream:
 class NullModelSpec:
     """Parameters of one randomized-graph family.
 
-    kind: the model name, "er" (n, m), "degseq" (source adjacency, burn-in
-    swap proposals per edge) or "grg" (n, radius).
+    kind: the model name, "er" or "grg" (n, m), or "degseq" (source
+    adjacency, burn-in swap proposals per edge).
     """
 
     kind: str
@@ -67,19 +68,19 @@ class NullModelSpec:
     m: int = 0
     source: np.ndarray | None = field(default=None, compare=False)
     swap_multiplier: float = 10.0
-    radius: float = 0.0
 
 
 def max_edges(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def er_gnm(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform simple graphs with exactly n nodes and m edges, as bool adjacencies.
+def _smallest_pairs(n: int, m: int, size: int, draw_keys) -> np.ndarray:
+    """A (size, n, n) bool stack; each graph joins the pairs of its m smallest keys.
 
-    A (size, n, n) stack of independent graphs. A graph draws one uniform
-    key per pair i < j, in row-major order, and its edges are the pairs of
-    the m smallest keys, so every m-subset of pairs is equally likely.
+    `draw_keys()` returns a (size, C(n, 2)) array, one key per pair i < j in
+    row-major order of the strict upper triangle; it is not called when
+    m == 0. The selection is an `argpartition`, so each graph has exactly m
+    edges even where keys tie.
     """
     if n < 0:
         raise InvalidArgumentError("node count must be non-negative")
@@ -89,11 +90,41 @@ def er_gnm(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
     a = np.zeros((size, n, n), dtype=bool)
     if m == 0:
         return a
-    keys = rng.random((size, limit))
+    keys = draw_keys()
     upper = np.zeros(keys.shape, dtype=bool)
     np.put_along_axis(upper, np.argpartition(keys, m - 1, axis=-1)[..., :m], True, axis=-1)
     a[..., ~np.tri(n, dtype=bool)] = upper  # the strict upper triangle, filled in row-major order
     return a | a.swapaxes(-1, -2)
+
+
+def er_gnm(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Uniform simple graphs with exactly n nodes and m edges, as bool adjacencies.
+
+    A (size, n, n) stack of independent graphs. A graph draws one uniform
+    key per pair, so every m-subset of pairs is equally likely.
+    """
+    return _smallest_pairs(n, m, size, lambda: rng.random((size, max_edges(n))))
+
+
+def random_geometric(n: int, m: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """n uniform points in the unit square, the m closest pairs joined.
+
+    Euclidean, non-toroidal: the random geometric graph whose radius is the
+    distance of its m-th closest pair. A (size, n, n) stack of independent
+    bool adjacencies; a graph's pair keys are its squared pair distances.
+    """
+
+    def squared_distances():
+        x, y = np.moveaxis(rng.random((size, n, 2)), -1, 0)
+        dx = x[..., :, None] - x[..., None, :]
+        dy = y[..., :, None] - y[..., None, :]
+        return (dx * dx + dy * dy)[..., ~np.tri(n, dtype=bool)]
+
+    return _smallest_pairs(n, m, size, squared_distances)
+
+
+# the families whose spec is (kind, n, m) and whose draw is `_smallest_pairs`
+_PAIR_KEYS = {"er": er_gnm, "grg": random_geometric}
 
 
 class SwapChain:
@@ -171,76 +202,14 @@ def _swap(ends: list, rows: list, proposals: int, rng: np.random.Generator) -> N
             ends[qq] = b
 
 
-def random_geometric(n: int, radius: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform points in the unit square joined when within the radius.
-
-    Euclidean, non-toroidal. Returns a (size, n, n) stack of independent
-    bool adjacencies.
-    """
-    if n < 0:
-        raise InvalidArgumentError("node count must be non-negative")
-    if radius < 0:
-        raise InvalidArgumentError("radius must be non-negative")
-    x, y = np.moveaxis(rng.random((size, n, 2)), -1, 0)
-    dx = x[..., :, None] - x[..., None, :]
-    dy = y[..., :, None] - y[..., None, :]
-    a = np.sqrt(dx * dx + dy * dy) <= radius
-    diagonal = np.arange(n)
-    a[..., diagonal, diagonal] = False
-    return a
-
-
-def _pair_distance_cdf(r: float) -> float:
-    """P(|X - Y| <= r) for X, Y independent and uniform in the unit square.
-
-    Closed form (Philip 2007; Penrose 2003, Random Geometric Graphs).
-    """
-    r2 = r * r
-    if r <= 1.0:
-        return math.pi * r2 - 8.0 * r2 * r / 3.0 + r2 * r2 / 2.0
-    return (
-        1.0 / 3.0
-        - 2.0 * r2
-        - r2 * r2 / 2.0
-        + 4.0 / 3.0 * (2.0 * r2 + 1.0) * math.sqrt(r2 - 1.0)
-        + 2.0 * r2 * (math.asin(1.0 / r) - math.acos(1.0 / r))
-    )
-
-
-def calibrate_radius(n: int, target_m: int) -> float:
-    """Smallest radius in [0, sqrt(2)] whose expected GRG edge count reaches target_m.
-
-    A GRG on n points has C(n, 2) * F(r) edges in expectation, F being the
-    pair-distance CDF. Bisection runs until its bounds are adjacent floats.
-    """
-    limit = max_edges(n)
-    if not (0 <= target_m <= limit):
-        raise InvalidArgumentError(f"target edge count {target_m} outside [0, {limit}]")
-    if target_m == 0:
-        return 0.0
-    if target_m == limit:
-        return math.sqrt(2.0)
-    lo, hi = 0.0, math.sqrt(2.0)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return hi
-        if limit * _pair_distance_cdf(mid) >= target_m:
-            hi = mid
-        else:
-            lo = mid
-
-
 def spec_for(model: str, a: np.ndarray, swap_multiplier: float = 10.0) -> NullModelSpec:
     """Build the null-model spec matched to an empirical graph's symmetric 0/1 adjacency."""
     n = len(a)
     m = int(np.count_nonzero(a)) // 2
-    if model == "er":
+    if model in _PAIR_KEYS:
         return NullModelSpec(model, n=n, m=m)
     if model == "degseq":
         return NullModelSpec(model, n=n, m=m, source=a, swap_multiplier=swap_multiplier)
-    if model == "grg":
-        return NullModelSpec(model, n=n, m=m, radius=calibrate_radius(n, m))
     raise InvalidArgumentError(f"unknown null model {model!r}")
 
 
@@ -253,8 +222,8 @@ def generate_null(
     `SwapChain` built from spec.source and spec.swap_multiplier. ER and GRG
     ignore `chain`.
     """
-    if spec.kind == "er":
-        return er_gnm(spec.n, spec.m, rng, size)
+    if spec.kind in _PAIR_KEYS:
+        return _PAIR_KEYS[spec.kind](spec.n, spec.m, rng, size)
     if spec.kind == "degseq":
         if (
             chain is None
@@ -263,6 +232,4 @@ def generate_null(
         ):
             raise InvalidArgumentError("swap chain was not built from this DEGSEQ spec")
         return chain.sample(rng, size)
-    if spec.kind == "grg":
-        return random_geometric(spec.n, spec.radius, rng, size)
     raise InvalidArgumentError(f"unknown null model {spec.kind!r}")

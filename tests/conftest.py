@@ -16,7 +16,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 from scipy import stats as sps
-from scipy.spatial.distance import pdist
 
 from gradenet.errors import (
     GradenetError,
@@ -520,69 +519,31 @@ def graph_switch_randomize(
     return result
 
 
-def graph_random_geometric(n: int, radius: float, rng: np.random.Generator) -> Graph:
-    """Uniform points in the unit square joined when within the radius.
+def graph_random_geometric(n: int, m: int, rng: np.random.Generator) -> Graph:
+    """n uniform points in the unit square, the m closest pairs joined.
 
-    Euclidean, non-toroidal.
+    Euclidean, non-toroidal. Each pair i < j, in row-major order, has its
+    squared distance as key; the edges are the pairs of the m smallest keys,
+    found here by a full sort. Draws nothing when m == 0.
     """
     if n < 0:
         raise InvalidArgumentError("node count must be non-negative")
-    if radius < 0:
-        raise InvalidArgumentError("radius must be non-negative")
-    positions = rng.random((n, 2))
-    g = Graph(nodes=range(n))
-    if n >= 2:
-        rows, cols = np.triu_indices(n, k=1)
-        close = pdist(positions) <= radius
-        for k in np.flatnonzero(close):
-            g.add_edge(int(rows[k]), int(cols[k]))
-    return g
-
-
-# The Monte Carlo radius calibrator that the closed-form one in
-# gradenet.nullmodels replaced; its accepted band brackets the exact radius.
-
-
-def monte_carlo_radius(
-    n: int,
-    target_m: int,
-    rng: np.random.Generator,
-    samples: int = 200,
-    max_steps: int = 40,
-    rel_tol: float = 0.01,
-) -> float:
-    """Bisect the radius until the Monte Carlo mean edge count hits target_m.
-
-    The probe mean is taken over `samples` fresh point sets (drawn once and
-    reused across probes, which keeps the bisection monotone). Stops when
-    the mean is within rel_tol of the target or after max_steps bisections.
-    """
     limit = max_edges(n)
-    if not (0 <= target_m <= limit):
-        raise InvalidArgumentError(f"target edge count {target_m} outside [0, {limit}]")
-    if target_m == 0:
-        return 0.0
-    if target_m == limit:
-        return math.sqrt(2.0)
-    if samples < 50:
-        raise InvalidArgumentError("at least 50 samples per probe required")
-    distances = [np.sort(pdist(rng.random((n, 2)))) for _ in range(samples)]
-
-    def mean_edges(radius: float) -> float:
-        return float(np.mean([np.searchsorted(d, radius, side="right") for d in distances]))
-
-    lo, hi = 0.0, math.sqrt(2.0)
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        mean = mean_edges(mid)
-        if abs(mean - target_m) <= rel_tol * target_m:
-            return mid
-        if mean < target_m:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    if not (0 <= m <= limit):
+        raise InvalidArgumentError(f"edge count {m} outside [0, {limit}]")
+    g = Graph(nodes=range(n))
+    if m == 0:
+        return g
+    positions = rng.random((n, 2)).tolist()
+    pairs = list(itertools.combinations(range(n), 2))
+    keys = []
+    for i, j in pairs:
+        dx = positions[i][0] - positions[j][0]
+        dy = positions[i][1] - positions[j][1]
+        keys.append(dx * dx + dy * dy)
+    for k in np.argsort(keys)[:m]:
+        g.add_edge(*pairs[k])
+    return g
 
 
 # Campaigns as market-basket transactions, the view the pair counter read

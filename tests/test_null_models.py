@@ -9,20 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist
 
 from gradenet.errors import InvalidArgumentError
 from gradenet.graph import Graph, _adjacency_matrix
 from gradenet.nullmodels import (
     NullModelSpec,
     SeedStream,
-    _pair_distance_cdf,
-    calibrate_radius,
     er_gnm,
     generate_null,
     max_edges,
     random_geometric,
     SwapChain,
+    _smallest_pairs,
     spec_for,
 )
 from conftest import (
@@ -30,7 +28,6 @@ from conftest import (
     graph_from_adjacency,
     graph_random_geometric,
     graph_switch_randomize,
-    monte_carlo_radius,
     random_graph,
     switch_randomize,
 )
@@ -133,93 +130,46 @@ def test_switch_randomize_mixing():
 
 def test_random_geometric_edges_match_positions():
     rng = np.random.default_rng(5)
-    g = graph_from_adjacency(range(40), random_geometric(40, 0.3, rng, 1)[0])
-    # the positions are the generator's first draw
+    g = graph_from_adjacency(range(40), random_geometric(40, 100, rng, 1)[0])
+    # the positions are the generator's first draw; the 100 edges are the
+    # closest pairs, so no pair left out is closer than a joined one
     positions = np.random.default_rng(5).random((40, 2))
-    expected = set()
-    for u in range(40):
-        for v in range(u + 1, 40):
-            du = positions[u][0] - positions[v][0]
-            dv = positions[u][1] - positions[v][1]
-            if math.hypot(du, dv) <= 0.3:
-                expected.add((u, v))
-    assert set(g.edges()) == expected
+    distance = lambda u, v: math.dist(positions[u], positions[v])
+    edges = set(g.edges())
+    others = set(itertools.combinations(range(40), 2)) - edges
+    assert len(edges) == 100
+    assert max(distance(u, v) for u, v in edges) <= min(distance(u, v) for u, v in others)
 
 
 def test_random_geometric_extremes():
     rng = np.random.default_rng(6)
-    empty = graph_from_adjacency(range(10), random_geometric(10, 0.0, rng, 1)[0])
+    empty = graph_from_adjacency(range(10), random_geometric(10, 0, rng, 1)[0])
     assert empty.number_of_edges() == 0
-    complete = graph_from_adjacency(range(10), random_geometric(10, math.sqrt(2.0), rng, 1)[0])
+    complete = graph_from_adjacency(range(10), random_geometric(10, 45, rng, 1)[0])
     assert complete.number_of_edges() == 45
-    with pytest.raises(InvalidArgumentError):
-        random_geometric(10, -0.1, rng, 1)
+    assert graph_from_adjacency([], random_geometric(0, 0, rng, 1)[0]).number_of_nodes() == 0
+    for n, m in ((10, 46), (10, -1), (-1, 0)):
+        with pytest.raises(InvalidArgumentError):
+            random_geometric(n, m, rng, 1)
 
 
-def test_calibrate_radius_hits_target():
-    stream = SeedStream.from_seed(7)
-    radius = calibrate_radius(50, 100)
-    fresh = [
-        graph_from_adjacency(
-            range(50), random_geometric(50, radius, stream.child(1, i).generator(), 1)[0]
-        ).number_of_edges()
-        for i in range(200)
-    ]
-    assert abs(np.mean(fresh) - 100) <= 0.05 * 100
+@pytest.mark.parametrize("model", ["er", "grg"])
+@pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (2, 0), (2, 1), (6, 0), (6, 15), (30, 147)])
+def test_er_and_grg_replicates_have_exactly_m_edges(model, n, m):
+    spec = NullModelSpec(kind=model, n=n, m=m)
+    stack = generate_null(spec, np.random.default_rng(n + m), 25)
+    assert stack.shape == (25, n, n) and stack.dtype == bool
+    assert np.array_equal(stack, stack.swapaxes(1, 2))
+    assert not stack.diagonal(axis1=1, axis2=2).any()
+    assert (np.count_nonzero(stack, axis=(1, 2)) == 2 * m).all()
 
 
-def test_calibrate_radius_extremes():
-    assert calibrate_radius(10, 0) == 0.0
-    assert calibrate_radius(10, 45) == math.sqrt(2.0)
-    with pytest.raises(InvalidArgumentError):
-        calibrate_radius(10, 46)
-
-
-def test_pair_distance_cdf_shape():
-    at_one = _pair_distance_cdf(1.0)
-    assert _pair_distance_cdf(math.nextafter(1.0, 2.0)) == pytest.approx(at_one, abs=1e-12)
-    assert _pair_distance_cdf(math.nextafter(1.0, 0.0)) == pytest.approx(at_one, abs=1e-12)
-    assert _pair_distance_cdf(0.0) == 0.0
-    assert _pair_distance_cdf(math.sqrt(2.0)) == pytest.approx(1.0, abs=1e-12)
-    grid = np.linspace(0.0, math.sqrt(2.0), 20_001)
-    values = np.array([_pair_distance_cdf(r) for r in grid])
-    # near sqrt(2), 1 - F shrinks like (sqrt(2) - r)^4 and drops below float
-    # resolution; what still moves there is rounding in the formula
-    assert np.diff(values).min() >= -4 * np.finfo(float).eps
-
-
-def test_pair_distance_cdf_matches_sampled_pairs():
-    rng = np.random.default_rng(12)
-    radii = (0.05, 0.2, 0.5, 0.9, 1.1, 1.3)
-    point_sets = [rng.random((2000, 2)) for _ in range(4)]
-    fractions = np.mean([[np.mean(pdist(p) <= r) for r in radii] for p in point_sets], axis=0)
-    for r, fraction in zip(radii, fractions):
-        assert fraction == pytest.approx(_pair_distance_cdf(r), rel=0.05), r
-
-
-@given(st.integers(min_value=3, max_value=120), st.data())
-@settings(max_examples=200, deadline=None)
-def test_calibrate_radius_exact_in_expectation(n, data):
-    limit = max_edges(n)
-    m = data.draw(st.integers(min_value=1, max_value=limit - 1))
-    r = calibrate_radius(n, m)
-    assert limit * _pair_distance_cdf(r) >= m > limit * _pair_distance_cdf(math.nextafter(r, 0.0))
-
-
-def _probe_mean_edges(n: int, radius: float, seed: int, samples: int) -> float:
-    # the Monte Carlo oracle's probe: mean edge count over the point sets it draws
-    rng = np.random.default_rng(seed)
-    return float(
-        np.mean([np.count_nonzero(pdist(rng.random((n, 2))) <= radius) for _ in range(samples)])
-    )
-
-
-# samples put the oracle's 1 % band at about 4 standard errors of its probe mean
-@pytest.mark.parametrize("n, m, samples", [(30, 147, 2500), (60, 600, 1000), (120, 1500, 500)])
-def test_calibrate_radius_inside_monte_carlo_band(n, m, samples):
-    oracle = monte_carlo_radius(n, m, np.random.default_rng(n), samples=samples)
-    for radius in (oracle, calibrate_radius(n, m)):
-        assert abs(_probe_mean_edges(n, radius, n, samples) - m) <= 0.01 * m, radius
+def test_smallest_pairs_exact_where_keys_tie():
+    # a threshold at the m-th key would join every tied pair
+    keys = np.array([[0.5] * 10, [0.0, 1.0] * 5])
+    stack = _smallest_pairs(5, 3, 2, lambda: keys)
+    assert (np.count_nonzero(stack, axis=(1, 2)) == 6).all()
+    assert np.array_equal(stack, stack.swapaxes(1, 2))
 
 
 @pytest.mark.parametrize("model", ["er", "degseq", "grg"])
@@ -337,17 +287,12 @@ def test_er_gnm_matches_graph_oracle(seed, n):
     assert_same_draws(lambda r: er_gnm(n, m, r, 1)[0], lambda r: graph_er_gnm(n, m, r), seed)
 
 
-@given(
-    st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=0, max_value=12),
-    st.floats(min_value=0.0, max_value=1.5),
-)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=12), st.data())
 @settings(max_examples=60, deadline=None)
-def test_random_geometric_matches_graph_oracle(seed, n, radius):
+def test_random_geometric_matches_graph_oracle(seed, n, data):
+    m = data.draw(st.integers(min_value=0, max_value=max_edges(n)))
     assert_same_draws(
-        lambda r: random_geometric(n, radius, r, 1)[0],
-        lambda r: graph_random_geometric(n, radius, r),
-        seed,
+        lambda r: random_geometric(n, m, r, 1)[0], lambda r: graph_random_geometric(n, m, r), seed
     )
 
 
@@ -363,11 +308,8 @@ def test_er_gnm_matches_graph_oracle_at_ladder_size():
 def test_tiny_er_and_grg_match_graph_oracles(n):
     for m in range(n * (n - 1) // 2 + 1):
         assert_same_draws(lambda r: er_gnm(n, m, r, 1)[0], lambda r: graph_er_gnm(n, m, r), 11)
-    for radius in (0.0, 0.5, math.sqrt(2.0)):
         assert_same_draws(
-            lambda r: random_geometric(n, radius, r, 1)[0],
-            lambda r: graph_random_geometric(n, radius, r),
-            12,
+            lambda r: random_geometric(n, m, r, 1)[0], lambda r: graph_random_geometric(n, m, r), 12
         )
 
 
