@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--windows", type=int)
     analyze.add_argument("--ensemble", type=int)
     analyze.add_argument("--models", type=_model_list)
-    analyze.add_argument("--corr", dest="correlation", choices=tuple(CORRELATIONS))
+    analyze.add_argument("--corr", dest="correlation", choices=CORRELATIONS)
     analyze.add_argument("--seed", type=int)
     analyze.add_argument("--prune-floor", type=float)
     analyze.add_argument(

@@ -6,7 +6,7 @@ class GradenetError(Exception):
 
 
 class SchemaError(GradenetError):
-    """The input data is missing a required column."""
+    """The input has no header row, or its header misses or repeats a required column."""
 
 
 class ParseError(GradenetError):
@@ -15,10 +15,6 @@ class ParseError(GradenetError):
 
 class InvalidArgumentError(GradenetError, ValueError):
     """An argument is outside the documented domain of an operation."""
-
-
-class UndefinedCorrelationError(GradenetError):
-    """A correlation is undefined (zero variance or all-tied input)."""
 
 
 class InsufficientDataError(GradenetError):

@@ -1,39 +1,39 @@
-"""Correlations, node-metric extraction, and ensemble z-scores.
+"""Node-metric extraction, the correlations between them, and ensemble z-scores.
 
-Pearson, Spearman (midranks) and Kendall tau-b, each with the usual
-approximate two-sided p-value; the degree-vs-betweenness and
-clustering-vs-betweenness correlations that serve as randomness probes;
-and z = (X - mu) / sigma against null-model ensembles. Both probes come
-back as the report's {statistic: cell} dicts, so the pipeline writes them
-as they are. An ensemble is drawn and measured a stack of replicates at
-a time (`_STACK_ENTRIES`); its metric rows are then ranked (for Spearman)
-together, and the replicates with equal numbers of non-isolated nodes are
-correlated together. Pearson, on one vector pair or on a stack of them,
-is `_row_pearson`, whose sums are numpy's own row dot products: no BLAS
+The degree-vs-betweenness and clustering-vs-betweenness correlations
+(Pearson, Spearman on midranks, or Kendall tau-b) serve as randomness
+probes, scored as z = (X - mu) / sigma against null-model ensembles. Both
+probes come back as the report's {statistic: cell} dicts, so the pipeline
+writes them as they are. An ensemble is drawn and measured a stack of
+replicates at a time (`_STACK_ENTRIES`); its metric rows are then ranked
+(for Spearman) together, and the replicates with equal numbers of
+non-isolated nodes are correlated together by `_replicate_values`. An
+empirical cell is the same computation on a stack of one. Pearson is
+`_row_pearson`, whose sums are numpy's own row dot products: no BLAS
 kernel enters them, so a value does not depend on which kernel runs.
-Kendall, likewise, is `_row_kendall` on one pair or on a stack, whose
-sums are exact integer counts.
+Kendall is `_row_kendall`, whose sums are exact integer counts.
 
-The p-values come from the special functions imported below: twice the
-Student t tail `stdtr(n - 2, -|t|)` for Pearson and Spearman, twice the
-normal tail `ndtr(-|z|)` for Kendall. The `sf` of the t and normal
-distributions evaluates these same functions, so the p-values equal
-theirs bit for bit.
+The empirical p-values come from the special functions imported below:
+twice the Student t tail `stdtr(n - 2, -|t|)` for Pearson and Spearman,
+twice the normal tail `ndtr(-|z|)` for Kendall. The `sf` of the t and
+normal distributions evaluates these same functions, so the p-values
+equal theirs bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, stdtr
 
-from .errors import InsufficientDataError, InvalidArgumentError, UndefinedCorrelationError
+from .errors import InsufficientDataError, InvalidArgumentError
 from .graph import _dense_betweenness, _dense_clustering
 from .nullmodels import NullModelSpec, SeedStream, SwapChain, generate_null
 
 STATISTICS = ("COR_D_BC", "COR_CC_BC")
+# the correlation kinds, by name: `--corr` and `AnalysisConfig` accept these
+CORRELATIONS = ("pearson", "spearman", "kendall")
 
 # Index pairs i < j per chunk of `_row_kendall`, over all the chunk's rows:
 # this bounds its sign arrays to 512 KiB each, whatever the stack's height.
@@ -48,20 +48,8 @@ _KENDALL_PAIRS = 1 << 16
 _STACK_ENTRIES = 1 << 13
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    value: float
-    p_value: float
-    sample_size: int
-
-
-def midranks(values) -> np.ndarray:
-    """Ranks starting at 1, ties receiving the average of their positions."""
-    return _row_midranks(np.asarray(values, dtype=float)[None])[0]
-
-
 def _row_midranks(v: np.ndarray) -> np.ndarray:
-    """`midranks` of each row of a 2-D array, in a fixed number of numpy calls.
+    """Midranks of each row of a 2-D array: ranks from 1, ties averaging their positions.
 
     A row's tie group spans sorted positions first..last, found by running
     max and min over the group bounds; each member gets (first + last) / 2 + 1.
@@ -81,18 +69,6 @@ def _row_midranks(v: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _check_samples(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) != len(y):
-        raise InvalidArgumentError("sequences must have equal length")
-    if len(x) < 3:
-        raise InvalidArgumentError("at least 3 observations required")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidArgumentError("correlation arguments must be finite")
-    return x, y
-
-
 def _t_p_value(r: float, n: int) -> float:
     if abs(r) >= 1.0:
         return 0.0
@@ -100,33 +76,14 @@ def _t_p_value(r: float, n: int) -> float:
     return float(2.0 * stdtr(n - 2, -abs(t)))
 
 
-def pearson(x, y) -> CorrelationResult:
-    x, y = _check_samples(x, y)
-    r = float(_row_pearson(x[None], y[None])[0])
-    if math.isnan(r):
-        raise UndefinedCorrelationError("zero variance in a correlation argument")
-    return CorrelationResult(r, _t_p_value(r, len(x)), len(x))
+def _kendall_p_value(num: float, x: np.ndarray, y: np.ndarray) -> float:
+    """Two-sided p-value of Kendall's concordant minus discordant pairs `num` of x and y.
 
-
-def spearman(x, y) -> CorrelationResult:
-    x, y = _check_samples(x, y)
-    return pearson(midranks(x), midranks(y))
-
-
-def kendall(x, y) -> CorrelationResult:
-    """Tau-b with tie correction; p-value from the normal approximation."""
-    x, y = _check_samples(x, y)
+    The null variance of `num` is tie-corrected, and positive, as neither
+    sample is all tied.
+    """
     n = len(x)
-    tau, num = (float(v[0]) for v in _row_kendall(x[None], y[None]))
-    if math.isnan(tau):
-        raise UndefinedCorrelationError("all-tied sequence in kendall tau")
-
-    def tie_sizes(values):
-        _, counts = np.unique(values, return_counts=True)
-        return counts.astype(float)
-
-    t_sizes = tie_sizes(x)
-    u_sizes = tie_sizes(y)
+    t_sizes, u_sizes = (np.unique(v, return_counts=True)[1].astype(float) for v in (x, y))
     v0 = n * (n - 1) * (2 * n + 5)
     vt = float((t_sizes * (t_sizes - 1) * (2 * t_sizes + 5)).sum())
     vu = float((u_sizes * (u_sizes - 1) * (2 * u_sizes + 5)).sum())
@@ -140,22 +97,8 @@ def kendall(x, y) -> CorrelationResult:
         * float((u_sizes * (u_sizes - 1) * (u_sizes - 2)).sum())
         / (9.0 * n * (n - 1) * (n - 2))
     )
-    # null variance of num: positive, as both samples are finite and not all tied
     var = (v0 - vt - vu) / 18.0 + v1 + v2
-    p = float(2.0 * ndtr(-abs(num) / math.sqrt(var)))
-    return CorrelationResult(tau, min(1.0, p), n)
-
-
-# the correlation kinds, by name: `--corr` and `AnalysisConfig` accept these
-CORRELATIONS = {"pearson": pearson, "spearman": spearman, "kendall": kendall}
-
-
-def correlation(x, y, kind: str) -> CorrelationResult:
-    try:
-        fn = CORRELATIONS[kind]
-    except KeyError:
-        raise InvalidArgumentError(f"unknown correlation kind {kind!r}") from None
-    return fn(x, y)
+    return min(1.0, float(2.0 * ndtr(-abs(num) / math.sqrt(var))))
 
 
 def metric_vectors(a: np.ndarray) -> tuple:
@@ -173,25 +116,32 @@ def metric_vectors(a: np.ndarray) -> tuple:
 def node_metric_correlations(a: np.ndarray, kind: str = "spearman") -> dict:
     """{statistic: cell} of COR_D_BC and COR_CC_BC over the non-isolated rows.
 
-    `a` is a graph's symmetric 0/1 adjacency matrix. A cell is {"value",
-    "p_value", "n"}, or {"undefined": "constant metric vector"} for a
-    statistic whose metric vector is constant. Raises InsufficientDataError
-    below 3 non-isolated nodes.
+    `a` is a graph's symmetric 0/1 adjacency matrix, scored as a stack of
+    one replicate by `_replicate_values`, so with the ensemble's formula.
+    A cell is {"value", "p_value", "n"}, or {"undefined": "constant metric
+    vector"} for a statistic whose metric vector is constant. Raises
+    InsufficientDataError below 3 non-isolated nodes.
     """
-    *metrics, keep = metric_vectors(a)
-    count = int(keep.sum())
-    if count < 3:
-        raise InsufficientDataError(f"need at least 3 non-isolated nodes, got {count}")
-    deg, cvec, bvec = (v[keep] for v in metrics)
+    if kind not in CORRELATIONS:
+        raise InvalidArgumentError(f"unknown correlation kind {kind!r}")
+    metrics = metric_vectors(np.asarray(a)[None])
+    keep = metrics[3][0]
+    n = int(keep.sum())
+    if n < 3:
+        raise InsufficientDataError(f"need at least 3 non-isolated nodes, got {n}")
+    values, nums = _replicate_values(metrics, kind, STATISTICS)
+    bvec = metrics[2][0][keep]
     cells = {}
-    for name, x in zip(STATISTICS, (deg, cvec)):
-        try:
-            result = correlation(x, bvec, kind)
-        except UndefinedCorrelationError:
+    for name, rows in zip(STATISTICS, metrics):
+        r = float(values[name][0])
+        if math.isnan(r):
             cells[name] = {"undefined": "constant metric vector"}
+            continue
+        if kind == "kendall":
+            p = _kendall_p_value(float(nums[name][0]), rows[0][keep], bvec)
         else:
-            n = result.sample_size
-            cells[name] = {"value": result.value, "p_value": result.p_value, "n": n}
+            p = _t_p_value(r, n)
+        cells[name] = {"value": r, "p_value": p, "n": n}
     return cells
 
 
@@ -265,31 +215,36 @@ def _signs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.subtract(u > v, u < v, dtype=float)
 
 
-def _replicate_values(metrics: tuple, kind: str, names) -> dict:
-    """{statistic: one value per replicate, NaN where undefined} for the statistics in `names`.
+def _replicate_values(metrics: tuple, kind: str, names) -> tuple:
+    """({statistic: r per replicate}, {statistic: num per replicate}) for the statistics in `names`.
 
     `metrics` holds the (R, n) degree, clustering and betweenness rows and
     the keep mask of R replicates, as `metric_vectors` gives them for a
-    stack. A replicate below 3 non-isolated nodes is undefined. For Spearman the
-    rows are midranked once, with +inf on the isolated nodes: those rank
-    last, so each kept node gets its midrank among the kept ones. The
-    replicates with equal kept counts are then gathered and correlated in
-    one kernel call per statistic.
+    stack. r is NaN where a replicate's kept metric vector is constant or
+    it keeps fewer than 3 nodes. num, Kendall's concordant minus discordant
+    pairs, is NaN for the other kinds. For Spearman the rows are midranked
+    once, with +inf on the isolated nodes: those rank last, so each kept
+    node gets its midrank among the kept ones. The replicates with equal
+    kept counts are then gathered and correlated in one kernel call per
+    statistic.
     """
     *rows, keep = metrics
     counts = np.count_nonzero(keep, axis=1)
     values = {name: np.full(len(keep), np.nan) for name in names}
+    nums = {name: np.full(len(keep), np.nan) for name in names}
     if kind == "spearman":
         rows = [_row_midranks(np.where(keep, v, np.inf)) for v in rows]
-    kernel = (lambda x, y: _row_kendall(x, y)[0]) if kind == "kendall" else _row_pearson
     for count in np.unique(counts[counts >= 3]).tolist():
         group = counts == count
         kept = keep[group]
         bvec = rows[2][group][kept].reshape(-1, count)
         for name in names:
             x = rows[STATISTICS.index(name)][group][kept].reshape(-1, count)
-            values[name][group] = kernel(x, bvec)
-    return values
+            if kind == "kendall":
+                values[name][group], nums[name][group] = _row_kendall(x, bvec)
+            else:
+                values[name][group] = _row_pearson(x, bvec)
+    return values, nums
 
 
 def _lag1_autocorrelation(values: np.ndarray, mean: float) -> float:
@@ -342,7 +297,8 @@ def ensemble_zscores(
         metric_vectors(generate_null(spec, rng, min(step, replicates - start), chain))
         for start in range(0, replicates, step)
     ]
-    values = _replicate_values(tuple(np.concatenate(rows) for rows in zip(*stacks)), kind, names)
+    metrics = tuple(np.concatenate(rows) for rows in zip(*stacks))
+    values, _ = _replicate_values(metrics, kind, names)
 
     for name, vals in values.items():
         vals = vals[~np.isnan(vals)]

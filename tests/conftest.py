@@ -16,13 +16,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.special import ndtr
 
 from gradenet.errors import (
     GradenetError,
+    InsufficientDataError,
     InvalidArgumentError,
     ParseError,
     SchemaError,
-    UndefinedCorrelationError,
 )
 from gradenet.evolution import CoSelectionGraph, stage_networks
 from gradenet.exports import _GRAPHML_NS, _GRAPHML_TYPES, _node_data
@@ -44,7 +45,14 @@ from gradenet.records import (
     ITEM_COLUMN,
     RecordTable,
 )
-from gradenet.stats import STATISTICS, metric_vectors, pearson
+from gradenet.stats import (
+    STATISTICS,
+    _row_kendall,
+    _row_midranks,
+    _row_pearson,
+    _t_p_value,
+    metric_vectors,
+)
 from gradenet.synth import ProductionRecord
 
 # verdict lines collected by the acceptance-test decorator, printed once
@@ -366,7 +374,7 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 7) -> Graph:
 def loop_midranks(values) -> np.ndarray:
     """Ranks starting at 1, ties receiving the average of their positions.
 
-    The loop that `stats.midranks` replaced, kept as it was: it indexes the
+    The loop that `stats._row_midranks` replaced, kept as it was: it indexes the
     numpy array once per comparison and writes each tie group separately.
     """
     arr = np.asarray(values, dtype=float)
@@ -441,6 +449,115 @@ def kendall_z_oracle(x, y):
         / (9 * n * (n - 1) * (n - 2))
     )
     return abs(s) / math.sqrt((v0 - vt - vu) / 18 + v1 + v2)
+
+
+class UndefinedCorrelationError(GradenetError):
+    """A correlation is undefined (zero variance or all-tied input)."""
+
+
+# The scalar correlation path that `stats.node_metric_correlations` ran
+# before it scored a graph as a stack of one replicate through
+# `stats._replicate_values`, kept as it was: `correlation` on one vector
+# pair, and `scalar_node_metric_correlations`, which the new path must
+# equal cell for cell.
+@dataclass(frozen=True)
+class CorrelationResult:
+    value: float
+    p_value: float
+    sample_size: int
+
+
+def midranks(values) -> np.ndarray:
+    """Ranks starting at 1, ties receiving the average of their positions."""
+    return _row_midranks(np.asarray(values, dtype=float)[None])[0]
+
+
+def _check_samples(x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if len(x) != len(y):
+        raise InvalidArgumentError("sequences must have equal length")
+    if len(x) < 3:
+        raise InvalidArgumentError("at least 3 observations required")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidArgumentError("correlation arguments must be finite")
+    return x, y
+
+
+def pearson(x, y) -> CorrelationResult:
+    x, y = _check_samples(x, y)
+    r = float(_row_pearson(x[None], y[None])[0])
+    if math.isnan(r):
+        raise UndefinedCorrelationError("zero variance in a correlation argument")
+    return CorrelationResult(r, _t_p_value(r, len(x)), len(x))
+
+
+def spearman(x, y) -> CorrelationResult:
+    x, y = _check_samples(x, y)
+    return pearson(midranks(x), midranks(y))
+
+
+def kendall(x, y) -> CorrelationResult:
+    """Tau-b with tie correction; p-value from the normal approximation."""
+    x, y = _check_samples(x, y)
+    n = len(x)
+    tau, num = (float(v[0]) for v in _row_kendall(x[None], y[None]))
+    if math.isnan(tau):
+        raise UndefinedCorrelationError("all-tied sequence in kendall tau")
+
+    def tie_sizes(values):
+        _, counts = np.unique(values, return_counts=True)
+        return counts.astype(float)
+
+    t_sizes = tie_sizes(x)
+    u_sizes = tie_sizes(y)
+    v0 = n * (n - 1) * (2 * n + 5)
+    vt = float((t_sizes * (t_sizes - 1) * (2 * t_sizes + 5)).sum())
+    vu = float((u_sizes * (u_sizes - 1) * (2 * u_sizes + 5)).sum())
+    v1 = (
+        float((t_sizes * (t_sizes - 1)).sum())
+        * float((u_sizes * (u_sizes - 1)).sum())
+        / (2.0 * n * (n - 1))
+    )
+    v2 = (
+        float((t_sizes * (t_sizes - 1) * (t_sizes - 2)).sum())
+        * float((u_sizes * (u_sizes - 1) * (u_sizes - 2)).sum())
+        / (9.0 * n * (n - 1) * (n - 2))
+    )
+    # null variance of num: positive, as both samples are finite and not all tied
+    var = (v0 - vt - vu) / 18.0 + v1 + v2
+    p = float(2.0 * ndtr(-abs(num) / math.sqrt(var)))
+    return CorrelationResult(tau, min(1.0, p), n)
+
+
+CORRELATIONS = {"pearson": pearson, "spearman": spearman, "kendall": kendall}
+
+
+def correlation(x, y, kind: str) -> CorrelationResult:
+    try:
+        fn = CORRELATIONS[kind]
+    except KeyError:
+        raise InvalidArgumentError(f"unknown correlation kind {kind!r}") from None
+    return fn(x, y)
+
+
+def scalar_node_metric_correlations(a: np.ndarray, kind: str = "spearman") -> dict:
+    """{statistic: cell} of COR_D_BC and COR_CC_BC over the non-isolated rows."""
+    *metrics, keep = metric_vectors(a)
+    count = int(keep.sum())
+    if count < 3:
+        raise InsufficientDataError(f"need at least 3 non-isolated nodes, got {count}")
+    deg, cvec, bvec = (v[keep] for v in metrics)
+    cells = {}
+    for name, x in zip(STATISTICS, (deg, cvec)):
+        try:
+            result = correlation(x, bvec, kind)
+        except UndefinedCorrelationError:
+            cells[name] = {"undefined": "constant metric vector"}
+        else:
+            n = result.sample_size
+            cells[name] = {"value": result.value, "p_value": result.p_value, "n": n}
+    return cells
 
 
 def graph_from_adjacency(labels, a) -> Graph:
@@ -684,7 +801,7 @@ def zscore(x: float, replicates) -> float:
 
 # The Pearson formula `stats._row_pearson` replaced: its sums are 1-D `@`
 # products, BLAS `ddot`, so their last bits depend on the BLAS kernel.
-# `pearson` must stay within a relative 1e-12 of it. Like `_row_pearson`,
+# `_row_pearson` must stay within a relative 1e-12 of it. Like that kernel,
 # it calls an argument constant when its minimum equals its maximum, scales
 # a non-constant argument whose sum of squares is subnormal or 0 by a power
 # of two first, and takes the product of the square roots where the
@@ -709,7 +826,7 @@ def _pearson_value(x: np.ndarray, y: np.ndarray) -> float:
 
 # `stats._row_pearson` on one row pair before it handled sums that overflow
 # or underflow: (r, vx, vy), the two variance sums. Where vx, vy and their
-# product are normal floats, `pearson` must return these bits.
+# product are normal floats, `_row_pearson` must return these bits.
 def einsum_pearson_value(x: np.ndarray, y: np.ndarray) -> tuple:
     x, y = x[None], y[None]
     xc = x - x.mean(axis=1, keepdims=True)
@@ -753,7 +870,7 @@ def loop_replicate_values(vectors, kind: str):
     """({statistic: values}, {statistic: dropped}) replicate by replicate.
 
     The scoring loop `stats.ensemble_zscores` ran before it batched its
-    replicates, with each Pearson value from the public `pearson` on one
+    replicates, with each Pearson value from the scalar `pearson` on one
     replicate: `vectors` holds each replicate's `kept_metric_vectors`, or
     None for a replicate below 3 non-isolated nodes; each statistic's
     defined values stay in replicate order.

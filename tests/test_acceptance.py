@@ -22,12 +22,12 @@ from gradenet.nullmodels import NullModelSpec, SeedStream, er_gnm, random_geomet
 from gradenet.pipeline import AnalysisConfig, run_analysis
 from gradenet.records import parse_records
 from gradenet.stats import (
+    STATISTICS,
+    _replicate_values,
+    _row_midranks,
+    _row_pearson,
     ensemble_zscores,
-    kendall,
-    midranks,
     node_metric_correlations,
-    pearson,
-    spearman,
 )
 from gradenet.synth import generate, planted_two_band_config
 
@@ -257,9 +257,11 @@ def test_acceptance_8_correlation_identities():
         y = rng.integers(0, 5, size=n).astype(float).tolist()
         if len(set(x)) < 2 or len(set(y)) < 2:
             continue
-        s = spearman(x, y)
-        p = pearson(midranks(x), midranks(y))
-        assert s.value == p.value
-        expected_tau = kendall_exhaustive(x, y)
-        assert kendall(x, y).value == pytest.approx(expected_tau, abs=1e-12)
+        # one replicate whose degree row is x and betweenness row y, all kept
+        rows = np.array([x]), np.array([y])
+        metrics = rows[0], rows[0], rows[1], np.ones((1, n), dtype=bool)
+        s = _replicate_values(metrics, "spearman", STATISTICS[:1])[0][STATISTICS[0]]
+        assert s[0] == _row_pearson(*(_row_midranks(v) for v in rows))[0]
+        tau = _replicate_values(metrics, "kendall", STATISTICS[:1])[0][STATISTICS[0]]
+        assert tau[0] == pytest.approx(kendall_exhaustive(x, y), abs=1e-12)
         checked += 1

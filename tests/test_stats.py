@@ -1,4 +1,4 @@
-"""Correlation coefficients, metric extraction and ensemble z-scores."""
+"""Metric extraction, the correlation kernels, empirical cells and ensemble z-scores."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import gradenet
 from gradenet import nullmodels, stats
-from gradenet.errors import InsufficientDataError, InvalidArgumentError, UndefinedCorrelationError
+from gradenet.errors import InsufficientDataError, InvalidArgumentError
 from gradenet.graph import Graph, _adjacency_matrix
 from gradenet.nullmodels import (
     NullModelSpec,
@@ -32,16 +32,14 @@ from gradenet.stats import (
     _replicate_values,
     _row_kendall,
     _row_midranks,
-    correlation,
+    _row_pearson,
+    _t_p_value,
     ensemble_zscores,
-    kendall,
     metric_vectors,
-    midranks,
     node_metric_correlations,
-    pearson,
-    spearman,
 )
 from conftest import (
+    UndefinedCorrelationError,
     UndefinedZScoreError,
     _kendall_tau,
     _pearson_value,
@@ -57,10 +55,12 @@ from conftest import (
     loop_replicate_values,
     normal_p_value_oracle,
     random_graph,
+    scalar_node_metric_correlations,
     t_p_value_oracle,
     zscore,
 )
 
+KINDS = ("spearman", "pearson", "kendall")
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
@@ -73,9 +73,57 @@ def sequences(min_size=3, max_size=12):
     )
 
 
+def row(values) -> np.ndarray:
+    """A sequence as the one row of a 2-D float array, as the row kernels take it."""
+    return np.asarray(values, dtype=float)[None]
+
+
+def pearson_r(x, y) -> float:
+    """`_row_pearson` of one row pair: r, or NaN where x or y is constant."""
+    return float(_row_pearson(row(x), row(y))[0])
+
+
+def kendall_tau(x, y) -> float:
+    """`_row_kendall`'s tau-b of one row pair, NaN where x or y is all tied."""
+    return float(_row_kendall(row(x), row(y))[0][0])
+
+
+def replicate_r(x, y, kind) -> float:
+    """COR_D_BC by `_replicate_values` of one replicate whose every node is kept.
+
+    Its degree row is x and its betweenness row y, so this is the
+    correlation of x and y that the pipeline's path computes.
+    """
+    metrics = row(x), row(x), row(y), np.ones((1, len(x)), dtype=bool)
+    return float(_replicate_values(metrics, kind, STATISTICS[:1])[0][STATISTICS[0]][0])
+
+
+def adjacency(n, edges) -> np.ndarray:
+    """The symmetric 0/1 adjacency of `edges` over the nodes 0..n-1, self-loops dropped."""
+    a = np.zeros((n, n))
+    for u, v in edges:
+        if u != v:
+            a[u, v] = a[v, u] = 1.0
+    return a
+
+
+# graphs of up to 14 nodes, those in no edge isolated; most have tied
+# metric values, and some a constant metric vector
+graphs = st.integers(min_value=1, max_value=14).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40
+    ).map(lambda edges: adjacency(n, edges))
+)
+PATH_3 = adjacency(3, [(0, 1), (1, 2)])  # n = 3: the t tail with df = 1; r = 1
+STAR_AND_ISOLATED = adjacency(6, [(0, 1), (0, 2), (0, 3)])  # tied all but once; constant clustering
+TRIANGLE = adjacency(3, [(0, 1), (1, 2), (2, 0)])  # every metric vector constant
+# two components and an isolated node; constant clustering
+CYCLE_AND_EDGE = adjacency(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])
+
+
 def test_midranks():
-    assert midranks([10.0, 20.0, 30.0]).tolist() == [1.0, 2.0, 3.0]
-    assert midranks([5.0, 1.0, 5.0, 2.0]).tolist() == [3.5, 1.0, 3.5, 2.0]
+    assert _row_midranks(row([10.0, 20.0, 30.0])).tolist() == [[1.0, 2.0, 3.0]]
+    assert _row_midranks(row([5.0, 1.0, 5.0, 2.0])).tolist() == [[3.5, 1.0, 3.5, 2.0]]
 
 
 # small integers give long tie runs; signed zeros are equal and tie
@@ -93,57 +141,47 @@ tie_heavy_values = st.lists(tie_heavy_value, max_size=40)
 @example([0.0, -0.0, 0.0, -0.0, 1.0])
 @settings(max_examples=300)
 def test_midranks_matches_loop_oracle(values):
-    assert np.array_equal(midranks(values), loop_midranks(values))
+    assert np.array_equal(_row_midranks(row(values))[0], loop_midranks(values))
 
 
 def test_pearson_fixture():
-    result = pearson([1, 2, 3, 4], [2, 4, 6, 8])
-    assert result.value == pytest.approx(1.0)
-    assert result.p_value == pytest.approx(0.0, abs=1e-12)
-    anti = pearson([1, 2, 3], [3, 2, 1])
-    assert anti.value == pytest.approx(-1.0)
+    assert pearson_r([1, 2, 3, 4], [2, 4, 6, 8]) == pytest.approx(1.0)
+    assert pearson_r([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+    # a path's degrees and betweenness are affine in each other: r = 1, p = 0
+    cell = node_metric_correlations(adjacency(4, [(0, 1), (1, 2), (2, 3)]), "pearson")["COR_D_BC"]
+    assert cell["value"] == pytest.approx(1.0)
+    assert cell["p_value"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_correlation_input_validation():
-    with pytest.raises(InvalidArgumentError):
-        pearson([1, 2], [1, 2])
-    with pytest.raises(InvalidArgumentError):
-        pearson([1, 2, 3], [1, 2])
-    with pytest.raises(UndefinedCorrelationError):
-        pearson([1, 1, 1], [1, 2, 3])
-    with pytest.raises(UndefinedCorrelationError):
-        kendall([1, 1, 1], [1, 2, 3])
-    with pytest.raises(InvalidArgumentError):
-        correlation([1, 2, 3], [1, 2, 3], "tau")
-    for kind in ("pearson", "spearman", "kendall"):
-        with pytest.raises(InvalidArgumentError):
-            correlation([1.0, math.nan, 3.0], [1, 2, 3], kind)
-        with pytest.raises(InvalidArgumentError):
-            correlation([1, 2, 3], [math.inf, 2.0, 3.0], kind)
+    with pytest.raises(InvalidArgumentError, match="unknown correlation kind 'tau'"):
+        node_metric_correlations(PATH_3, "tau")
+    assert math.isnan(pearson_r([1, 1, 1], [1, 2, 3]))
+    assert math.isnan(kendall_tau([1, 1, 1], [1, 2, 3]))
+    for kind in KINDS:
+        with pytest.raises(InsufficientDataError, match="got 2"):
+            node_metric_correlations(adjacency(4, [(0, 1)]), kind)
+        undefined = {"undefined": "constant metric vector"}
+        assert node_metric_correlations(TRIANGLE, kind) == dict.fromkeys(STATISTICS, undefined)
+        assert node_metric_correlations(PATH_3, kind)["COR_CC_BC"] == undefined
 
 
 def test_kendall_fixture():
-    result = kendall([1, 2, 3, 4, 5], [1, 2, 3, 5, 4])
-    assert result.value == pytest.approx(0.8)
-    tied = kendall([1, 1, 2, 3], [1, 2, 2, 3])
-    assert tied.value == pytest.approx(kendall_exhaustive([1, 1, 2, 3], [1, 2, 2, 3]))
+    assert kendall_tau([1, 2, 3, 4, 5], [1, 2, 3, 5, 4]) == pytest.approx(0.8)
+    tied = kendall_tau([1, 1, 2, 3], [1, 2, 2, 3])
+    assert tied == pytest.approx(kendall_exhaustive([1, 1, 2, 3], [1, 2, 2, 3]))
 
 
 @given(sequences())
 @settings(max_examples=200)
 def test_spearman_is_pearson_on_midranks(xy):
     x, y = xy
-    try:
-        expected = pearson(midranks(x), midranks(y))
-    except UndefinedCorrelationError:
-        with pytest.raises(UndefinedCorrelationError):
-            spearman(x, y)
-        return
-    result = spearman(x, y)
-    assert result.value == expected.value
-    assert result.p_value == expected.p_value
-    assert -1.0 <= result.value <= 1.0
-    assert 0.0 <= result.p_value <= 1.0
+    expected = pearson_r(_row_midranks(row(x))[0], _row_midranks(row(y))[0])
+    result = replicate_r(x, y, "spearman")
+    assert np.array_equal(result, expected, equal_nan=True)
+    if not math.isnan(result):
+        assert -1.0 <= result <= 1.0
+        assert 0.0 <= _t_p_value(result, len(x)) <= 1.0
 
 
 @given(sequences())
@@ -164,10 +202,9 @@ def test_pearson_matches_blas_summed_oracle(xy):
     try:
         expected = _pearson_value(x, y)
     except UndefinedCorrelationError:
-        with pytest.raises(UndefinedCorrelationError):
-            pearson(x, y)
+        assert math.isnan(pearson_r(x, y))
         return
-    assert pearson(x, y).value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert pearson_r(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("big", [1e80, 1e160, 1e300])
@@ -175,10 +212,10 @@ def test_pearson_of_spreads_whose_sums_overflow(big):
     # near 1e80 the variance product overflows; near 1e155 each variance does
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert pearson([0.0, 0.0, big], [0.0, 0.0, big]).value == 1.0
-        assert pearson([0.0, 0.0, big], [0.0, 0.0, -big]).value == -1.0
-        assert pearson([0.0, 1.0, big], [big, 1.0, 0.0]).value == pytest.approx(-0.5, rel=1e-12)
-        assert pearson([-big, 0.0, big], [0.0, 0.0, 1.0]).value == pytest.approx(
+        assert pearson_r([0.0, 0.0, big], [0.0, 0.0, big]) == 1.0
+        assert pearson_r([0.0, 0.0, big], [0.0, 0.0, -big]) == -1.0
+        assert pearson_r([0.0, 1.0, big], [big, 1.0, 0.0]) == pytest.approx(-0.5, rel=1e-12)
+        assert pearson_r([-big, 0.0, big], [0.0, 0.0, 1.0]) == pytest.approx(
             math.sqrt(0.75), rel=1e-12
         )
 
@@ -193,10 +230,10 @@ def test_pearson_is_scale_free_where_its_sums_overflow(xy, k):
     x, y = (np.array(v) for v in xy)
     if x.min() == x.max() or y.min() == y.max():
         return  # a constant argument has no r
-    expected = pearson(x, y).value
+    expected = pearson_r(x, y)
     # x times 2**k, as far as it stays finite: r does not change
     k = min(k, 1023 - math.frexp(np.abs(x).max())[1])
-    assert pearson(np.ldexp(x, k), y).value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert pearson_r(np.ldexp(x, k), y) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 @given(sequences())
@@ -207,16 +244,17 @@ def test_pearson_keeps_its_bits_where_the_variance_product_is_finite(xy):
         return  # a constant argument has no r, though rounding can leave vx > 0
     expected, vx, vy = einsum_pearson_value(x, y)
     if np.finfo(float).tiny <= min(vx, vy, vx * vy) and vx * vy < math.inf:
-        assert pearson(x, y).value == expected
+        assert pearson_r(x, y) == expected
 
 
-# pearson() and the BLAS product x @ x on fixed random vectors, as two digests
+# `_row_pearson` of one row pair at a time and the BLAS product x @ x on
+# fixed random vectors, as two digests
 PEARSON_BITS = """
 import hashlib
 import numpy as np
-from gradenet.stats import pearson
+from gradenet.stats import _row_pearson
 pairs = np.random.default_rng(0).random((200, 2, 28))
-values = np.array([pearson(x, y).value for x, y in pairs])
+values = np.array([_row_pearson(x[None], y[None])[0] for x, y in pairs])
 products = np.array([x @ x for x, _ in pairs])
 print(*(hashlib.sha256(a.tobytes()).hexdigest() for a in (values, products)))
 """
@@ -247,10 +285,9 @@ def test_kendall_of_spreads_whose_differences_overflow():
     # -1e308 - 1e308 overflows; the signs come from comparisons, so no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = kendall([-1e308, 1e308, 0.0], [1.0, 2.0, 3.0])
-        assert result.value == pytest.approx(1 / 3, rel=1e-12)
-        assert kendall([1e308, -1e308, 1e308], [-1e308, 1e308, 0.0]).value == pytest.approx(
-            kendall([1.0, -1.0, 1.0], [-1.0, 1.0, 0.0]).value, rel=1e-15
+        assert kendall_tau([-1e308, 1e308, 0.0], [1.0, 2.0, 3.0]) == pytest.approx(1 / 3, rel=1e-12)
+        assert kendall_tau([1e308, -1e308, 1e308], [-1e308, 1e308, 0.0]) == pytest.approx(
+            kendall_tau([1.0, -1.0, 1.0], [-1.0, 1.0, 0.0]), rel=1e-15
         )
 
 
@@ -260,49 +297,36 @@ def test_kendall_matches_exhaustive_counting(xy):
     x, y = xy
     expected = kendall_exhaustive(x, y)
     if expected is None:
-        with pytest.raises(UndefinedCorrelationError):
-            kendall(x, y)
+        assert math.isnan(kendall_tau(x, y))
         return
-    result = kendall(x, y)
-    assert result.value == pytest.approx(expected, abs=1e-12)
-    assert -1.0 <= result.value <= 1.0
-    assert 0.0 <= result.p_value <= 1.0
+    result = kendall_tau(x, y)
+    assert result == pytest.approx(expected, abs=1e-12)
+    assert -1.0 <= result <= 1.0
 
 
-def tied_sequences(min_size=3, max_size=12):
-    # values from {0, 1, 2}: many ties, including samples tied all but once
-    values = st.integers(min_value=0, max_value=2).map(float)
-    return st.integers(min_value=min_size, max_value=max_size).flatmap(
-        lambda n: st.tuples(
-            st.lists(values, min_size=n, max_size=n),
-            st.lists(values, min_size=n, max_size=n),
-        )
-    )
-
-
-@given(st.one_of(sequences(), tied_sequences()))
-@example(([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]))  # n = 3: the t tail with df = 1
-@example(([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]))  # r = 1: p = 0 without a t statistic
-@example(([1.0, 2.0, 3.0, 4.0], [8.0, 6.0, 4.0, 2.0]))  # r = -1
-@example(([0.0] * 11 + [1.0], [0.0] * 11 + [1.0]))  # both samples tied all but once
-@example(([0.0, 0.0, 3.4e-82], [0.0, 0.0, 3.4e-82]))  # the variance product underflows
-@settings(max_examples=300)
-def test_p_values_match_scipy_stats_oracles(xy):
+@given(graphs)
+@example(PATH_3)
+@example(STAR_AND_ISOLATED)
+@example(CYCLE_AND_EDGE)
+@settings(max_examples=300, deadline=None)
+def test_p_values_match_scipy_stats_oracles(a):
     # exact equality: the special-function tails are what scipy.stats evaluates
-    x, y = xy
-    for fn in (pearson, spearman):
-        try:
-            result = fn(x, y)
-        except UndefinedCorrelationError:
-            continue
-        assert result.p_value == t_p_value_oracle(result.value, len(x))
-        if abs(result.value) >= 1.0:
-            assert result.p_value == 0.0
-    try:
-        result = kendall(x, y)
-    except UndefinedCorrelationError:
+    vectors = kept_metric_vectors(a)
+    if vectors is None:
         return
-    assert result.p_value == normal_p_value_oracle(kendall_z_oracle(x, y))
+    for kind in KINDS:
+        for name, x in zip(STATISTICS, vectors):
+            cell = node_metric_correlations(a, kind)[name]
+            if "undefined" in cell:
+                continue
+            assert 0.0 <= cell["p_value"] <= 1.0
+            if kind == "kendall":
+                z = kendall_z_oracle(x.tolist(), vectors[2].tolist())
+                assert cell["p_value"] == normal_p_value_oracle(z)
+            else:
+                assert cell["p_value"] == t_p_value_oracle(cell["value"], cell["n"])
+                if abs(cell["value"]) >= 1.0:
+                    assert cell["p_value"] == 0.0
 
 
 def integer_sequences(min_size=3, max_size=8):
@@ -332,16 +356,13 @@ def integer_sequences(min_size=3, max_size=8):
 @settings(max_examples=100)
 def test_monotone_invariance(xy, scale, shift):
     x, y = xy
-    try:
-        base_p = pearson(x, y)
-    except UndefinedCorrelationError:
+    base = pearson_r(x, y)
+    if math.isnan(base):
         return
-    assert pearson([scale * v + shift for v in x], y).value == pytest.approx(
-        base_p.value, abs=1e-9
-    )
+    assert pearson_r([scale * v + shift for v in x], y) == pytest.approx(base, abs=1e-9)
     cubed = [v**3 + shift for v in x]  # strictly increasing, non-affine
-    assert spearman(cubed, y).value == pytest.approx(spearman(x, y).value, abs=1e-12)
-    assert kendall(cubed, y).value == pytest.approx(kendall(x, y).value, abs=1e-12)
+    for kind in ("spearman", "kendall"):
+        assert replicate_r(cubed, y, kind) == pytest.approx(replicate_r(x, y, kind), abs=1e-12)
 
 
 def test_zscore():
@@ -414,6 +435,25 @@ def test_node_metric_correlations_star():
         node_metric_correlations(_adjacency_matrix(Graph(edges=[("a", "b")]))[1])
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@given(graphs)
+@example(PATH_3)
+@example(STAR_AND_ISOLATED)
+@example(TRIANGLE)
+@example(CYCLE_AND_EDGE)
+@settings(max_examples=300, deadline=None)
+def test_node_metric_correlations_match_scalar_oracle(kind, a):
+    # the one-replicate path against the scalar one it replaced: value,
+    # p-value, n and the reason of an undefined cell, bit for bit
+    try:
+        expected = scalar_node_metric_correlations(a, kind)
+    except InsufficientDataError as exc:
+        with pytest.raises(InsufficientDataError, match=str(exc)):
+            node_metric_correlations(a, kind)
+        return
+    assert repr(node_metric_correlations(a, kind)) == repr(expected)
+
+
 def test_ensemble_zscores_deterministic():
     stream = SeedStream.from_seed(3)
     g = graph_from_adjacency(range(20), er_gnm(20, 50, stream.child(99).generator(), 1)[0])
@@ -424,16 +464,17 @@ def test_ensemble_zscores_deterministic():
     assert first == second
     assert list(first) == list(STATISTICS)
     # the replicate values, regenerated one at a time from the same generator
+    # and scored as empirical cells
     values = {name: [] for name in STATISTICS}
     rng = stream.generator()
     for _ in range(50):
-        *metrics, keep = metric_vectors(generate_null(spec, rng, 1)[0])
-        deg, cc, bc = (v[keep] for v in metrics)
-        for name, x in zip(STATISTICS, (deg, cc)):
-            try:
-                values[name].append(correlation(x, bc, "spearman").value)
-            except UndefinedCorrelationError:
-                pass
+        try:
+            cells = node_metric_correlations(generate_null(spec, rng, 1)[0])
+        except InsufficientDataError:
+            continue
+        for name, cell in cells.items():
+            if "value" in cell:
+                values[name].append(cell["value"])
     for name, cell in first.items():
         assert cell["empirical"] == empirical[name]["value"]
         assert cell["z"] == pytest.approx(zscore(cell["empirical"], values[name]))
@@ -487,7 +528,6 @@ def test_ensemble_zscores_validates_replicates():
         )
 
 
-KINDS = ("spearman", "pearson", "kendall")
 # metric values with long tie runs and signed zeros, or any finite float
 metric_values = st.one_of(
     st.integers(min_value=0, max_value=3).map(float),
@@ -535,7 +575,7 @@ def replicate_stacks(draw):
 )
 @settings(max_examples=200)
 def test_row_midranks_match_loop_oracle(rows):
-    assert _row_midranks(np.array(rows)).tolist() == [loop_midranks(row).tolist() for row in rows]
+    assert _row_midranks(np.array(rows)).tolist() == [loop_midranks(v).tolist() for v in rows]
 
 
 @given(
@@ -546,13 +586,20 @@ def test_row_midranks_match_loop_oracle(rows):
 @settings(max_examples=300, deadline=None)
 def test_replicate_values_match_loop_oracle(stack, kind, names):
     vectors, metrics = stack
-    values = _replicate_values(metrics, kind, names)
+    values, nums = _replicate_values(metrics, kind, names)
     expected, dropped = loop_replicate_values(vectors, kind)
-    assert list(values) == list(names)
+    assert list(values) == list(nums) == list(names)
     for name in names:
         defined = ~np.isnan(values[name])
         assert values[name][defined].tolist() == expected[name]
         assert len(vectors) - int(defined.sum()) == dropped[name]
+        # Kendall's pair counts, which its p-value reads, where tau is defined
+        if kind == "kendall":
+            kept = [triple for triple, ok in zip(vectors, defined) if ok]
+            expected_nums = [_kendall_tau(t[STATISTICS.index(name)], t[2])[1] for t in kept]
+            assert nums[name][defined].tolist() == expected_nums
+        else:
+            assert np.isnan(nums[name]).all()
 
 
 @pytest.mark.parametrize("kind", KINDS)
