@@ -13,6 +13,14 @@ empirical cell is the same computation on a stack of one. Pearson is
 kernel enters them, so a value does not depend on which kernel runs.
 Kendall is `_row_kendall`, whose sums are exact integer counts.
 
+Both kernels take only the kept metric rows of a graph with k non-isolated
+nodes, or their midranks: degrees, integers in [1, k - 1]; clustering, 0
+or a value in [2 / ((k - 1)(k - 2)), 1]; betweenness, 0 or a value in
+[1 / (k - 2), (k - 1)(k - 2) / 2]; midranks, half-integers in [1, k]. So
+no difference of two values overflows, and for any k below about 1e30 a
+non-constant row's sum of squared deviations, and the product of two such
+sums, is a normal float; the kernels need no rescaling.
+
 The empirical p-values come from the special functions imported below:
 twice the Student t tail `stdtr(n - 2, -|t|)` for Pearson and Spearman,
 twice the normal tail `ndtr(-|z|)` for Kendall. The `sf` of the t and
@@ -98,7 +106,7 @@ def _kendall_p_value(num: float, x: np.ndarray, y: np.ndarray) -> float:
         / (9.0 * n * (n - 1) * (n - 2))
     )
     var = (v0 - vt - vu) / 18.0 + v1 + v2
-    return min(1.0, float(2.0 * ndtr(-abs(num) / math.sqrt(var))))
+    return float(2.0 * ndtr(-abs(num) / math.sqrt(var)))
 
 
 def metric_vectors(a: np.ndarray) -> tuple:
@@ -148,50 +156,31 @@ def node_metric_correlations(a: np.ndarray, kind: str = "spearman") -> dict:
 def _row_pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pearson's r of each row pair of two 2-D arrays; NaN where a row is constant.
 
-    The sums are `einsum` row dot products, which numpy evaluates in its
-    own fixed order, never in BLAS. On midranks, whose deviations from the
-    mean (k + 1) / 2 are half-integers, every sum is exact.
+    r = sum(xy) / sqrt(sum(xx) sum(yy)) of the rows less their means, from
+    `einsum` row dot products, which numpy evaluates in its own fixed order,
+    never in BLAS. The rows are node metrics of a graph or their midranks
+    (module docstring), so every non-constant row's sum of squares and the
+    product of two of them are normal floats. On midranks, whose deviations
+    from the mean (k + 1) / 2 are half-integers, every sum is exact.
     """
-    xc, vx, x_varies = _centred(x)
-    yc, vy, y_varies = _centred(y)
-    with np.errstate(over="ignore"):
-        product = vx * vy
-    # where the product is subnormal, 0 or inf, as with spreads near 1e-80 or 1e80
-    normal = (product >= np.finfo(float).tiny) & (product < np.inf)
-    scale = np.where(normal, np.sqrt(product), np.sqrt(vx) * np.sqrt(vy))
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    vx, vy = np.einsum("ij,ij->i", xc, xc), np.einsum("ij,ij->i", yc, yc)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.einsum("ij,ij->i", xc, yc) / scale
+        r = np.einsum("ij,ij->i", xc, yc) / np.sqrt(vx * vy)
     # a constant row whose mean rounds, as [0.1] * 3, has residues and vx > 0
-    defined = x_varies & y_varies
+    defined = (x.min(axis=1) != x.max(axis=1)) & (y.min(axis=1) != y.max(axis=1))
     return np.where(defined, np.minimum(1.0, np.maximum(-1.0, r)), np.nan)
-
-
-def _centred(v: np.ndarray) -> tuple:
-    """Each row of a 2-D array less its mean, the row's sum of squares of those, and min != max.
-
-    A row whose sum of squares overflows, as with spreads near 1e155, or is
-    subnormal or 0 though the row is not constant, as with spreads near
-    1e-155, is first scaled by a power of two that brings its largest value
-    into [0.5, 1). The scaling is exact, and r does not depend on it.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        vc = v - v.mean(axis=1, keepdims=True)
-        squares = np.einsum("ij,ij->i", vc, vc)
-    varies = v.min(axis=1) != v.max(axis=1)
-    odd = ((squares < np.finfo(float).tiny) & varies) | ~np.isfinite(squares)
-    if odd.any():
-        scaled = np.ldexp(v[odd], -np.frexp(np.abs(v[odd]).max(axis=1, keepdims=True))[1])
-        vc[odd] = scaled - scaled.mean(axis=1, keepdims=True)
-        squares[odd] = np.einsum("ij,ij->i", vc[odd], vc[odd])
-    return vc, squares, varies
 
 
 def _row_kendall(x: np.ndarray, y: np.ndarray) -> tuple:
     """(tau-b, concordant minus discordant pairs) of each row pair of two 2-D arrays.
 
-    Tau-b is NaN where a row is all tied. The signs of the pairs i < j are
-    taken a chunk of rows at a time, at most `_KENDALL_PAIRS` pairs but at
-    least one row. Every sum is an integer count, exact in a float.
+    Tau-b is NaN where a row is all tied. The signs of x_i - x_j over the
+    pairs i < j are taken a chunk of rows at a time, at most `_KENDALL_PAIRS`
+    pairs but at least one row. The rows are node metrics of a graph (module
+    docstring), so no difference overflows. Every sum is an integer count,
+    exact in a float.
     """
     i, j = np.triu_indices(x.shape[1], k=1)
     num, tx, ty = np.empty((3, len(x)))
@@ -199,20 +188,14 @@ def _row_kendall(x: np.ndarray, y: np.ndarray) -> tuple:
     step = max(1, _KENDALL_PAIRS // pairs)
     for start in range(0, len(x), step):
         rows = slice(start, start + step)
-        # the signs of x_i - x_j by comparison, as the difference can overflow
-        dx = _signs(x[rows, i], x[rows, j])
-        dy = _signs(y[rows, i], y[rows, j])
+        dx = np.sign(x[rows, i] - x[rows, j])
+        dy = np.sign(y[rows, i] - y[rows, j])
         num[rows] = np.einsum("ij,ij->i", dx, dy)
         tx[rows], ty[rows] = np.count_nonzero(dx == 0, axis=1), np.count_nonzero(dy == 0, axis=1)
     denom = np.sqrt((pairs - tx) * (pairs - ty))
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = np.minimum(1.0, np.maximum(-1.0, num / denom))
     return np.where(denom == 0.0, np.nan, tau), num
-
-
-def _signs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(u > v) - (u < v) as floats: the sign of u - v, for finite u and v."""
-    return np.subtract(u > v, u < v, dtype=float)
 
 
 def _replicate_values(metrics: tuple, kind: str, names) -> tuple:

@@ -801,11 +801,12 @@ def zscore(x: float, replicates) -> float:
 
 # The Pearson formula `stats._row_pearson` replaced: its sums are 1-D `@`
 # products, BLAS `ddot`, so their last bits depend on the BLAS kernel.
-# `_row_pearson` must stay within a relative 1e-12 of it. Like that kernel,
-# it calls an argument constant when its minimum equals its maximum, scales
-# a non-constant argument whose sum of squares is subnormal or 0 by a power
-# of two first, and takes the product of the square roots where the
-# variance product is not a normal float.
+# `_row_pearson` must stay within a relative 1e-12 of it where both variance
+# sums and their product are normal floats, as on every metric row. Like
+# that kernel, it calls an argument constant when its minimum equals its
+# maximum. Unlike it, it scales a non-constant argument whose sum of squares
+# is subnormal or 0 by a power of two first, and takes the product of the
+# square roots where the variance product is not a normal float.
 def _pearson_value(x: np.ndarray, y: np.ndarray) -> float:
     def centred(v):
         vc = v - v.mean()
@@ -824,9 +825,10 @@ def _pearson_value(x: np.ndarray, y: np.ndarray) -> float:
     return min(1.0, max(-1.0, r))
 
 
-# `stats._row_pearson` on one row pair before it handled sums that overflow
-# or underflow: (r, vx, vy), the two variance sums. Where vx, vy and their
-# product are normal floats, `_row_pearson` must return these bits.
+# The formula of `stats._row_pearson` on one row pair: (r, vx, vy), the two
+# variance sums. Where vx, vy and their product are normal floats, as on
+# every metric row, `_row_pearson` must return these bits; elsewhere, which
+# no graph reaches, neither gives a meaningful r.
 def einsum_pearson_value(x: np.ndarray, y: np.ndarray) -> tuple:
     x, y = x[None], y[None]
     xc = x - x.mean(axis=1, keepdims=True)
