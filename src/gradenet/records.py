@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ ATTRIBUTE_COLUMNS = (
 # sign constraints enforced at parse time, keyed by column name
 _POSITIVE = {"width_mm", "thickness_mm"}
 _NONNEGATIVE = {"carbon", "manganese", "silicon", "titanium"}
-_NONBLANK = re.compile(r"\S")
 # np.loadtxt arguments that read the rows after the header line as csv.reader does
 _BODY = dict(delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1, encoding="utf-8")
 
@@ -110,18 +108,12 @@ class RecordTable:
 
         `bins` holds one code below `size` per selected row, in row order.
         `np.bincount` adds each bin's values in row order from 0.0, as a
-        running Python sum would. An empty bin has no means. A sum that
-        overflows to infinity raises ParseError naming the attribute, so no
-        mean is ever infinite.
+        running Python sum would. An empty bin has no means. No sum can
+        overflow: `parse_records` refuses a column whose row-order total does.
         """
         counts = np.bincount(bins, minlength=size).tolist()
         names = sorted(self.attributes)
-        sums = []
-        for name in names:
-            column = np.bincount(bins, self.attributes[name][rows], size)
-            if not np.isfinite(column).all():
-                raise ParseError(f"column {name}: values too large to average")
-            sums.append(column.tolist())
+        sums = [np.bincount(bins, self.attributes[name][rows], size).tolist() for name in names]
         means = [
             {name: column[b] / n for name, column in zip(names, sums)} if n else {}
             for b, n in enumerate(counts)
@@ -141,14 +133,16 @@ def parse_records(csv_text: str, item_column: str = ITEM_COLUMN) -> RecordTable:
     header. One leading UTF-8 byte-order mark is dropped. Rows are checked
     one at a time, so the first bad cell in file order is the one reported.
 
-    The body is read by numpy's C reader when it can be; any input that
-    reader rejects or that fails a check goes to the row loop, which is
-    the only code that reports a bad row.
+    Both readers take csv's first record as the header. The body is read
+    by numpy's C reader when it can be; any input that reader rejects or
+    that fails a check goes to the row loop, which is the only code that
+    reports a bad row.
 
     A column whose total, summed in row order, overflows raises ParseError.
-    Every standard column is >= 0 and rounding is monotone, so no row-order
-    sum over a subset of such a column's rows (a stage's, a group's or an
-    item's) can overflow after that check.
+    This is the only overflow check: every standard column is >= 0 and
+    rounding is monotone, so no row-order sum over a subset of such a
+    column's rows (a stage's, a group's or an item's, as
+    `RecordTable.bin_means` adds them) can overflow after it.
     """
     try:
         table = _read_columns(csv_text, item_column)
@@ -179,18 +173,21 @@ def _columns(header: list, item_column: str) -> tuple:
 def _read_columns(csv_text: str, item_column: str):
     """The table from np.loadtxt, or None where only the row loop can decide.
 
-    The C reader splits, unquotes and skips blank lines as csv does, and
-    reads a number only where float() reads the same value, so a table
-    that passes every check of the row loop is the row loop's table. The
-    first line is the header only when it holds no quote, which could carry
-    a field over a line end. Text with a NUL is left to the row loop, as csv
-    before Python 3.11 rejects it.
+    The header is csv's first record, as in the row loop; numpy skips one
+    line, so a header field quoted across the line end is left to the row
+    loop. The C reader splits, unquotes and skips blank lines as csv does,
+    and reads a number only where float() reads the same value, so a table
+    that passes every check of the row loop is the row loop's table. Text
+    with a NUL is left to the row loop, as csv before Python 3.11 rejects it.
     """
     end = csv_text.find("\n") + 1
-    first = csv_text[csv_text.startswith("\ufeff") : end]
-    if not end or '"' in first or "\x00" in csv_text or not _NONBLANK.search(csv_text, end):
+    if not end or "\x00" in csv_text:
         return None
-    names, col = _columns(next(csv.reader([first])), item_column)
+    reader = csv.reader([csv_text[csv_text.startswith("\ufeff") : end], ""])
+    header = next(reader)
+    if reader.line_num > 1:  # the first line ends inside a quoted field
+        return None
+    names, col = _columns(header, item_column)
     campaign_at, item_at = col[CAMPAIGN_COLUMN], col[item_column]
     labels = {campaign_at: _Codes(), item_at: _Codes()}  # one coder per label column
     # one field per label column, then one per attribute. Where usecols repeats
@@ -203,9 +200,10 @@ def _read_columns(csv_text: str, item_column: str):
     # a row ends at a "\n" or at the end of the text, and the header takes one
     # "\n", so max_rows bounds the rows: numpy then allocates the array once,
     # where growing it would raise the peak. numpy warns that a blank line is
-    # not counted towards max_rows, which changes nothing for a bound.
+    # not counted towards max_rows, which changes nothing for a bound, and
+    # that a header with no rows after it holds no data: the empty table.
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "Input line", UserWarning)
+        warnings.filterwarnings("ignore", "Input line|loadtxt: input contained no", UserWarning)
         rows = np.loadtxt(
             io.BytesIO(data),
             dtype,
@@ -223,7 +221,7 @@ def _read_columns(csv_text: str, item_column: str):
     if "" in campaigns or "" in items or not all(np.isfinite(v).all() for v in values):
         return None
     for name, column in zip(names, values):
-        low = column.min()
+        low = column.min(initial=np.inf)
         if (name in _POSITIVE and low <= 0) or (name in _NONNEGATIVE and low < 0):
             return None
     table = campaigns.labels(), items.labels(), codes[campaign_at], codes[item_at]

@@ -804,24 +804,15 @@ def zscore(x: float, replicates) -> float:
 # `_row_pearson` must stay within a relative 1e-12 of it where both variance
 # sums and their product are normal floats, as on every metric row. Like
 # that kernel, it calls an argument constant when its minimum equals its
-# maximum. Unlike it, it scales a non-constant argument whose sum of squares
-# is subnormal or 0 by a power of two first, and takes the product of the
-# square roots where the variance product is not a normal float.
+# maximum. Elsewhere, which no graph reaches, it raises FloatingPointError.
 def _pearson_value(x: np.ndarray, y: np.ndarray) -> float:
-    def centred(v):
-        vc = v - v.mean()
-        if float(vc @ vc) < np.finfo(float).tiny and v.min() != v.max():
-            v = np.ldexp(v, -math.frexp(np.abs(v).max())[1])
-            vc = v - v.mean()
-        return vc, float(vc @ vc)
-
     if x.min() == x.max() or y.min() == y.max():
         raise UndefinedCorrelationError("zero variance in a correlation argument")
-    (xc, vx), (yc, vy) = centred(x), centred(y)
-    scale = math.sqrt(vx * vy)
-    if not np.finfo(float).tiny <= vx * vy < math.inf:
-        scale = math.sqrt(vx) * math.sqrt(vy)
-    r = float(xc @ yc) / scale
+    xc, yc = x - x.mean(), y - y.mean()
+    vx, vy = float(xc @ xc), float(yc @ yc)
+    if not all(np.finfo(float).tiny <= v < math.inf for v in (vx, vy, vx * vy)):
+        raise FloatingPointError("a variance sum or their product is not a normal float")
+    r = float(xc @ yc) / math.sqrt(vx * vy)
     return min(1.0, max(-1.0, r))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import os
 import string
 import subprocess
@@ -308,16 +309,37 @@ def test_lone_carriage_returns_raise_parse_error():
         parse_records("campaign,grade,carbon\rc1,g,0.1\r")
 
 
-@pytest.mark.parametrize("header", ["campaign,grade,carbon", '"campaign",grade,carbon'])
-def test_column_total_overflow_is_refused_at_parse(header):
+# a header field quoted across its line end: numpy skips one line, so such
+# text is the row loop's
+ACROSS_LINE_END = '"note\nacross"'
+
+
+def counting_row_loop(monkeypatch) -> list:
+    """Patch the row loop to log a call and run; the log."""
+    calls, read_rows = [], records_module._read_rows
+    monkeypatch.setattr(records_module, "_read_rows", lambda *a: calls.append(a) or read_rows(*a))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "campaign,grade,carbon",
+        '"campaign",grade,carbon',
+        f"campaign,grade,carbon,{ACROSS_LINE_END}",
+    ],
+)
+def test_column_total_overflow_is_refused_at_parse(monkeypatch, header):
     # each grade's mean is finite; only the column's row-order total overflows.
-    # The quoted header sends the text through the row loop, the plain one through numpy.
+    # The plain and the quoted header take numpy's reader, the last the row loop.
+    calls = counting_row_loop(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParseError, match="^column carbon: values too large to average$"):
             parse_records(f"{header}\nc1,A,1e308\nc2,B,1e308\n")
         table = parse_records(f"{header}\nc1,A,1e308\nc2,B,7e307\n")
     assert table.attributes["carbon"].tolist() == [1e308, 7e307]
+    assert len(calls) == (2 if ACROSS_LINE_END in header else 0)
 
 
 def planted_csv() -> str:
@@ -325,11 +347,39 @@ def planted_csv() -> str:
     return records_csv_dumps(generate(config, SeedStream.from_seed(0).generator()))
 
 
-@pytest.mark.parametrize("eol, quote", [("\n", ""), ("\r\n", '"')])
-def test_generated_input_takes_the_column_reader(monkeypatch, eol, quote):
-    lines = planted_csv().splitlines()
-    cells = (line.split(",", 1) for line in lines[1:])
-    text = eol.join([lines[0], *(f"{quote}{label}{quote},{rest}" for label, rest in cells), ""])
+def planted_csv_as(case: str) -> str:
+    """The planted CSV as written, or as the writer that `case` names would write it."""
+    text = planted_csv()
+    header, *rows = text.splitlines()
+    if case == "crlf-quoted-labels":
+        cells = (row.split(",", 1) for row in rows)
+        return "\r\n".join([header, *(f'"{label}",{rest}' for label, rest in cells), ""])
+    if case == "quoted-header":  # as R's write.csv quotes a header
+        return ",".join(f'"{name}"' for name in header.split(",")) + text[len(header) :]
+    if case == "quote-nonnumeric":  # quoted header and labels, as pandas writes them
+        out = io.StringIO()
+        writer = csv.writer(out, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+        writer.writerow(header.split(","))
+        writer.writerows([*row[:2], *map(float, row[2:])] for row in csv.reader(rows))
+        return out.getvalue()
+    if case == "header-only":
+        return header + "\n"
+    return text
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # the first two keep the ids of the (line end, label quote) pairs they were
+        pytest.param("as-written", id="\n-"),
+        pytest.param("crlf-quoted-labels", id='\r\n-"'),
+        "quoted-header",
+        "quote-nonnumeric",
+        "header-only",
+    ],
+)
+def test_generated_input_takes_the_column_reader(monkeypatch, case):
+    text = planted_csv_as(case)
     expected = row_parse_records(text)
 
     def row_loop(*args):
@@ -338,6 +388,14 @@ def test_generated_input_takes_the_column_reader(monkeypatch, eol, quote):
     # the oracle test above compares two readers only if valid input reaches numpy's reader
     monkeypatch.setattr(records_module, "_read_rows", row_loop)
     assert_table_matches(parse_records(text), expected)
+
+
+def test_header_quoted_across_its_line_end_takes_the_row_loop(monkeypatch):
+    header, body = planted_csv().split("\n", 1)
+    text = f"{header},{ACROSS_LINE_END}\n{body}"
+    calls = counting_row_loop(monkeypatch)
+    assert_table_matches(parse_records(text), row_parse_records(text))
+    assert len(calls) == 1
 
 
 def test_labels_that_strip_alike_share_a_code(monkeypatch):

@@ -197,6 +197,9 @@ def test_spearman_is_pearson_on_midranks(xy):
 @example(([0.1] * 3, [0.0, 1.0, 2.0]))
 @example(([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.7] * 7))
 @example(([123.456] * 5, [0.0, 1.0, 2.0, 3.0, 4.0]))
+# a subnormal variance sum, and a variance product that overflows
+@example(([0.0, 1e-160, 2e-160], [0.0, 1.0, 2.0]))
+@example(([0.0, 1e80, 2e80], [0.0, 1e80, 3e80]))
 @settings(max_examples=300)
 def test_pearson_matches_blas_summed_oracle(xy):
     x, y = (np.array(v) for v in xy)
@@ -204,6 +207,8 @@ def test_pearson_matches_blas_summed_oracle(xy):
         expected = _pearson_value(x, y)
     except UndefinedCorrelationError:
         assert math.isnan(pearson_r(x, y))
+        return
+    except FloatingPointError:  # sums that no metric row has: the oracle gives no r
         return
     _, vx, vy = einsum_pearson_value(x, y)
     if normal_floats(vx, vy, vx * vy):
