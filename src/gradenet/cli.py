@@ -93,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: Path) -> str:
+    # line ends as written: csv reads them, and the report digests the file as given
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 

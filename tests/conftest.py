@@ -348,6 +348,108 @@ def whole_graph_girvan_newman(graph: Graph, edge_betweenness=edge_betweenness):
     )
 
 
+def predecessor_girvan_newman(graph: Graph) -> CommunityPartition:
+    """Girvan-Newman with a dict of parts and a dict of scored parts.
+
+    The part-id version that the one-record-per-part `girvan_newman`
+    replaced, kept verbatim below this paragraph; the two must agree bit
+    for bit. Divisive community detection by iterated max-edge-betweenness
+    removal.
+
+    The returned communities are the dendrogram level with maximal
+    modularity; on ties the level with fewer communities wins. A
+    disconnected graph starts from its component partition.
+
+    Each part keeps its sorted member indices, its own contiguous
+    adjacency block, its edge-betweenness block and that block's maximum,
+    its sorted labels and its modularity term. A removal changes scores
+    only inside the part that held the edge, so it edits that part's block
+    in place and makes one kernel call on it. Brandes on a block that has
+    fallen apart scores each part on its own, so `split` slices a call's
+    blocks by its reachability matrix, as it slices the first call, on the
+    whole graph, into the components.
+    """
+    # a stays the graph before any removal: each part edits its own copy
+    labels, a = _adjacency_matrix(graph)
+    degree = a.sum(axis=1)
+    remaining = int(np.count_nonzero(a)) // 2
+    # Newman-Girvan Q = sum_c (e_cc - a_c^2), counted on the graph before
+    # any removal; an edgeless graph has Q = 0, as then every count is 0
+    two_m = 2.0 * remaining or 1.0
+    # part id -> (sort key: minus its size, then its first member; labels;
+    # Q term)
+    parts = {}
+    # part id -> (members, adjacency block, edge-betweenness block, its
+    # maximum) for each part of two or more nodes, which, being connected,
+    # holds an edge
+    scored = {}
+
+    def set_part(k: int, members: np.ndarray, block: np.ndarray, eb) -> None:
+        # twice the internal edges and the degree sum, as exact integers
+        internal = int(np.count_nonzero(a[members[:, None], members]))
+        degree_sum = int(degree[members].sum())
+        term = internal / two_m - (degree_sum / two_m) ** 2
+        listed = members.tolist()
+        parts[k] = ((-len(listed), listed[0]), [labels[t] for t in listed], term)
+        if len(listed) > 1:
+            scored[k] = (members, block, eb, eb.max())
+        else:
+            scored.pop(k, None)
+
+    def split(k: int, members: np.ndarray, block: np.ndarray, eb, seen) -> None:
+        # a part per first reached node; the first keeps id k, the rest take new ids
+        first = seen.argmax(axis=1)
+        for root in np.unique(first).tolist():
+            rows = np.flatnonzero(first == root)
+            sub = rows[:, None], rows
+            set_part(k, members[rows], block[sub], eb[sub])
+            k = len(parts)
+
+    def level() -> tuple:
+        # largest first, then smallest label; Q summed in that order from 0.0.
+        # No two parts share a first member, so the sort reads only the keys
+        order = sorted(parts.values())
+        q = 0.0
+        for part in order:
+            q += part[2]
+        return tuple(part[1] for part in order), q
+
+    if len(labels):  # argmax has no first reached node in an empty matrix
+        _, eb, seen = _dense_betweenness(a, edges=True)
+        split(0, np.arange(len(labels)), a, eb, seen)
+    partition, best_q = level()
+    best = partition
+    dendrogram = []
+    while remaining:
+        cut = max(top for *_, top in scored.values()) - _TIE_EPS
+        # each eb block is symmetric, zero off the edges and at least 1 on
+        # them, and its members are sorted, so its first tied entry in
+        # row-major order is its smallest tied edge, with p < q; the removed
+        # edge is the smallest (i, j) of those over all parts
+        tied = []
+        for k, (members, _, eb, top) in scored.items():
+            if top >= cut:
+                p, q = divmod(int(np.argmax(eb >= cut)), len(members))
+                tied.append((int(members[p]), int(members[q]), k, p, q))
+        i, j, k, p, q = min(tied)
+        members, block = scored[k][:2]
+        block[p, q] = block[q, p] = 0.0
+        remaining -= 1
+        _, eb, seen = _dense_betweenness(block, edges=True)
+        if seen[p, q]:
+            scored[k] = (members, block, eb, eb.max())
+        else:
+            split(k, members, block, eb, seen)
+            partition, split_q = level()
+            if split_q > best_q + _TIE_EPS:
+                best_q = split_q
+                best = partition
+        dendrogram.append(((labels[i], labels[j]), partition))
+    return CommunityPartition(
+        communities=best, modularity_q=best_q, dendrogram=tuple(dendrogram)
+    )
+
+
 def brute_clustering(graph: Graph, node) -> float:
     """Watts-Strogatz clustering by explicit neighbor-pair counting."""
     nbrs = sorted(graph.neighbors(node))

@@ -37,6 +37,7 @@ from conftest import (
     element_tree_graphml_dumps,
     graphml_loads,
     row_parse_records,
+    table_records,
 )
 
 SYNTH_CONFIG = {
@@ -100,6 +101,41 @@ def test_byte_order_mark_is_ignored(tmp_path, input_csv):
     # the digest is of the input as given, mark included
     assert report["input"]["sha256"] == hashlib.sha256(bom_csv.read_bytes()).hexdigest()
     assert report["input"]["records"] == 4
+
+
+def test_lone_carriage_returns_are_a_data_error(tmp_path, capsys):
+    # line ends reach parse_records as written, so the CLI refuses what it refuses
+    lone_cr = tmp_path / "cr.csv"
+    lone_cr.write_bytes(b"campaign,grade\rc1,A\rc1,B\rc2,B\r")
+    for command in ("mine", "analyze"):
+        capsys.readouterr()
+        assert main([command, str(lone_cr), "--out", str(tmp_path / command)]) == 2
+        assert "data error" in capsys.readouterr().err
+
+
+def test_label_quoted_across_crlf_is_read_as_written(tmp_path, monkeypatch):
+    text = 'campaign,grade\r\n"c\r\n1",A\r\n"c\r\n1",B\r\nc2,B\r\n'
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text.encode("utf-8"))
+    tables = []
+
+    def recording(csv_text, **kwargs):
+        tables.append(parse_records(csv_text, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr("gradenet.cli.parse_records", recording)
+    assert main(["mine", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "c\r\n1" in tables[0].campaign_labels
+    assert table_records(tables[0]) == table_records(parse_records(text))
+
+
+def test_crlf_input_digest_is_the_file_digest(tmp_path, input_csv):
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(input_csv.read_bytes().replace(b"\n", b"\r\n"))
+    out = tmp_path / "report"
+    assert main(["analyze", str(crlf), "--windows", "2", "--ensemble", "5", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["input"]["sha256"] == hashlib.sha256(crlf.read_bytes()).hexdigest()
 
 
 def test_export_round_trip_preserves_graph():

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,7 @@ from conftest import (
     graph_from_adjacency,
     has_edge,
     modularity,
+    predecessor_girvan_newman,
     random_graph,
     remove_edge,
     whole_graph_girvan_newman,
@@ -392,6 +394,64 @@ def test_girvan_newman_tie_heavy_matches_whole_graph_oracle(name):
 @settings(max_examples=300, deadline=None)
 def test_girvan_newman_matches_whole_graph_oracle(g):
     assert_matches_whole_graph_oracle(g)
+
+
+@st.composite
+def predecessor_gn_graphs(draw):
+    """A disjoint union of one to three parts of at most 30 nodes in all,
+    each a random graph at any density, a single node, or one of the
+    tie-heavy C_n, K_n, K_{a,b}, grids and 2K4, under one random int or str
+    relabelling of all nodes."""
+    parts, room = [], 30
+    for _ in range(draw(st.integers(1, 3))):
+        if not room:
+            break
+        kind = draw(
+            st.sampled_from(["random", "single", "cycle", "complete", "bipartite", "grid", "2K4"])
+        )
+        if kind == "random":
+            n = draw(st.integers(1, room))
+            rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+            a = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 1.0)), 1).astype(float)
+            a = a + a.T
+        elif kind == "cycle" and room >= 3:
+            a = cycle(draw(st.integers(3, room)))
+        elif kind == "complete":
+            n = draw(st.integers(1, room))
+            a = adjacency(n, complete(range(n)))
+        elif kind == "bipartite" and room >= 2:
+            p = draw(st.integers(1, room - 1))
+            a = complete_bipartite(p, draw(st.integers(1, room - p)))
+        elif kind == "grid":
+            rows = draw(st.integers(1, min(room, 6)))
+            a = grid(rows, draw(st.integers(1, room // rows)))
+        elif kind == "2K4" and room >= 8:
+            a = adjacency(8, complete(range(4)) + complete(range(4, 8)))
+        else:
+            a = np.zeros((1, 1))
+        parts.append(a)
+        room -= len(a)
+    a = scipy.linalg.block_diag(*parts)
+    order = draw(st.permutations(range(len(a))))
+    label = draw(st.sampled_from([int, str]))
+    return graph_from_adjacency(map(label, range(len(a))), a[np.ix_(order, order)])
+
+
+@given(predecessor_gn_graphs())
+@example(Graph())
+@example(Graph(nodes=["z"]))
+@example(TIE_HEAVY["C8"])
+@example(TIE_HEAVY["K5"])
+@example(TIE_HEAVY["K3,3"])
+@example(TIE_HEAVY["2K4"])
+@example(graph_from_adjacency(range(30), grid(5, 6)))
+@settings(max_examples=200, deadline=None)
+def test_girvan_newman_matches_predecessor_oracle(g):
+    actual = girvan_newman(g)
+    expected = predecessor_girvan_newman(g)
+    # communities, dendrogram and Q; == on floats leaves out only the sign of zero
+    assert actual == expected
+    assert actual.modularity_q.hex() == expected.modularity_q.hex()
 
 
 @given(gn_graphs())
